@@ -51,11 +51,10 @@ from .local_graphs import (
 from .discrete_config import (
     BettiVector,
     CellBudgetError,
-    CubicalComplex,
+    ChainComplex,
     betti,
     build_complex,
     nonvanishing_check,
-    sufficient_subdivision,
 )
 from .tc_bounds import (
     BoundQuery,

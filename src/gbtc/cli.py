@@ -1,9 +1,9 @@
 """Batch command-line front end.
 
 Subcommands cover classification, bound and stable-value reports, the local
-particle models (JSON or DOT), homology of the discretized configuration
-complex, the lemma verification table, and a deterministic sweep over the
-bundled corpus.  Output is canonical JSON (sorted keys) on stdout; exit code
+particle models (JSON or DOT), homology of the configuration space, the
+lemma verification table, and a deterministic sweep over the bundled
+corpus.  Output is canonical JSON (sorted keys) on stdout; exit code
 2 flags failed mathematical hypotheses, 1 flags I/O or format problems.
 """
 
@@ -38,9 +38,12 @@ def _cell_budget() -> int:
     if raw is None:
         return discrete_config.DEFAULT_CELL_BUDGET
     try:
-        return int(raw)
-    except ValueError as exc:
-        raise GraphFormatError(f"bad GBTC_CELL_BUDGET value {raw!r}") from exc
+        budget = int(raw)
+    except ValueError:
+        budget = 0
+    if budget <= 0:
+        raise GraphFormatError(f"bad GBTC_CELL_BUDGET value {raw!r}: want a positive integer")
+    return budget
 
 
 def _cmd_classify(args) -> int:
@@ -104,8 +107,10 @@ def _cmd_homology(args) -> int:
     g = load_graph(args.graph)
     report = discrete_config.nonvanishing_check(g, args.k, _cell_budget())
     if args.dump_boundaries:
-        ng = discrete_config.sufficient_subdivision(normalize(g), args.k)
-        complex_ = discrete_config.build_complex(ng, args.k, _cell_budget())
+        complex_ = report.chain_complex
+        if complex_ is None:
+            sys.stderr.write("error: generator budget exceeded, no boundaries written\n")
+            return 1
         with open(args.dump_boundaries, "w", encoding="utf-8") as fh:
             for d in range(1, complex_.dimension + 1):
                 fh.write(f"# boundary {d}\n")
@@ -306,15 +311,17 @@ def build_parser() -> argparse.ArgumentParser:
     p = add(
         "homology",
         _cmd_homology,
-        "Exact rational Betti numbers of the discretized k-particle complex, "
-        "with the verdict on nonvanishing in degree min(floor(k/2), m).",
+        "Exact rational Betti numbers of the k-particle configuration space "
+        "in degrees 0..k, from the reduced Swiatkowski complex, with the "
+        "verdict on nonvanishing in degree min(floor(k/2), m).",
     )
     p.add_argument("graph")
     p.add_argument("--k", type=int, required=True, help="particle count, k >= 1")
     p.add_argument(
         "--dump-boundaries",
         metavar="PATH",
-        help="also write the boundary matrices as 'row col value' triplets",
+        help="also write the complex's boundary matrices as 'row col value' "
+        "triplets, rows and columns indexing generators",
     )
 
     p = add(

@@ -1,138 +1,94 @@
-"""Discretized model of sink-free unordered configuration spaces.
+"""Reduced Świątkowski complex of sink-free unordered configuration spaces.
 
-A cell of the k-particle complex on a subdivided graph is a set of k closed
-cells of the graph (vertices and closed edges) with pairwise disjoint
-closures; its dimension is the number of edges.  On a sufficiently
-subdivided graph this complex carries the homotopy type of the configuration
-space, so rational Betti numbers can be computed by exact integer
-elimination on the cubical boundary matrices.
+The rational homology of UConf_k of a graph is computed from a small chain
+complex built on the graph itself (Świątkowski, Colloq. Math. 89, 2001, in
+the reduced form of An, Drummond-Cole and Knudsen, "Subdivisional spaces and
+graph braid groups", arXiv:1708.02351).  Bivalent vertices are smoothed away
+first; self-loops and parallel edges are allowed, and a bare circle becomes
+one vertex with a loop.  At each vertex v fix the first half-edge h0(v).  A
+generator of degree d is a choice of d occupied vertices, each holding a
+difference h - h0(v) of half-edges at it, times a monomial of degree k - d in
+the edges.  The differential sends h - h0(v) to e(h) - e(h0(v)), with the
+Koszul sign of the occupied vertex's position.  No subdivision is needed, and
+the generator count is known in closed form before anything is enumerated.
 
-The subdivision criterion used here is deliberately generous: every chain
-between branch points or leaf tips and every embedded cycle gets at least
-k+1 edges.  Exactness is non-negotiable: ranks are computed fraction-free
-over the integers, never in floating point.
+Exactness is non-negotiable: ranks are computed fraction-free over the
+integers, never in floating point.
 """
 
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
-from math import gcd
+from dataclasses import dataclass, field
+from math import comb, gcd
 
-from .graph_core import (
-    Graph,
-    HypothesisError,
-    classify,
-    is_connected,
-    is_normalized,
-    normalize,
-    _fresh_id,
-)
+from .graph_core import Graph, HypothesisError, classify, is_connected, _valences
 
-DEFAULT_CELL_BUDGET = 5_000_000
+DEFAULT_CELL_BUDGET = 1_000_000
 
 
 class CellBudgetError(RuntimeError):
-    """The complex would exceed the configured cell budget."""
+    """The complex would exceed the configured generator budget."""
 
 
-def _chains(g: Graph) -> list[tuple[list[int], bool]]:
-    """Maximal chains through bivalent vertices, as (edge index list, closed).
+def _smooth(g: Graph) -> tuple[list[list[int]], int]:
+    """Half-edges of g with its bivalent vertices smoothed away.
 
-    Endpoints of open chains have valence != 2; a closed chain starts and
-    ends at the same such vertex or is a pure cycle of bivalent vertices.
+    Returns one list per remaining vertex, in input order, of the edge index
+    of each half-edge there (a self-loop is listed twice), and the number of
+    remaining edges.  A vertex whose two half-edges are one loop stays.
     """
-    val = {v: 0 for v in g.vertices}
-    for u, w in g.edges:
-        val[u] += 1
-        val[w] += 1
-    at: dict[str, list[int]] = {v: [] for v in g.vertices}
-    for ei, (u, w) in enumerate(g.edges):
-        at[u].append(ei)
-        at[w].append(ei)
-
-    used = [False] * g.n_edges
-    chains: list[tuple[list[int], bool]] = []
-
-    def walk(start: str, first_edge: int) -> tuple[list[int], str]:
-        path = [first_edge]
-        used[first_edge] = True
-        u, w = g.edges[first_edge]
-        cur = w if u == start else u
-        while val[cur] == 2:
-            unused = [ei for ei in at[cur] if not used[ei]]
-            if not unused:
-                break  # a pure cycle just closed up
-            nxt = unused[0]
-            used[nxt] = True
-            path.append(nxt)
-            u, w = g.edges[nxt]
-            cur = w if u == cur else u
-        return path, cur
-
-    interest = [v for v in g.vertices if val[v] != 2]
-    for v in interest:
-        for ei in at[v]:
-            if not used[ei]:
-                path, end = walk(v, ei)
-                chains.append((path, end == v))
-    # leftover edges form pure cycles of bivalent vertices
-    for ei in range(g.n_edges):
-        if not used[ei]:
-            start = g.edges[ei][0]
-            path, end = walk(start, ei)
-            chains.append((path, True))
-    return chains
-
-
-def sufficient_subdivision(g: Graph, k: int) -> Graph:
-    """Subdivide so every chain between branch points or leaves and every
-    embedded cycle has at least k+1 edges.  One particle needs no separation,
-    so k <= 1 returns the graph unchanged."""
-    if not is_connected(g):
-        raise HypothesisError("connected graph required")
-    if not is_normalized(g):
-        raise ValueError("graph must be normalized first")
-    if k <= 1:
-        return g
-
-    need = k + 1
-    pieces = [1] * g.n_edges
-    for path, _closed in _chains(g):
-        if len(path) >= need:
+    vid = {v: i for i, v in enumerate(g.vertices)}
+    ends = [[vid[u], vid[w]] for u, w in g.edges]
+    at: list[list[int]] = [[] for _ in g.vertices]
+    for ei, (a, b) in enumerate(ends):
+        at[a].append(ei)
+        at[b].append(ei)
+    alive = [True] * len(ends)
+    for v, hs in enumerate(at):
+        if len(hs) != 2 or hs[0] == hs[1]:
             continue
-        q, r = divmod(need, len(path))
-        for i, ei in enumerate(path):
-            pieces[ei] = q + (1 if i < r else 0)
-
-    if all(p == 1 for p in pieces):
-        return g
-    used = set(g.vertices)
-    verts = list(g.vertices)
-    edges: list[tuple[str, str]] = []
-    for ei, (u, w) in enumerate(g.edges):
-        p = pieces[ei]
-        if p == 1:
-            edges.append((u, w))
-            continue
-        stops = [u] + [_fresh_id(used, f"{u}-{w}") for _ in range(p - 1)] + [w]
-        verts.extend(stops[1:-1])
-        edges.extend(zip(stops, stops[1:]))
-    return Graph(tuple(verts), tuple(edges), g.sinks)
+        keep, gone = hs
+        far = ends[gone][0] if ends[gone][1] == v else ends[gone][1]
+        ends[keep][ends[keep].index(v)] = far
+        at[far][at[far].index(gone)] = keep
+        alive[gone] = False
+        hs.clear()
+    renum = {ei: i for i, ei in enumerate(ei for ei in range(len(ends)) if alive[ei])}
+    return [[renum[ei] for ei in hs] for hs in at if hs], len(renum)
 
 
-Cell = tuple[tuple[int, ...], tuple[int, ...]]  # (edge indices, vertex indices)
+def _graded_terms(coeffs: list[int], n_edges: int, k: int) -> list[int]:
+    """[t^d] prod_c (1 + c t) times [t^(k-d)] (1 - t)^(-n_edges), for d = 0..k."""
+    poly = [1] + [0] * k
+    for c in coeffs:
+        for d in range(k, 0, -1):
+            poly[d] += c * poly[d - 1]
+    return [
+        poly[d] * (comb(n_edges + k - d - 1, k - d) if n_edges else int(d == k))
+        for d in range(k + 1)
+    ]
+
+
+def _gal_euler_characteristic(g: Graph, k: int) -> int:
+    """chi(UConf_k g) from valences alone: the t^k coefficient of
+    prod_v (1 + (1 - val v) t) * (1 - t)^(-|E|) (Gal, Colloq. Math. 89, 2001)."""
+    return sum(_graded_terms([1 - d for d in _valences(g).values()], g.n_edges, k))
+
+
+# (occupied vertices as (vertex, half-edge position) pairs, edge monomial)
+Cell = tuple[tuple[tuple[int, int], ...], tuple[int, ...]]
 
 
 @dataclass
-class CubicalComplex:
-    """Cells of the k-particle model, graded by dimension, with integer
-    boundary columns.  Boundary of boundary vanishing is checked at build."""
+class ChainComplex:
+    """Generators graded by degree, with integer boundary columns.
+    Boundary of boundary vanishing is checked at build."""
 
     graph: Graph
     k: int
     cells: list[list[Cell]]
-    boundaries: list[list[dict[int, int]]]  # boundaries[d][j]: column of cell j in dim d
+    boundaries: list[list[dict[int, int]]]  # boundaries[d][j]: column of generator j in degree d
 
     @property
     def dimension(self) -> int:
@@ -142,82 +98,57 @@ class CubicalComplex:
         return [len(layer) for layer in self.cells]
 
 
-def _enumerate_cells(g: Graph, k: int, budget: int) -> list[list[Cell]]:
-    nv, ne = g.n_vertices, g.n_edges
-    vid = {v: i for i, v in enumerate(g.vertices)}
-    closures = [frozenset((vid[u], vid[w])) for u, w in g.edges]
+def build_complex(g: Graph, k: int, budget: int = DEFAULT_CELL_BUDGET) -> ChainComplex:
+    """The reduced Świątkowski complex of k particles on a connected graph,
+    in degrees 0..min(k, number of vertices of valence >= 2 after smoothing).
 
-    layers: list[list[Cell]] = []
-    total = 0
-    for d in range(0, min(k, ne) + 1):
-        layer: list[Cell] = []
-
-        # pairwise closure-disjoint edge d-sets, depth-first in index order
-        def extend(chosen: tuple[int, ...], blocked: frozenset[int], start: int):
-            if len(chosen) == d:
-                avail = [i for i in range(nv) if i not in blocked]
-                if len(avail) < k - d:
-                    return
-                for verts in itertools.combinations(avail, k - d):
-                    layer.append((chosen, verts))
-                if total + len(layer) > budget:
-                    raise CellBudgetError(
-                        f"cell budget exceeded: more than {budget} cells for k={k}"
-                    )
-                return
-            for ei in range(start, ne):
-                cl = closures[ei]
-                if cl & blocked:
-                    continue
-                extend(chosen + (ei,), blocked | cl, ei + 1)
-
-        extend((), frozenset(), 0)
-        total += len(layer)
-        if not layer and d > 0:
-            break
-        layers.append(layer)
-    return layers
-
-
-def build_complex(g: Graph, k: int, budget: int = DEFAULT_CELL_BUDGET) -> CubicalComplex:
-    """Enumerate all cells and boundary maps; verifies boundary-of-boundary.
-
-    Expects a graph produced by :func:`sufficient_subdivision`.
+    Raises :class:`CellBudgetError` before enumerating anything when the
+    generator count exceeds ``budget``.  Verifies boundary-of-boundary.
     """
     if k < 1:
         raise ValueError("particle count k must be at least 1")
-    if not is_normalized(g):
-        raise ValueError("graph must be normalized first")
-    vid = {v: i for i, v in enumerate(g.vertices)}
-    ends = [(vid[u], vid[w]) for u, w in g.edges]
+    if not is_connected(g):
+        raise HypothesisError("connected graph required")
+    half, n_edges = _smooth(g)
+    if not n_edges:
+        # a point holds one particle; the reduction needs a half-edge per vertex
+        return ChainComplex(g, k, [[((), ())] if k == 1 and g.vertices else []], [[]])
 
-    layers = _enumerate_cells(g, k, budget)
-    index: list[dict[Cell, int]] = [
-        {cell: i for i, cell in enumerate(layer)} for layer in layers
-    ]
+    total = sum(_graded_terms([len(hs) - 1 for hs in half], n_edges, k))
+    if total > budget:
+        raise CellBudgetError(
+            f"generator budget exceeded: {total} generators for k={k}, budget {budget}"
+        )
+    active = [v for v, hs in enumerate(half) if len(hs) > 1]
+    layers: list[list[Cell]] = []
+    for d in range(min(k, len(active)) + 1):
+        monomials = list(itertools.combinations_with_replacement(range(n_edges), k - d))
+        layer: list[Cell] = []
+        for verts in itertools.combinations(active, d):
+            for picks in itertools.product(*(range(1, len(half[v])) for v in verts)):
+                states = tuple(zip(verts, picks))
+                layer.extend((states, mono) for mono in monomials)
+        layers.append(layer)
 
     boundaries: list[list[dict[int, int]]] = [[] for _ in layers]
     for d in range(1, len(layers)):
-        idx = index[d - 1]
+        idx = {cell: i for i, cell in enumerate(layers[d - 1])}
         cols = []
-        for edges_t, verts_t in layers[d]:
+        for states, mono in layers[d]:
             col: dict[int, int] = {}
-            sign = 1
-            for i, ei in enumerate(edges_t):
-                rest = edges_t[:i] + edges_t[i + 1 :]
-                tail, head = ends[ei]
-                for endpoint, s in ((head, sign), (tail, -sign)):
-                    face = (rest, tuple(sorted(verts_t + (endpoint,))))
-                    row = idx[face]
+            for i, (v, j) in enumerate(states):
+                rest = states[:i] + states[i + 1 :]
+                sign = -1 if i % 2 else 1
+                for e, s in ((half[v][j], sign), (half[v][0], -sign)):
+                    row = idx[(rest, tuple(sorted(mono + (e,))))]
                     col[row] = col.get(row, 0) + s
                     if col[row] == 0:
                         del col[row]
-                sign = -sign
             cols.append(col)
         boundaries[d] = cols
 
     _check_boundary_squares_to_zero(boundaries)
-    return CubicalComplex(g, k, layers, boundaries)
+    return ChainComplex(g, k, layers, boundaries)
 
 
 def _check_boundary_squares_to_zero(boundaries: list[list[dict[int, int]]]) -> None:
@@ -286,26 +217,6 @@ def _rank_of_columns(
     return len(pivots), set(pivots)
 
 
-def _skeleton_components(c: CubicalComplex) -> int:
-    n0 = len(c.cells[0])
-    parent = list(range(n0))
-
-    def find(x):
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
-    if c.dimension >= 1:
-        for col in c.boundaries[1]:
-            rows = list(col)
-            for a, b in zip(rows, rows[1:]):
-                ra, rb = find(a), find(b)
-                if ra != rb:
-                    parent[rb] = ra
-    return len({find(i) for i in range(n0)})
-
-
 @dataclass(frozen=True)
 class BettiVector:
     betti: tuple[int, ...]
@@ -320,21 +231,18 @@ class BettiVector:
         return tuple(b)
 
 
-def betti(c: CubicalComplex) -> BettiVector:
+def betti(c: ChainComplex) -> BettiVector:
     """Exact rational Betti numbers.
 
     Ranks of the boundary matrices are computed top dimension first so the
     pivot rows of each reduction mark columns of the next matrix down as
-    dependent (safe to skip).  The rank of the 1-boundary is the number of
-    0-cells minus the number of skeleton components.
+    dependent (safe to skip).
     """
     dim = c.dimension
     n = c.cell_counts()
     ranks = [0] * (dim + 2)
-    if dim >= 1:
-        ranks[1] = n[0] - _skeleton_components(c)
     cleared: set[int] = set()
-    for d in range(dim, 1, -1):
+    for d in range(dim, 0, -1):
         # pivot rows of the reduction one dimension up index dependent
         # columns here, so they are skipped without affecting the rank
         ranks[d], cleared = _rank_of_columns(c.boundaries[d], cleared or None)
@@ -355,7 +263,8 @@ class NonvanishingReport:
     betti: BettiVector | None
     nonzero: bool | None
     status: str  # "verified" or "budget-exceeded"
-    cell_counts: tuple[int, ...] = ()
+    cell_counts: tuple[int, ...] = ()  # generators per degree
+    chain_complex: ChainComplex | None = field(default=None, repr=False, compare=False)
 
     def as_dict(self) -> dict:
         return {
@@ -374,21 +283,24 @@ def nonvanishing_check(
 ) -> NonvanishingReport:
     """Is rational homology nonzero in degree min(floor(k/2), m)?
 
-    Reports the full Betti vector of the k-particle complex on a sufficient
-    subdivision of g; an exceeded cell budget yields an unverified report
-    instead of an answer.
+    Reports the Betti vector of UConf_k g in degrees 0..k, checked against
+    Gal's Euler characteristic; an exceeded generator budget yields an
+    unverified report instead of an answer.
     """
-    if not is_connected(g):
-        raise HypothesisError("connected graph required")
+    if g.sinks:
+        raise HypothesisError("homology is computed for sink-free graphs only")
     cls = classify(g)
     degree = min(k // 2, cls.m)
-    ng = normalize(g)
-    sg = sufficient_subdivision(ng, k)
     try:
-        complex_ = build_complex(sg, k, budget)
+        complex_ = build_complex(g, k, budget)
     except CellBudgetError:
         return NonvanishingReport(k, cls.m, degree, None, None, "budget-exceeded")
-    bv = betti(complex_)
+    b = betti(complex_).betti
+    bv = BettiVector(b + (0,) * (k + 1 - len(b)))
+    chi = sum((-1) ** d * x for d, x in enumerate(bv.betti))
+    gal = _gal_euler_characteristic(g, k)
+    if chi != gal:
+        raise AssertionError(f"Euler characteristic {chi} != Gal's formula {gal}")
     return NonvanishingReport(
         k,
         cls.m,
@@ -397,4 +309,5 @@ def nonvanishing_check(
         bv[degree] != 0,
         "verified",
         tuple(complex_.cell_counts()),
+        complex_,
     )

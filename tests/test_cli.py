@@ -119,6 +119,63 @@ def test_homology_dump_boundaries(capsys, tmp_path):
     assert all(abs(int(l.split()[2])) == 1 for l in data_lines)
 
 
+def test_homology_dump_boundaries_writes_the_reported_complex(capsys, tmp_path, monkeypatch):
+    from gbtc import discrete_config
+
+    built = []
+    real = discrete_config.build_complex
+
+    def counting(*args, **kwargs):
+        built.append(real(*args, **kwargs))
+        return built[-1]
+
+    monkeypatch.setattr(discrete_config, "build_complex", counting)
+    path = tmp_path / "triplets.txt"
+    code, out = run(
+        capsys, "homology", datafile("theta"), "--k", "3", "--dump-boundaries", str(path)
+    )
+    assert code == 0
+    assert len(built) == 1
+    (c,) = built
+    assert json.loads(out)["cell_counts"] == c.cell_counts()
+    want = []
+    for d in range(1, c.dimension + 1):
+        want.append(f"# boundary {d}")
+        for j, col in enumerate(c.boundaries[d]):
+            want += [f"{row} {j} {col[row]}" for row in sorted(col)]
+    assert path.read_text().splitlines() == want
+
+
+def test_homology_dump_boundaries_budget_exceeded(capsys, tmp_path, monkeypatch):
+    monkeypatch.setenv("GBTC_CELL_BUDGET", "10")
+    path = tmp_path / "triplets.txt"
+    code = main(["homology", datafile("star3"), "--k", "2", "--dump-boundaries", str(path)])
+    cap = capsys.readouterr()
+    assert code == 1 and cap.out == ""
+    assert not path.exists()
+    assert cap.err.startswith("error:") and "Traceback" not in cap.err
+
+
+def test_homology_budget_must_be_positive(capsys, monkeypatch):
+    for raw in ("0", "-5", "lots"):
+        monkeypatch.setenv("GBTC_CELL_BUDGET", raw)
+        code = main(["homology", datafile("star3"), "--k", "2"])
+        cap = capsys.readouterr()
+        assert code == 1 and cap.out == ""
+        assert cap.err.startswith("error:")
+
+
+def test_homology_with_sinks_is_inapplicable(capsys, tmp_path):
+    g = tmp_path / "theta_sink.json"
+    g.write_text(
+        json.dumps({"vertices": ["u", "v"], "edges": [["u", "v"]] * 3, "sinks": ["u"]})
+    )
+    code = main(["homology", str(g), "--k", "2"])
+    cap = capsys.readouterr()
+    assert code == 2 and cap.out == ""
+    assert cap.err.startswith("inapplicable:")
+
+
 def test_verify_lemmas_passes(capsys):
     code, out = run(capsys, "verify-lemmas", "--n", "5")
     assert code == 0

@@ -1,33 +1,38 @@
-"""Discretized configuration complexes and exact rational homology."""
+"""The reduced Świątkowski complex and exact rational homology, checked
+against Abrams' discretized complex (``abrams_oracle``), sympy and Gal's
+Euler characteristic."""
 
 from __future__ import annotations
 
 import pytest
 import sympy
 
-from conftest import hgraph, path_graph, star, theta
-from gbtc.corpus import load_bundled
+from abrams_oracle import abrams_model, chains, sufficient_subdivision
+from conftest import cycle_graph, hgraph, path_graph, spider, star, theta
+from gbtc import discrete_config
+from gbtc.corpus import BUNDLED, load_bundled
 from gbtc.discrete_config import (
     CellBudgetError,
     betti,
     build_complex,
     nonvanishing_check,
-    sufficient_subdivision,
-    _chains,
+    _gal_euler_characteristic,
+    _graded_terms,
     _rank_of_columns,
+    _smooth,
 )
 from gbtc.graph_core import Graph, HypothesisError, normalize
 
 
 def model(g: Graph, k: int):
-    return build_complex(sufficient_subdivision(normalize(g), k), k)
+    return build_complex(g, k)
 
 
-# -- subdivision criterion -------------------------------------------------------
+# -- subdivision criterion of the Abrams oracle ------------------------------------
 
 
 def chain_lengths(g: Graph) -> list[int]:
-    return [len(path) for path, _ in _chains(g)]
+    return [len(path) for path, _ in chains(g)]
 
 
 def test_sufficient_subdivision_star3_k2():
@@ -53,7 +58,7 @@ def test_sufficient_subdivision_cycle():
     cyc = Graph(tuple("abc"), (("a", "b"), ("b", "c"), ("c", "a")))
     sg = sufficient_subdivision(cyc, 4)
     assert sg.n_edges >= 5
-    assert len(_chains(sg)) == 1
+    assert len(chains(sg)) == 1
 
 
 def test_sufficient_subdivision_requires_connected():
@@ -63,6 +68,18 @@ def test_sufficient_subdivision_requires_connected():
 
 
 # -- complex construction ---------------------------------------------------------
+
+
+def test_smoothing_keeps_loops_and_parallel_edges():
+    # a bare circle becomes one vertex with a loop
+    assert _smooth(cycle_graph(5)) == ([[0, 0]], 1)
+    # a path becomes one edge between two leaves
+    assert _smooth(path_graph(4)) == ([[0], [0]], 1)
+    # theta has no bivalent vertex: three parallel edges stay
+    assert _smooth(theta()) == ([[0, 1, 2], [0, 1, 2]], 3)
+    # a bivalent vertex on a double edge turns it into a loop
+    g = Graph(("c", "m", "l"), (("c", "m"), ("m", "c"), ("c", "l")))
+    assert _smooth(g) == ([[0, 0, 1], [1]], 2)
 
 
 def test_interval_configurations_contractible():
@@ -88,20 +105,36 @@ def test_dimension_at_most_k():
 
 
 def test_zero_dim_complex_counts_points():
-    # one particle: the complex is the subdivided graph itself
-    c = model(star(3), 1)
+    # one particle: the Abrams complex is the subdivided graph itself, and the
+    # reduced complex has one degree-0 generator per edge of the smoothed graph
+    c = abrams_model(star(3), 1)
     assert betti(c).trimmed() == (1,)
     assert len(c.cells[0]) == c.graph.n_vertices
+    assert model(star(3), 1).cell_counts() == [3, 2]
+    assert betti(model(star(3), 1)).trimmed() == (1,)
 
 
 def test_budget_guard():
+    # theta k=4 has 15 + 40 + 24 = 79 generators
     with pytest.raises(CellBudgetError):
-        build_complex(sufficient_subdivision(normalize(theta()), 4), 4, budget=100)
+        build_complex(theta(), 4, budget=78)
+    assert sum(build_complex(theta(), 4, budget=79).cell_counts()) == 79
+
+
+def test_generator_count_closed_form_matches_enumeration():
+    for name in BUNDLED:
+        g = load_bundled(name)
+        for k in (1, 2, 3, 4):
+            half, n_edges = _smooth(g)
+            counts = _graded_terms([len(hs) - 1 for hs in half], n_edges, k)
+            got = model(g, k).cell_counts()
+            assert counts == got + [0] * (k + 1 - len(got)), (name, k)
 
 
 def test_boundary_squares_to_zero_spot():
     # build_complex verifies this internally; re-check one instance by hand
     c = model(theta(), 2)
+    assert c.dimension == 2
     for d in range(2, c.dimension + 1):
         for col in c.boundaries[d]:
             acc = {}
@@ -109,6 +142,12 @@ def test_boundary_squares_to_zero_spot():
                 for row2, v2 in c.boundaries[d - 1][row].items():
                     acc[row2] = acc.get(row2, 0) + v * v2
             assert not any(acc.values())
+
+
+def test_point_graph():
+    point = Graph(("p",), ())
+    assert nonvanishing_check(point, 1).betti.betti == (1, 0)
+    assert nonvanishing_check(point, 2).betti.betti == (0, 0, 0)
 
 
 # -- exact ranks vs an independent solver ------------------------------------------
@@ -129,7 +168,15 @@ def sympy_betti(c) -> tuple[int, ...]:
 
 
 def test_betti_matches_sympy_on_small_complexes():
-    cases = [(star(3), 2), (path_graph(2), 2), (theta(), 2), (star(4), 2)]
+    cases = [
+        (star(3), 2),
+        (path_graph(2), 2),
+        (theta(), 2),
+        (star(4), 2),
+        (theta(), 3),
+        (hgraph(), 3),
+        (Graph(("a", "b"), (("a", "a"), ("a", "b"), ("b", "b"))), 3),
+    ]
     for g, k in cases:
         c = model(g, k)
         assert betti(c).betti == sympy_betti(c)
@@ -150,6 +197,42 @@ def test_rank_of_columns_against_sympy_random():
         assert rank == sympy.Matrix(dense).rank()
 
 
+# -- agreement with the Abrams complex ----------------------------------------------
+
+
+def test_matches_abrams_oracle_on_bundled_graphs():
+    # full vectors, lengths included: every bundled graph has an essential
+    # vertex, so both report degrees 0..k
+    cases = [(name, k) for name in BUNDLED for k in (1, 2, 3)]
+    cases += [("star3", 4), ("theta", 4), ("hgraph", 4)]
+    for name, k in cases:
+        g = load_bundled(name)
+        assert nonvanishing_check(g, k).betti.betti == betti(abrams_model(g, k)).betti, (name, k)
+
+
+def test_matches_abrams_oracle_on_loops_and_multi_edges():
+    cases = [
+        Graph(("c", "a", "b"), (("c", "c"), ("c", "a"), ("c", "b"))),
+        Graph(("c",), (("c", "c"), ("c", "c"))),
+        Graph(("a", "b"), (("a", "a"), ("a", "b"), ("b", "b"))),
+        Graph(("c", "m", "l"), (("c", "m"), ("m", "c"), ("c", "l"))),
+    ]
+    for g in cases:
+        for k in (1, 2, 3):
+            assert nonvanishing_check(g, k).betti.betti == betti(abrams_model(g, k)).betti
+
+
+def test_no_essential_vertex_reports_degrees_zero_to_k():
+    # the Abrams complex stops at its top nonempty dimension, so it gave the
+    # path (1, 0, 0) and the circle (1, 1) at k=3; the report now always has
+    # length k+1, and the trimmed vectors agree
+    path, circle = path_graph(3), cycle_graph(4)
+    assert betti(abrams_model(path, 3)).betti == (1, 0, 0)
+    assert betti(abrams_model(circle, 3)).betti == (1, 1)
+    assert nonvanishing_check(path, 3).betti.betti == (1, 0, 0, 0)
+    assert nonvanishing_check(circle, 3).betti.betti == (1, 1, 0, 0)
+
+
 # -- golden values and nonvanishing -------------------------------------------------
 
 
@@ -158,6 +241,17 @@ def test_star_golden_values():
     for n, b1 in golden.items():
         c = model(star(n), 2)
         assert betti(c).betti[1] == b1 == (n - 1) * (n - 2) // 2
+
+
+def test_goldens_beyond_the_abrams_complex():
+    # 3.49M Abrams cells for hgraph k=5; a few hundred generators here
+    golden = [
+        (hgraph(), 5, (1, 20, 5, 0, 0, 0)),
+        (spider(), 4, (1, 52, 9, 0, 0)),
+        (theta(), 6, (1, 3, 6, 0, 0, 0, 0)),
+    ]
+    for g, k, want in golden:
+        assert nonvanishing_check(g, k).betti.betti == want
 
 
 def test_beta0_is_one_on_connected_inputs():
@@ -183,9 +277,38 @@ def test_nonvanishing_tree_k1():
 
 
 def test_nonvanishing_budget_exceeded_is_reported():
-    rep = nonvanishing_check(theta(), 4, budget=50)
+    rep = nonvanishing_check(theta(), 4, budget=78)
     assert rep.status == "budget-exceeded"
     assert rep.nonzero is None and rep.betti is None
+    assert rep.chain_complex is None
+    rep = nonvanishing_check(theta(), 4, budget=79)
+    assert rep.status == "verified" and sum(rep.cell_counts) == 79
+
+
+def test_nonvanishing_rejects_sinks():
+    g = theta()
+    with pytest.raises(HypothesisError):
+        nonvanishing_check(Graph(g.vertices, g.edges, ("u",)), 2)
+
+
+def test_euler_characteristic_matches_gal_on_bundled_graphs():
+    # nonvanishing_check raises on a mismatch; the sum is recomputed here too
+    for name in BUNDLED:
+        g = load_bundled(name)
+        for k in range(1, 7):
+            rep = nonvanishing_check(g, k)
+            chi = sum((-1) ** d * b for d, b in enumerate(rep.betti.betti))
+            assert rep.status == "verified"
+            assert chi == _gal_euler_characteristic(g, k), (name, k)
+
+
+def test_euler_characteristic_mismatch_raises(monkeypatch):
+    real = discrete_config._gal_euler_characteristic
+    monkeypatch.setattr(
+        discrete_config, "_gal_euler_characteristic", lambda g, k: real(g, k) + 1
+    )
+    with pytest.raises(AssertionError, match="Gal"):
+        nonvanishing_check(theta(), 3)
 
 
 def test_betti_stable_under_extra_subdivision():
@@ -200,9 +323,8 @@ def test_betti_stable_under_extra_subdivision():
 
     cases = [(star(3), 2), (star(3), 3), (theta(), 2), (hgraph(), 2), (load_bundled("random10"), 2)]
     for g, k in cases:
-        sg = sufficient_subdivision(normalize(g), k)
-        base = betti(build_complex(sg, k)).trimmed()
-        again = betti(build_complex(subdivide_all(sg), k)).trimmed()
+        base = betti(build_complex(g, k)).trimmed()
+        again = betti(build_complex(subdivide_all(normalize(g)), k)).trimmed()
         assert base == again, (g.vertices[:3], k)
 
 
