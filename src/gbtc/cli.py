@@ -4,7 +4,9 @@ Subcommands cover classification, bound and stable-value reports, the local
 particle models (JSON or DOT), homology of the configuration space, the
 lemma verification table, and a deterministic sweep over the bundled
 corpus.  Output is canonical JSON (sorted keys) on stdout; exit code
-2 flags failed mathematical hypotheses, 1 flags I/O or format problems.
+2 flags failed mathematical hypotheses or a homology check that
+contradicts a bound, 1 flags I/O or format problems and requests over a
+size guard.
 """
 
 from __future__ import annotations
@@ -23,6 +25,10 @@ from .graph_core import (
     load_graph,
     normalize,
 )
+
+# Largest k-particle model `lambda` writes, in vertices plus edges: star5 at
+# k=20 (63,756) fits, k=40 (876,211, 14 MB of JSON) does not.
+LAMBDA_MAX_SIZE = 100_000
 
 
 def _emit(obj, pretty: bool) -> None:
@@ -55,11 +61,18 @@ def _cmd_classify(args) -> int:
 def _cmd_bound(args) -> int:
     g = load_graph(args.graph)
     q = tc_bounds.BoundQuery(g, args.r, args.k)
-    verified = None
+    status = "assumed"
     if args.check_homology:
         report = discrete_config.nonvanishing_check(g, args.k, _cell_budget())
-        verified = report.nonzero if report.status == "verified" else False
-    _emit(tc_bounds.lower_bound(q, homology_verified=verified).as_dict(), args.pretty)
+        status = report.status
+        if status == "verified" and not report.nonzero:
+            status = "contradicted"
+    _emit(tc_bounds.lower_bound(q, homology_status=status).as_dict(), args.pretty)
+    if status == "contradicted":
+        sys.stderr.write(
+            f"contradicted: homology vanishes in degree {report.degree} at k={args.k}\n"
+        )
+        return 2
     return 0
 
 
@@ -95,6 +108,12 @@ def _lambda_dot(lam: local_graphs.LambdaGraph) -> str:
 def _cmd_lambda(args) -> int:
     g = normalize(load_graph(args.graph))
     pi = local_graphs.local_quotient(g, args.vertex)
+    size = sum(local_graphs.expected_counts(pi, args.k))
+    if size > LAMBDA_MAX_SIZE:
+        raise ValueError(
+            f"the k={args.k} model has {size} vertices plus edges, "
+            f"over the limit of {LAMBDA_MAX_SIZE}"
+        )
     lam = local_graphs.build_lambda(pi, args.k)
     if args.dot:
         sys.stdout.write(_lambda_dot(lam))

@@ -8,6 +8,9 @@ non-basepoint state lies on some reduced subgroup word.  Membership is path
 tracing, rank is arcs - states + 1, and intersections of conjugates are read
 off the fiber product of two cores: the two subgroups have disjoint
 conjugates exactly when every component of the product graph is a forest.
+That test walks the product on integer state ids, never materializing the
+state pairs; the product's ``nodes`` and ``edges`` are views built on
+first access.
 """
 
 from __future__ import annotations
@@ -168,13 +171,6 @@ def apply_hom(f: FreeHom, w: FreeWord) -> FreeWord:
             else:
                 stack.append(y)
     return FreeWord(f.codomain_rank, tuple(stack))
-
-
-def compose_hom(g: FreeHom, f: FreeHom) -> FreeHom:
-    """g after f."""
-    if f.codomain_rank != g.domain_rank:
-        raise ValueError("rank context mismatch in composition")
-    return FreeHom(f.domain_rank, g.codomain_rank, tuple(apply_hom(g, w) for w in f.images))
 
 
 def _label_key(l: int) -> tuple[int, int]:
@@ -424,41 +420,75 @@ class PullbackGraph:
 
     Nodes are state pairs; for each matching pair of arcs there is one edge.
     Components containing a cycle witness a nontrivial intersection of
-    conjugates of the two subgroups.
+    conjugates of the two subgroups.  Only the two cores are stored:
+    :func:`is_forest` walks the product on integer state ids, and ``nodes``
+    and ``edges`` are read-only views of the pairs, built on first access.
     """
 
-    nodes: tuple[tuple[int, int], ...]
-    edges: tuple[tuple[tuple[int, int], tuple[int, int], int], ...]
+    a: FoldedAutomaton
+    b: FoldedAutomaton
+
+    @property
+    def nodes(self) -> tuple[tuple[int, int], ...]:
+        """Every state pair (i, j), with i the first core's state, row-major."""
+        if "_nodes" not in self.__dict__:
+            nb = self.b.n_states
+            self.__dict__["_nodes"] = tuple(
+                (i, j) for i in range(self.a.n_states) for j in range(nb)
+            )
+        return self.__dict__["_nodes"]
+
+    @property
+    def edges(self) -> tuple[tuple[tuple[int, int], tuple[int, int], int], ...]:
+        """One ((s, u), (t, v), l) per arc s -l-> t of the first core and
+        u -l-> v of the second, in the order of the two arc lists."""
+        if "_edges" not in self.__dict__:
+            by_label = _arcs_by_label(self.b)
+            self.__dict__["_edges"] = tuple(
+                ((s, u), (t, v), l)
+                for s, l, t in self.a.arcs
+                for u, v in by_label.get(l, ())
+            )
+        return self.__dict__["_edges"]
+
+
+def _arcs_by_label(a: FoldedAutomaton) -> dict[int, list[tuple[int, int]]]:
+    by_label: dict[int, list[tuple[int, int]]] = {}
+    for s, l, t in a.arcs:
+        by_label.setdefault(l, []).append((s, t))
+    return by_label
 
 
 def pullback(a: FoldedAutomaton, b: FoldedAutomaton) -> PullbackGraph:
     if a.rank != b.rank:
         raise ValueError("rank context mismatch")
-    nodes = tuple((i, j) for i in range(a.n_states) for j in range(b.n_states))
-    by_label: dict[int, list[tuple[int, int]]] = {}
-    for s, l, t in b.arcs:
-        by_label.setdefault(l, []).append((s, t))
-    edges = []
-    for s, l, t in a.arcs:
-        for u, v in by_label.get(l, ()):
-            edges.append(((s, u), (t, v), l))
-    return PullbackGraph(nodes, tuple(edges))
+    return PullbackGraph(a, b)
 
 
 def is_forest(p: PullbackGraph) -> bool:
-    parent = {v: v for v in p.nodes}
+    """Is every component of the fiber product a tree?
 
-    def find(x):
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
-    for x, y, _ in p.edges:
-        rx, ry = find(x), find(y)
-        if rx == ry:
-            return False
-        parent[ry] = rx
+    Union-find over the product edges, the pair (s, u) encoded as
+    s * n + u with n the second core's state count; stops at the first
+    edge whose ends are already joined.
+    """
+    n = p.b.n_states
+    parent = list(range(p.a.n_states * n))
+    by_label = _arcs_by_label(p.b)
+    for s, l, t in p.a.arcs:
+        s0, t0 = s * n, t * n
+        for u, v in by_label.get(l, ()):
+            x = s0 + u
+            while parent[x] != x:
+                parent[x] = parent[parent[x]]
+                x = parent[x]
+            y = t0 + v
+            while parent[y] != y:
+                parent[y] = parent[parent[y]]
+                y = parent[y]
+            if x == y:
+                return False
+            parent[y] = x
     return True
 
 

@@ -56,16 +56,33 @@ class Graph:
         return len(self.edges)
 
 
+def _id_array(value, what: str) -> tuple[str, ...]:
+    if not isinstance(value, (list, tuple)):
+        raise GraphFormatError(f"{what} must be an array, got {value!r}")
+    for x in value:
+        if not isinstance(x, str):
+            raise GraphFormatError(f"{what} holds {x!r}, not a string id")
+    return tuple(value)
+
+
 def graph_from_data(data: dict) -> Graph:
-    """Build a Graph from the JSON dict shape {vertices, edges, sinks}."""
+    """Build a Graph from the JSON dict shape {vertices, edges, sinks}.
+
+    Ids must be strings and each edge an array of exactly two of them;
+    anything else raises GraphFormatError rather than being coerced.
+    """
     if not isinstance(data, dict):
         raise GraphFormatError("graph data must be a JSON object")
-    try:
-        vertices = tuple(str(v) for v in data["vertices"])
-        edges = tuple((str(e[0]), str(e[1])) for e in data["edges"])
-    except (KeyError, TypeError, IndexError) as exc:
-        raise GraphFormatError(f"bad graph data: {exc}") from exc
-    sinks = tuple(str(s) for s in data.get("sinks", ()))
+    if "vertices" not in data or "edges" not in data:
+        raise GraphFormatError("graph data needs 'vertices' and 'edges'")
+    vertices = _id_array(data["vertices"], "vertices")
+    if not isinstance(data["edges"], (list, tuple)):
+        raise GraphFormatError(f"edges must be an array, got {data['edges']!r}")
+    edges = tuple(_id_array(e, "an edge") for e in data["edges"])
+    for e in edges:
+        if len(e) != 2:
+            raise GraphFormatError(f"edge {list(e)!r} does not have exactly two endpoints")
+    sinks = _id_array(data.get("sinks", []), "sinks")
     return Graph(vertices, edges, sinks)
 
 
@@ -101,10 +118,6 @@ def _valences(g: Graph) -> dict[str, int]:
         d[u] += 1
         d[w] += 1
     return d
-
-
-def is_essential(g: Graph, v: str) -> bool:
-    return valence(g, v) >= 3
 
 
 def incident_edges(g: Graph, v: str) -> list[int]:

@@ -173,6 +173,8 @@ def build_lambda(pi: EquivRelation, k: int) -> LambdaGraph:
 
 def expected_counts(pi: EquivRelation, k: int) -> tuple[int, int]:
     """Closed-form vertex and edge counts of the k-particle model."""
+    if k <= 0:
+        raise ValueError("particle count k must be at least 1")
     b = pi.n_blocks
     n_vertices = comb(k + b - 1, b - 1) + comb(k - 2 + b, b - 1)
     n_edges = len(pi.ground) * comb(k - 2 + b, b - 1)
@@ -328,12 +330,6 @@ def sink_stabilization(lam: LambdaGraph, block: int) -> SinkStabilization:
         images.append(word_of_path(tgt_basis, image_path))
     hom = FreeHom(src_basis.rank, tgt_basis.rank, tuple(images))
     return SinkStabilization(lam, target, block, hom)
-
-
-def stabilization_vertex_image(stab: SinkStabilization, comp: tuple[int, ...]) -> tuple[int, ...]:
-    up = list(comp)
-    up[stab.block] += 1
-    return tuple(up)
 
 
 # ---------------------------------------------------------------------------

@@ -20,6 +20,11 @@ from typing import NamedTuple
 
 from .graph_core import Graph, HypothesisError, VertexClassification, classify, is_connected
 
+# How the homology nonvanishing input of a bound was settled: not checked,
+# check abandoned at the generator budget, checked nonzero, checked zero
+# (which would contradict the paper).
+HOMOLOGY_STATUSES = ("assumed", "budget-exceeded", "verified", "contradicted")
+
 
 @dataclass(frozen=True)
 class BoundQuery:
@@ -48,6 +53,8 @@ class BoundReport:
     homology_status: str = "assumed"
 
     def __post_init__(self):
+        if self.homology_status not in HOMOLOGY_STATUSES:
+            raise ValueError(f"unknown homology status {self.homology_status!r}")
         if self.lower is not None and self.upper is not None and self.lower > self.upper:
             raise ValueError("lower bound exceeds upper bound")
         if self.choice is not None:
@@ -108,9 +115,10 @@ def greedy_choice(cls: VertexClassification, k: int) -> tuple[int, int, int]:
     return (c0, c1, c2)
 
 
-def lower_bound(q: BoundQuery, homology_verified: bool | None = None) -> BoundReport:
+def lower_bound(q: BoundQuery, homology_status: str = "assumed") -> BoundReport:
     """Best certified lower bound at (r, k), maximized over admissible
-    choices; ties break to the lexicographically largest triple."""
+    choices; ties break to the lexicographically largest triple.
+    ``homology_status`` is one of HOMOLOGY_STATUSES, copied to the report."""
     cls = _classified(q.graph)
     if q.r < 2:
         raise HypothesisError("the lower bound requires r >= 2")
@@ -127,11 +135,6 @@ def lower_bound(q: BoundQuery, homology_verified: bool | None = None) -> BoundRe
         caveats.append(
             f"upper bound reported outside its asserted range (k >= {2 * cls.m} needed)"
         )
-    status = "assumed"
-    if homology_verified is True:
-        status = "verified"
-    elif homology_verified is False:
-        status = "unverified at desk scale"
     return BoundReport(
         classification=cls,
         r=q.r,
@@ -140,7 +143,7 @@ def lower_bound(q: BoundQuery, homology_verified: bool | None = None) -> BoundRe
         lower=lower,
         upper=upper,
         caveats=tuple(caveats),
-        homology_status=status,
+        homology_status=homology_status,
     )
 
 

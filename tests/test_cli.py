@@ -2,9 +2,11 @@
 
 from __future__ import annotations
 
+import dataclasses
 import json
 import os
 
+from gbtc import discrete_config
 from gbtc.cli import main
 from gbtc.corpus import BUNDLED
 
@@ -88,6 +90,40 @@ def test_lambda_dot(capsys):
     assert code == 0
     assert out.startswith("graph model {")
     assert out.count("--") == 3
+
+
+def test_lambda_size_guard(capsys):
+    code, out = run(capsys, "lambda", datafile("star5"), "--vertex", "c", "--k", "20")
+    payload = json.loads(out)
+    assert code == 0 and (len(payload["vertices"]), len(payload["edges"])) == (19481, 44275)
+    for k in ("40", "1000000"):
+        code = main(["lambda", datafile("star5"), "--vertex", "c", "--k", k, "--dot"])
+        cap = capsys.readouterr()
+        assert code == 1 and cap.out == ""
+        assert cap.err.startswith("error:") and "Traceback" not in cap.err
+
+
+def test_bound_check_homology_statuses(capsys, monkeypatch):
+    argv = ("bound", datafile("hgraph"), "--r", "2", "--k", "6", "--check-homology")
+    code, out = run(capsys, *argv)
+    assert code == 0 and json.loads(out)["homology_status"] == "verified"
+    monkeypatch.setenv("GBTC_CELL_BUDGET", "5")
+    code, out = run(capsys, *argv)
+    assert code == 0 and json.loads(out)["homology_status"] == "budget-exceeded"
+
+
+def test_bound_check_homology_contradicted_exits_two(capsys, monkeypatch):
+    real = discrete_config.nonvanishing_check
+
+    def vanishing(g, k, budget):
+        return dataclasses.replace(real(g, k, budget), nonzero=False)
+
+    monkeypatch.setattr(discrete_config, "nonvanishing_check", vanishing)
+    code = main(["bound", datafile("hgraph"), "--r", "2", "--k", "6", "--check-homology"])
+    cap = capsys.readouterr()
+    assert code == 2
+    assert json.loads(cap.out)["homology_status"] == "contradicted"
+    assert cap.err.startswith("contradicted:")
 
 
 def test_homology_star3(capsys):
@@ -197,3 +233,14 @@ def test_pretty_flag(capsys):
     _, pretty = run(capsys, "classify", datafile("theta"), "--pretty")
     assert json.loads(compact) == json.loads(pretty)
     assert "\n  " in pretty
+
+
+def test_malformed_graph_exits_one(capsys, tmp_path):
+    bad = tmp_path / "triple.json"
+    bad.write_text(
+        json.dumps({"vertices": ["a", "b", "c"], "edges": [["a", "b", "c"], ["b", "c"]]})
+    )
+    code = main(["classify", str(bad)])
+    captured = capsys.readouterr()
+    assert code == 1 and captured.out == ""
+    assert captured.err.startswith("error:") and "Traceback" not in captured.err

@@ -306,6 +306,124 @@ def test_pullback_of_commutator_cores_is_forest():
     assert acyclic and is_forest(p)
 
 
+def reference_pullback(a, b):
+    """The fiber product spelled out: every state pair, then one edge per
+    matching pair of arcs, first core's arcs outermost."""
+    nodes = tuple((i, j) for i in range(a.n_states) for j in range(b.n_states))
+    edges = tuple(
+        ((s, u), (t, v), l)
+        for s, l, t in a.arcs
+        for u, l2, v in b.arcs
+        if l2 == l
+    )
+    return nodes, edges
+
+
+def reference_is_forest(nodes, edges):
+    """Union-find keyed by the state-pair tuples themselves."""
+    parent = {v: v for v in nodes}
+
+    def find(x):
+        while parent[x] != x:
+            x = parent[x]
+        return x
+
+    for x, y, _ in edges:
+        rx, ry = find(x), find(y)
+        if rx == ry:
+            return False
+        parent[ry] = rx
+    return True
+
+
+def check_pullback_against_reference(a, b):
+    p = pullback(a, b)
+    verdict = is_forest(p)
+    nodes, edges = reference_pullback(a, b)
+    assert p.nodes == nodes and p.edges == edges
+    assert p.edges is p.edges
+    assert verdict is reference_is_forest(nodes, edges)
+    return verdict
+
+
+def nielsen_automorphism(rng, rank, moves):
+    images = [generator(rank, i + 1) for i in range(rank)]
+    for _ in range(moves):
+        i = rng.randrange(rank)
+        k = rng.choice([q for q in range(rank) if q != i])
+        m = images[k] if rng.random() < 0.5 else inverse(images[k])
+        images[i] = concat(images[i], m) if rng.random() < 0.5 else concat(m, images[i])
+    return FreeHom(rank, rank, tuple(images))
+
+
+def test_is_forest_matches_reference_on_small_random_pairs():
+    rng = random.Random(83)
+    verdicts = set()
+    for _ in range(300):
+        rank = rng.choice((2, 3, 4))
+        h0 = [random_reduced(rng, rank, 6) for _ in range(rng.randrange(1, 4))]
+        h1 = [random_reduced(rng, rank, 6) for _ in range(rng.randrange(1, 4))]
+        a, b = stallings_core(rank, h0), stallings_core(rank, h1)
+        verdicts.add(check_pullback_against_reference(a, b))
+    assert verdicts == {True, False}
+
+
+def test_is_forest_matches_reference_on_large_cores():
+    # generators of complementary free factors, moved by an automorphism,
+    # have disjoint conjugates; a conjugate of an H0 generator added to H1
+    # plants the opposite answer
+    rng = random.Random(89)
+    largest = 0
+    for case in range(8):
+        rank = 2 + case % 3
+        split = rank // 2
+        phi = nielsen_automorphism(rng, rank, 4 * rank)
+        gens0, gens1 = [], []
+        for gens, lo, hi in ((gens0, 1, split), (gens1, split + 1, rank)):
+            letters = [x for i in range(lo, hi + 1) for x in (i, -i)]
+            for _ in range(2):
+                word = []
+                while sum(len(phi.images[abs(x) - 1]) for x in word) < 150:
+                    x = rng.choice(letters)
+                    if not word or x != -word[-1]:
+                        word.append(x)
+                gens.append(FreeWord(rank, tuple(word)))
+        planted = case % 2 == 0
+        if not planted:
+            g = random_reduced(rng, rank, 4)
+            gens1.append(concat(g, gens0[0], inverse(g)))
+        a = stallings_core(rank, [apply_hom(phi, x) for x in gens0])
+        b = stallings_core(rank, [apply_hom(phi, x) for x in gens1])
+        largest = max(largest, a.n_states, b.n_states)
+        assert check_pullback_against_reference(a, b) is planted
+    assert largest >= 200
+
+
+def test_is_forest_product_self_loop():
+    # g1 conjugated into both cores puts a loop at their non-basepoint states
+    a = stallings_core(3, [w(3, 2, 1, -2)])
+    b = stallings_core(3, [w(3, 3, 1, -3)])
+    p = pullback(a, b)
+    assert ((1, 1), (1, 1), 1) in p.edges
+    assert check_pullback_against_reference(a, b) is False
+
+
+def test_is_forest_parallel_edges_with_different_labels():
+    a = stallings_core(2, [w(2, 1, -2)])
+    p = pullback(a, a)
+    assert p.edges == (((0, 0), (1, 1), 1), ((0, 0), (1, 1), 2))
+    assert check_pullback_against_reference(a, a) is False
+
+
+def test_is_forest_with_a_trivial_side():
+    trivial = stallings_core(3, [identity(3)])
+    other = stallings_core(3, [w(3, 1, 2, -1), w(3, 3, 3)])
+    for a, b in ((trivial, other), (other, trivial), (trivial, trivial)):
+        p = pullback(a, b)
+        assert len(p.nodes) == a.n_states * b.n_states and p.edges == ()
+        assert check_pullback_against_reference(a, b) is True
+
+
 def test_disjoint_conjugates_of_paper_pairs():
     c12 = commutator(generator(3, 1), generator(3, 2))
     c23 = commutator(generator(3, 2), generator(3, 3))

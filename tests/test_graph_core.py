@@ -218,3 +218,29 @@ def test_first_betti_on_known_graphs():
 def test_json_round_trip():
     g = hgraph()
     assert graph_from_data(graph_to_data(g)) == g
+
+
+@pytest.mark.parametrize(
+    "data",
+    [
+        {"vertices": ["a", "b", "c"], "edges": [["a", "b", "c"], ["b", "c"]]},
+        {"vertices": ["a", "b"], "edges": [["a"]]},
+        {"vertices": "abc", "edges": [["a", "b"]]},
+        {"vertices": ["a", "b"], "edges": ["ab"]},
+        {"vertices": ["a", "b"], "edges": {"a": "b"}},
+        {"vertices": [1, 2], "edges": [[1, 2]]},
+        {"vertices": ["1", "2"], "edges": [[1, 2]]},
+        {"vertices": ["a", "b"], "edges": [["a", "b"]], "sinks": "a"},
+        {"vertices": ["a", "b"], "edges": [["a", "b"]], "sinks": [None]},
+        {"vertices": ["a"]},
+        ["a", "b"],
+    ],
+)
+def test_graph_from_data_rejects_malformed_input(data):
+    with pytest.raises(GraphFormatError):
+        graph_from_data(data)
+
+
+def test_graph_from_data_keeps_string_ids_and_sinks():
+    g = graph_from_data({"vertices": ["a", "b"], "edges": [["a", "b"]], "sinks": ["b"]})
+    assert g == Graph(("a", "b"), (("a", "b"),), ("b",))

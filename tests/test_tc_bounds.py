@@ -216,7 +216,9 @@ def test_report_serialization_fields():
 
 
 def test_homology_status_passthrough():
-    rep = lower_bound(BoundQuery(hgraph(), 2, 6), homology_verified=True)
+    rep = lower_bound(BoundQuery(hgraph(), 2, 6), homology_status="verified")
     assert rep.homology_status == "verified"
     rep = lower_bound(BoundQuery(hgraph(), 2, 6))
     assert rep.homology_status == "assumed"
+    with pytest.raises(ValueError):
+        lower_bound(BoundQuery(hgraph(), 2, 6), homology_status="unverified at desk scale")
