@@ -12,7 +12,6 @@ from .graph_core import (
     graph_to_data,
     is_separating,
     load_graph,
-    normalize,
     valence,
 )
 from .free_groups import (

@@ -18,17 +18,16 @@ import random
 import sys
 
 from . import corpus, discrete_config, free_groups, local_graphs, tc_bounds
-from .graph_core import (
-    GraphFormatError,
-    HypothesisError,
-    classify,
-    load_graph,
-    normalize,
-)
+from .graph_core import GraphFormatError, HypothesisError, classify, load_graph
 
 # Largest k-particle model `lambda` writes, in vertices plus edges: star5 at
 # k=20 (63,756) fits, k=40 (876,211, 14 MB of JSON) does not.
 LAMBDA_MAX_SIZE = 100_000
+
+# Largest star size `verify-lemmas` checks; its cost grows about like n^4.5
+# (Python 3.11 on a 2-core host: n=12 takes 1.2 s, n=14 2.7 s).  The star
+# rows start at n=4, so a smaller n would check none of them.
+VERIFY_LEMMAS_MAX_N = 12
 
 
 def _emit(obj, pretty: bool) -> None:
@@ -106,8 +105,7 @@ def _lambda_dot(lam: local_graphs.LambdaGraph) -> str:
 
 
 def _cmd_lambda(args) -> int:
-    g = normalize(load_graph(args.graph))
-    pi = local_graphs.local_quotient(g, args.vertex)
+    pi = local_graphs.local_quotient(load_graph(args.graph), args.vertex)
     size = sum(local_graphs.expected_counts(pi, args.k))
     if size > LAMBDA_MAX_SIZE:
         raise ValueError(
@@ -230,6 +228,8 @@ def _random_word(rng, rank: int, lo: int, hi: int) -> free_groups.FreeWord:
 
 
 def _cmd_verify_lemmas(args) -> int:
+    if not 4 <= args.n <= VERIFY_LEMMAS_MAX_N:
+        raise ValueError(f"--n must lie in 4..{VERIFY_LEMMAS_MAX_N}, got {args.n}")
     rows = _verify_lemma_rows(args.n)
     _emit(rows, args.pretty)
     return 0 if all(r["ok"] for r in rows) else 2
@@ -287,8 +287,8 @@ def build_parser() -> argparse.ArgumentParser:
         "classify",
         _cmd_classify,
         "Count vertices of valence >= 4, separating trivalent vertices, and "
-        "non-separating trivalent vertices of a connected graph (after "
-        "normalizing subdivision).",
+        "non-separating trivalent vertices of a connected graph; self-loops "
+        "and parallel edges are read as given.",
     )
     p.add_argument("graph", help="graph JSON file")
 
@@ -350,7 +350,12 @@ def build_parser() -> argparse.ArgumentParser:
         "and trivalent product subgroups, the kernel-criterion consistency, "
         "and the particle-adding rank facts.",
     )
-    p.add_argument("--n", type=int, default=6, help="largest star size to check (default 6)")
+    p.add_argument(
+        "--n",
+        type=int,
+        default=6,
+        help=f"largest star size to check, 4..{VERIFY_LEMMAS_MAX_N} (default 6)",
+    )
 
     add(
         "corpus",

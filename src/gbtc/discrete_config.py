@@ -22,7 +22,7 @@ import itertools
 from dataclasses import dataclass, field
 from math import comb, gcd
 
-from .graph_core import Graph, HypothesisError, classify, is_connected, _valences
+from .graph_core import Graph, HypothesisError, classify, half_edges, is_connected
 
 DEFAULT_CELL_BUDGET = 1_000_000
 
@@ -40,10 +40,7 @@ def _smooth(g: Graph) -> tuple[list[list[int]], int]:
     """
     vid = {v: i for i, v in enumerate(g.vertices)}
     ends = [[vid[u], vid[w]] for u, w in g.edges]
-    at: list[list[int]] = [[] for _ in g.vertices]
-    for ei, (a, b) in enumerate(ends):
-        at[a].append(ei)
-        at[b].append(ei)
+    at = list(half_edges(g).values())
     alive = [True] * len(ends)
     for v, hs in enumerate(at):
         if len(hs) != 2 or hs[0] == hs[1]:
@@ -73,7 +70,7 @@ def _graded_terms(coeffs: list[int], n_edges: int, k: int) -> list[int]:
 def _gal_euler_characteristic(g: Graph, k: int) -> int:
     """chi(UConf_k g) from valences alone: the t^k coefficient of
     prod_v (1 + (1 - val v) t) * (1 - t)^(-|E|) (Gal, Colloq. Math. 89, 2001)."""
-    return sum(_graded_terms([1 - d for d in _valences(g).values()], g.n_edges, k))
+    return sum(_graded_terms([1 - len(hs) for hs in half_edges(g).values()], g.n_edges, k))
 
 
 # (occupied vertices as (vertex, half-edge position) pairs, edge monomial)
@@ -194,26 +191,17 @@ def _rank_of_columns(
                 break
             a = piv[r]
             b = col.pop(r)
-            if a == 1:
-                for rr, vv in piv.items():
-                    if rr == r:
-                        continue
-                    nv = col.get(rr, 0) - b * vv
-                    if nv:
-                        col[rr] = nv
-                    elif rr in col:
-                        del col[rr]
-            else:
+            if a != 1:
                 for rr in col:
                     col[rr] *= a
-                for rr, vv in piv.items():
-                    if rr == r:
-                        continue
-                    nv = col.get(rr, 0) - b * vv
-                    if nv:
-                        col[rr] = nv
-                    elif rr in col:
-                        del col[rr]
+            for rr, vv in piv.items():
+                if rr == r:
+                    continue
+                nv = col.get(rr, 0) - b * vv
+                if nv:
+                    col[rr] = nv
+                elif rr in col:
+                    del col[rr]
     return len(pivots), set(pivots)
 
 

@@ -1,24 +1,26 @@
 """Finite graphs as combinatorial 1-complexes.
 
 Vertices are opaque string ids.  Edges form a multiset of unordered pairs;
-self-loops and parallel edges are legal on input and removed by
-:func:`normalize`, which subdivides without changing the homeomorphism type.
-The order of the edge list fixes the default ordering of the edges at each
-vertex, and the pair order of an edge fixes its parametrization (tail, head).
+self-loops and parallel edges are legal and every operation works on the
+graph as given.  The order of the edge list fixes the order of the half-edges
+at each vertex (:func:`half_edges`), and the pair order of an edge fixes its
+parametrization (tail, head).
 
 The classification of essential vertices (valence >= 4 / separating trivalent
-/ non-separating trivalent) computed here drives every bound downstream.
+/ non-separating trivalent) computed here drives every bound downstream.  It
+reads the blocks of half-edges at a vertex (which component of the graph
+minus that vertex each one leads into), so it is a homeomorphism invariant
+without any subdivision.
 """
 
 from __future__ import annotations
 
 import json
-from collections import Counter
 from dataclasses import dataclass
 
 
 class GraphFormatError(ValueError):
-    """Malformed graph data: unknown ids, bad shapes, unnormalized input."""
+    """Malformed graph data: unknown ids, bad shapes."""
 
 
 class HypothesisError(ValueError):
@@ -99,162 +101,92 @@ def load_graph(path: str) -> Graph:
         return graph_from_data(json.load(fh))
 
 
+def half_edges(g: Graph) -> dict[str, list[int]]:
+    """The edge index of each half-edge at each vertex, in edge-file order.
+
+    A self-loop gives its vertex two consecutive entries.
+    """
+    at: dict[str, list[int]] = {v: [] for v in g.vertices}
+    for ei, (u, w) in enumerate(g.edges):
+        at[u].append(ei)
+        at[w].append(ei)
+    return at
+
+
 def valence(g: Graph, v: str) -> int:
     """Number of local branches at v; a self-loop contributes 2."""
     if v not in g.vertices:
         raise GraphFormatError(f"unknown vertex id {v!r}")
-    d = 0
-    for u, w in g.edges:
-        if u == v:
-            d += 1
-        if w == v:
-            d += 1
-    return d
+    return len(half_edges(g)[v])
 
 
-def _valences(g: Graph) -> dict[str, int]:
-    d = {v: 0 for v in g.vertices}
-    for u, w in g.edges:
-        d[u] += 1
-        d[w] += 1
-    return d
+def _fill(g: Graph, at: dict[str, list[int]], start: str, label: dict[str, int]) -> None:
+    """Give every vertex reachable from start without passing a labelled
+    vertex the label of start."""
+    stack = [start]
+    while stack:
+        x = stack.pop()
+        for ei in at[x]:
+            u, w = g.edges[ei]
+            y = w if u == x else u
+            if y not in label:
+                label[y] = label[start]
+                stack.append(y)
 
 
-def incident_edges(g: Graph, v: str) -> list[int]:
-    """Indices of the edges at v, in file order (self-loops listed once)."""
-    if v not in g.vertices:
-        raise GraphFormatError(f"unknown vertex id {v!r}")
-    return [i for i, (u, w) in enumerate(g.edges) if u == v or w == v]
-
-
-def _adjacency(g: Graph, skip: frozenset[str] = frozenset()) -> dict[str, list[str]]:
-    adj: dict[str, list[str]] = {v: [] for v in g.vertices if v not in skip}
-    for u, w in g.edges:
-        if u in skip or w in skip:
-            continue
-        adj[u].append(w)
-        adj[w].append(u)
-    return adj
-
-
-def components(g: Graph, skip: frozenset[str] = frozenset()) -> list[set[str]]:
-    """Connected components of g minus the skipped vertices, in vertex order."""
-    adj = _adjacency(g, skip)
-    seen: set[str] = set()
-    comps = []
+def n_components(g: Graph) -> int:
+    """Number of connected components of g."""
+    at = half_edges(g)
+    label: dict[str, int] = {}
+    count = 0
     for v in g.vertices:
-        if v in skip or v in seen:
-            continue
-        comp = {v}
-        stack = [v]
-        seen.add(v)
-        while stack:
-            x = stack.pop()
-            for y in adj[x]:
-                if y not in seen:
-                    seen.add(y)
-                    comp.add(y)
-                    stack.append(y)
-        comps.append(comp)
-    return comps
+        if v not in label:
+            label[v] = count
+            _fill(g, at, v, label)
+            count += 1
+    return count
 
 
 def is_connected(g: Graph) -> bool:
-    return len(components(g)) <= 1
+    return n_components(g) <= 1
 
 
 def first_betti(g: Graph) -> int:
     """Rank of first homology: edges - vertices + number of components."""
-    return g.n_edges - g.n_vertices + len(components(g))
+    return g.n_edges - g.n_vertices + n_components(g)
+
+
+def _blocks(g: Graph, at: dict[str, list[int]], v: str) -> tuple[tuple[int, ...], ...]:
+    """Positions 0..d-1 of the half-edges at v, grouped by the component of
+    g minus v at their far end; the two half-edges of a self-loop form a block
+    of their own.  Blocks come out sorted by smallest member."""
+    label: dict[str, int] = {v: -1}
+    blocks: list[list[int]] = []
+    for pos, ei in enumerate(at[v]):
+        u, w = g.edges[ei]
+        if u == w:
+            if pos and at[v][pos - 1] == ei:
+                blocks[-1].append(pos)
+            else:
+                blocks.append([pos])
+            continue
+        far = w if u == v else u
+        if far not in label:
+            label[far] = len(blocks)
+            blocks.append([])
+            _fill(g, at, far, label)
+        blocks[label[far]].append(pos)
+    return tuple(tuple(b) for b in blocks)
 
 
 def is_separating(g: Graph, v: str) -> bool:
-    """True iff deleting v (and its half-edges) disconnects the rest."""
+    """True iff deleting the point v disconnects the graph, i.e. the
+    half-edges at v fall into more than one block."""
     if v not in g.vertices:
         raise GraphFormatError(f"unknown vertex id {v!r}")
     if not is_connected(g):
         raise HypothesisError("connected graph required")
-    return len(components(g, frozenset((v,)))) > 1
-
-
-def _fresh_id(used: set[str], stem: str) -> str:
-    n = 1
-    while f"{stem}~{n}" in used:
-        n += 1
-    vid = f"{stem}~{n}"
-    used.add(vid)
-    return vid
-
-
-def normalize(g: Graph) -> Graph:
-    """Subdivide until no self-loops, no parallel edges, and every neighbour
-    of an essential vertex is bivalent.
-
-    Subdivision preserves the homeomorphism type, so valences of original
-    vertices, separation, and the first Betti number are unchanged.  Returns
-    g itself when nothing needs doing, so the operation is idempotent on the
-    nose.  Fresh vertex ids use a deterministic suffix scheme.
-    """
-    used = set(g.vertices)
-    verts = list(g.vertices)
-    changed = False
-
-    # self-loops become 3-cycles
-    edges: list[tuple[str, str]] = []
-    for u, w in g.edges:
-        if u == w:
-            a = _fresh_id(used, f"{u}-{u}")
-            b = _fresh_id(used, f"{u}-{u}")
-            verts += [a, b]
-            edges += [(u, a), (a, b), (b, u)]
-            changed = True
-        else:
-            edges.append((u, w))
-
-    # every member of a parallel class gets one midpoint
-    mult = Counter(frozenset(e) for e in edges)
-    out: list[tuple[str, str]] = []
-    for u, w in edges:
-        if mult[frozenset((u, w))] >= 2:
-            m = _fresh_id(used, f"{u}-{w}")
-            verts.append(m)
-            out += [(u, m), (m, w)]
-            changed = True
-        else:
-            out.append((u, w))
-    edges = out
-
-    # neighbours of essential vertices must be bivalent
-    val: dict[str, int] = {v: 0 for v in verts}
-    for u, w in edges:
-        val[u] += 1
-        val[w] += 1
-    out = []
-    for u, w in edges:
-        if (val[u] >= 3 and val[w] != 2) or (val[w] >= 3 and val[u] != 2):
-            m = _fresh_id(used, f"{u}-{w}")
-            verts.append(m)
-            out += [(u, m), (m, w)]
-            changed = True
-        else:
-            out.append((u, w))
-    edges = out
-
-    if not changed:
-        return g
-    return Graph(tuple(verts), tuple(edges), g.sinks)
-
-
-def is_normalized(g: Graph) -> bool:
-    if any(u == w for u, w in g.edges):
-        return False
-    if any(n >= 2 for n in Counter(frozenset(e) for e in g.edges).values()):
-        return False
-    val = _valences(g)
-    for u, w in g.edges:
-        if (val[u] >= 3 and val[w] != 2) or (val[w] >= 3 and val[u] != 2):
-            return False
-    return True
+    return len(_blocks(g, half_edges(g), v)) > 1
 
 
 @dataclass(frozen=True)
@@ -294,21 +226,17 @@ class VertexClassification:
 
 
 def classify(g: Graph) -> VertexClassification:
-    """Classify the essential vertices of a connected graph.
-
-    Runs on the normalization of g; subdivision does not change the counts.
-    """
+    """Classify the essential vertices of a connected graph, read off the
+    half-edges of the graph as given."""
     if not is_connected(g):
         raise HypothesisError("connected graph required")
-    ng = normalize(g)
-    val = _valences(ng)
+    at = half_edges(g)
     n0 = n1 = n2 = 0
-    for v in ng.vertices:
-        d = val[v]
-        if d >= 4:
+    for v, hs in at.items():
+        if len(hs) >= 4:
             n0 += 1
-        elif d == 3:
-            if is_separating(ng, v):
+        elif len(hs) == 3:
+            if len(_blocks(g, at, v)) > 1:
                 n1 += 1
             else:
                 n2 += 1
@@ -316,28 +244,13 @@ def classify(g: Graph) -> VertexClassification:
 
 
 def components_without(g: Graph, v: str) -> tuple[tuple[int, ...], ...]:
-    """The relation on the edges at v: two are equivalent iff their far sides
-    lie in the same component of the graph minus v.
+    """The relation on the half-edges at an essential vertex v: two are
+    equivalent iff their far sides lie in the same component of the graph
+    minus v, and the two ends of a self-loop form a block of their own.
 
-    Ground set is positions 0..d-1 into ``incident_edges(g, v)``; blocks are
-    returned sorted by smallest member.  Requires a normalized graph and an
-    essential v.
+    Ground set is positions 0..d-1 into ``half_edges(g)[v]``; blocks are
+    sorted by smallest member.
     """
-    if any(u == w for u, w in g.edges) or any(
-        n >= 2 for n in Counter(frozenset(e) for e in g.edges).values()
-    ):
-        raise GraphFormatError("graph must be normalized (no self-loops or parallel edges)")
     if valence(g, v) < 3:
         raise HypothesisError("local relations are formed at essential vertices only")
-    comps = components(g, frozenset((v,)))
-    comp_of = {}
-    for ci, comp in enumerate(comps):
-        for x in comp:
-            comp_of[x] = ci
-    blocks: dict[int, list[int]] = {}
-    for pos, ei in enumerate(incident_edges(g, v)):
-        u, w = g.edges[ei]
-        far = w if u == v else u
-        blocks.setdefault(comp_of[far], []).append(pos)
-    out = sorted((tuple(sorted(b)) for b in blocks.values()), key=lambda b: b[0])
-    return tuple(out)
+    return _blocks(g, half_edges(g), v)

@@ -16,15 +16,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from math import comb
 
-from .graph_core import (
-    Graph,
-    HypothesisError,
-    components_without,
-    is_connected,
-    is_normalized,
-    is_separating,
-    valence,
-)
+from .graph_core import Graph, HypothesisError, components_without, is_connected
 from .free_groups import (
     FreeHom,
     FreeWord,
@@ -84,23 +76,21 @@ class EquivRelation:
 
 
 def local_quotient(g: Graph, v: str) -> EquivRelation:
-    """The relation on the edges at v induced by components of g minus v.
+    """The relation on the half-edges at v given by :func:`components_without`.
 
-    Requires a normalized connected sinkless graph and an essential v.  When
-    v separates and the first two edges in the file order land in the same
-    block, the order is silently adjusted so that the first two edges lie in
-    different components; ground positions refer to the adjusted order.
+    Requires a connected sinkless graph and an essential v; self-loops and
+    parallel edges are fine.  When v separates and the first two half-edges
+    in the file order land in the same block, the order is silently adjusted
+    so that the first two lie in different blocks; ground positions refer to
+    the adjusted order.
     """
     if g.sinks:
         raise HypothesisError("local relations are formed on sinkless graphs")
     if not is_connected(g):
         raise HypothesisError("connected graph required")
-    if not is_normalized(g):
-        raise HypothesisError("graph must be normalized first")
     blocks = components_without(g, v)
-    d = valence(g, v)
-    order = list(range(d))
-    if len(blocks) > 1 and is_separating(g, v):
+    order = list(range(sum(len(b) for b in blocks)))
+    if len(blocks) > 1:
         block_of = {}
         for bi, b in enumerate(blocks):
             for x in b:
@@ -154,6 +144,8 @@ class LambdaGraph:
 def build_lambda(pi: EquivRelation, k: int) -> LambdaGraph:
     if k <= 0:
         raise ValueError("particle count k must be at least 1")
+    if not pi.ground:
+        raise ValueError("the relation needs at least one edge")
     b = pi.n_blocks
     lower = compositions(k - 1, b)
     upper = compositions(k, b)
@@ -181,25 +173,16 @@ def expected_counts(pi: EquivRelation, k: int) -> tuple[int, int]:
     return n_vertices, n_edges
 
 
-def _lambda_components(lam: LambdaGraph) -> int:
-    parent = list(range(lam.n_vertices))
-
-    def find(x):
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
-    for u, l, _ in lam.edges:
-        ru, rl = find(u), find(l)
-        if ru != rl:
-            parent[rl] = ru
-    return len({find(i) for i in range(lam.n_vertices)})
-
-
 def pi1_rank(lam: LambdaGraph) -> int:
-    """Free rank of the fundamental group: edges - vertices + components."""
-    return lam.n_edges - lam.n_vertices + _lambda_components(lam)
+    """Free rank of the fundamental group: edges - vertices + 1.
+
+    :func:`build_lambda` only makes connected models: a composition of k-1
+    is joined to a composition of k in every block, and two compositions of
+    k that differ by moving one particle between blocks are joined through
+    the composition of k-1 with that particle at the center, so all of them
+    are linked.
+    """
+    return lam.n_edges - lam.n_vertices + 1
 
 
 @dataclass(frozen=True)

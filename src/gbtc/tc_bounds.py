@@ -18,7 +18,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import NamedTuple
 
-from .graph_core import Graph, HypothesisError, VertexClassification, classify, is_connected
+from .graph_core import Graph, HypothesisError, VertexClassification, classify
 
 # How the homology nonvanishing input of a bound was settled: not checked,
 # check abandoned at the generator budget, checked nonzero, checked zero
@@ -80,15 +80,9 @@ class BoundReport:
         }
 
 
-def _require_bound_hypotheses(g: Graph, cls: VertexClassification) -> None:
+def _require_bound_hypotheses(cls: VertexClassification) -> None:
     if cls.m < 2:
         raise HypothesisError("connected graph with m >= 2 required (at least two essential vertices)")
-
-
-def _classified(g: Graph) -> VertexClassification:
-    if not is_connected(g):
-        raise HypothesisError("connected graph required")
-    return classify(g)
 
 
 def admissible_choices(cls: VertexClassification, k: int):
@@ -119,10 +113,10 @@ def lower_bound(q: BoundQuery, homology_status: str = "assumed") -> BoundReport:
     """Best certified lower bound at (r, k), maximized over admissible
     choices; ties break to the lexicographically largest triple.
     ``homology_status`` is one of HOMOLOGY_STATUSES, copied to the report."""
-    cls = _classified(q.graph)
+    cls = classify(q.graph)
     if q.r < 2:
         raise HypothesisError("the lower bound requires r >= 2")
-    _require_bound_hypotheses(q.graph, cls)
+    _require_bound_hypotheses(cls)
 
     best = max(
         admissible_choices(cls, q.k),
@@ -150,7 +144,7 @@ def lower_bound(q: BoundQuery, homology_status: str = "assumed") -> BoundReport:
 def upper_bound(q: BoundQuery) -> int:
     """r * m; asserted for k >= 2m, still reported (with a caveat at the
     reporting layer) below that range."""
-    cls = _classified(q.graph)
+    cls = classify(q.graph)
     return q.r * cls.m
 
 
@@ -160,8 +154,8 @@ def stable_report(g: Graph, r: int) -> BoundReport:
     trivalent vertices."""
     if r < 1:
         raise HypothesisError("the motion-planning order r must be at least 1")
-    cls = _classified(g)
-    _require_bound_hypotheses(g, cls)
+    cls = classify(g)
+    _require_bound_hypotheses(cls)
     if cls.n2 > 0:
         return BoundReport(
             classification=cls,
@@ -197,7 +191,7 @@ def proof_chain_check(g: Graph, r: int) -> ChainCheck:
     each step and confirms the chain closes.  Graphs with non-separating
     trivalent vertices fail the hypotheses and return not-ok.
     """
-    cls = _classified(g)
+    cls = classify(g)
     if cls.m < 2:
         return ChainCheck(False, ("hypothesis failed: m >= 2 required",))
     if cls.n2 > 0:

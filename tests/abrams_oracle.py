@@ -9,14 +9,122 @@ space.  The subdivision criterion used here is deliberately generous: every
 chain between branch points or leaf tips and every embedded cycle gets at
 least k+1 edges.  The complex grows fast (170k cells for the H graph at
 k=4), so the tests use it at k <= 4 only.
+
+The complex needs a simplicial graph, so this module also keeps
+:func:`normalize`, the subdivision that removes self-loops and parallel
+edges, and :func:`normalized_blocks`, the local relation computed on that
+subdivision: the route ``gbtc.graph_core`` took before it read the input
+graph directly.
 """
 
 from __future__ import annotations
 
 import itertools
+from collections import Counter
 
+from conftest import oracle_components
 from gbtc.discrete_config import ChainComplex, _check_boundary_squares_to_zero
-from gbtc.graph_core import Graph, HypothesisError, is_connected, is_normalized, normalize, _fresh_id
+from gbtc.graph_core import Graph, HypothesisError, is_connected
+
+
+def _valences(g: Graph) -> dict[str, int]:
+    val = {v: 0 for v in g.vertices}
+    for u, w in g.edges:
+        val[u] += 1
+        val[w] += 1
+    return val
+
+
+def _fresh_id(used: set[str], stem: str) -> str:
+    n = 1
+    while f"{stem}~{n}" in used:
+        n += 1
+    vid = f"{stem}~{n}"
+    used.add(vid)
+    return vid
+
+
+def normalize(g: Graph) -> Graph:
+    """Subdivide until no self-loops, no parallel edges, and every neighbour
+    of an essential vertex is bivalent.
+
+    Subdivision preserves the homeomorphism type, so valences of original
+    vertices, separation, and the first Betti number are unchanged.  Returns
+    g itself when nothing needs doing, so the operation is idempotent on the
+    nose.  Fresh vertex ids use a deterministic suffix scheme.
+    """
+    used = set(g.vertices)
+    verts = list(g.vertices)
+    changed = False
+
+    # self-loops become 3-cycles
+    edges: list[tuple[str, str]] = []
+    for u, w in g.edges:
+        if u == w:
+            a = _fresh_id(used, f"{u}-{u}")
+            b = _fresh_id(used, f"{u}-{u}")
+            verts += [a, b]
+            edges += [(u, a), (a, b), (b, u)]
+            changed = True
+        else:
+            edges.append((u, w))
+
+    # every member of a parallel class gets one midpoint
+    mult = Counter(frozenset(e) for e in edges)
+    out: list[tuple[str, str]] = []
+    for u, w in edges:
+        if mult[frozenset((u, w))] >= 2:
+            m = _fresh_id(used, f"{u}-{w}")
+            verts.append(m)
+            out += [(u, m), (m, w)]
+            changed = True
+        else:
+            out.append((u, w))
+    edges = out
+
+    # neighbours of essential vertices must be bivalent
+    val = _valences(Graph(tuple(verts), tuple(edges)))
+    out = []
+    for u, w in edges:
+        if (val[u] >= 3 and val[w] != 2) or (val[w] >= 3 and val[u] != 2):
+            m = _fresh_id(used, f"{u}-{w}")
+            verts.append(m)
+            out += [(u, m), (m, w)]
+            changed = True
+        else:
+            out.append((u, w))
+    edges = out
+
+    if not changed:
+        return g
+    return Graph(tuple(verts), tuple(edges), g.sinks)
+
+
+def is_normalized(g: Graph) -> bool:
+    if any(u == w for u, w in g.edges):
+        return False
+    if any(n >= 2 for n in Counter(frozenset(e) for e in g.edges).values()):
+        return False
+    val = _valences(g)
+    for u, w in g.edges:
+        if (val[u] >= 3 and val[w] != 2) or (val[w] >= 3 and val[u] != 2):
+            return False
+    return True
+
+
+def normalized_blocks(g: Graph, v: str) -> tuple[tuple[int, ...], ...]:
+    """The local relation at v computed on ``normalize(g)``: positions of the
+    edges at v in file order, grouped by the component of the subdivided
+    graph minus v that their far end lies in, sorted by smallest member."""
+    ng = normalize(g)
+    comp: dict[str, int] = {}
+    for ci, c in enumerate(oracle_components(ng, frozenset((v,)))):
+        comp.update((x, ci) for x in c)
+    blocks: dict[int, list[int]] = {}
+    at_v = [(u, w) for u, w in ng.edges if v in (u, w)]
+    for pos, (u, w) in enumerate(at_v):
+        blocks.setdefault(comp[w if u == v else u], []).append(pos)
+    return tuple(sorted((tuple(b) for b in blocks.values()), key=lambda b: b[0]))
 
 
 def chains(g: Graph) -> list[tuple[list[int], bool]]:
@@ -25,10 +133,7 @@ def chains(g: Graph) -> list[tuple[list[int], bool]]:
     Endpoints of open chains have valence != 2; a closed chain starts and
     ends at the same such vertex or is a pure cycle of bivalent vertices.
     """
-    val = {v: 0 for v in g.vertices}
-    for u, w in g.edges:
-        val[u] += 1
-        val[w] += 1
+    val = _valences(g)
     at: dict[str, list[int]] = {v: [] for v in g.vertices}
     for ei, (u, w) in enumerate(g.edges):
         at[u].append(ei)

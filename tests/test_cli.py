@@ -219,6 +219,24 @@ def test_verify_lemmas_passes(capsys):
     assert rows and all(r["ok"] for r in rows)
 
 
+def test_verify_lemmas_refuses_n_over_the_limit(capsys):
+    from gbtc.cli import VERIFY_LEMMAS_MAX_N
+
+    code = main(["verify-lemmas", "--n", str(VERIFY_LEMMAS_MAX_N + 1)])
+    cap = capsys.readouterr()
+    assert code == 1 and cap.out == ""
+    assert cap.err.startswith("error:") and "Traceback" not in cap.err
+
+
+def test_verify_lemmas_refuses_n_below_four(capsys):
+    # the star rows start at n=4; a smaller n used to drop them and exit 0
+    for n in ("3", "2", "-1"):
+        code = main(["verify-lemmas", "--n", n])
+        cap = capsys.readouterr()
+        assert code == 1 and cap.out == ""
+        assert cap.err.startswith("error:")
+
+
 def test_corpus_deterministic(capsys):
     code1, out1 = run(capsys, "corpus")
     code2, out2 = run(capsys, "corpus")

@@ -7,7 +7,7 @@ from __future__ import annotations
 import pytest
 import sympy
 
-from abrams_oracle import abrams_model, chains, sufficient_subdivision
+from abrams_oracle import abrams_model, chains, normalize, sufficient_subdivision
 from conftest import cycle_graph, hgraph, path_graph, spider, star, theta
 from gbtc import discrete_config
 from gbtc.corpus import BUNDLED, load_bundled
@@ -21,7 +21,7 @@ from gbtc.discrete_config import (
     _rank_of_columns,
     _smooth,
 )
-from gbtc.graph_core import Graph, HypothesisError, normalize
+from gbtc.graph_core import Graph, HypothesisError
 
 
 def model(g: Graph, k: int):

@@ -1,9 +1,13 @@
-"""Graph representation, normalization, and vertex classification."""
+"""Graph representation, vertex classification and local relations on the
+input graph, checked against the subdivide-first route of the test oracle."""
 
 from __future__ import annotations
 
+import random
+
 import pytest
 
+from abrams_oracle import is_normalized, normalize, normalized_blocks
 from conftest import (
     cycle_graph,
     hgraph,
@@ -27,11 +31,10 @@ from gbtc.graph_core import (
     first_betti,
     graph_from_data,
     graph_to_data,
-    is_normalized,
     is_separating,
-    normalize,
     valence,
 )
+from gbtc.local_graphs import local_quotient
 
 
 def test_valence_star_center():
@@ -191,9 +194,18 @@ def test_components_without_rejects_nonessential():
         components_without(g, leaf)
 
 
-def test_components_without_rejects_unnormalized():
-    with pytest.raises(GraphFormatError):
-        components_without(theta(), "u")
+def test_components_without_accepts_unnormalized():
+    assert components_without(theta(), "u") == ((0, 1, 2),)
+
+
+def test_self_loop_is_its_own_block():
+    # removing a leaves the open loop and the open edge to b: two pieces
+    g = Graph(("a", "b"), (("a", "a"), ("a", "b")))
+    assert is_separating(g, "a") is True
+    assert is_separating(normalize(g), "a") is True
+    cls = classify(g)
+    assert (cls.n1, cls.n2) == (1, 0)
+    assert components_without(g, "a") == ((0, 1), (2,))
 
 
 def test_nonseparating_iff_single_class():
@@ -244,3 +256,46 @@ def test_graph_from_data_rejects_malformed_input(data):
 def test_graph_from_data_keeps_string_ids_and_sinks():
     g = graph_from_data({"vertices": ["a", "b"], "edges": [["a", "b"]], "sinks": ["b"]})
     assert g == Graph(("a", "b"), (("a", "b"),), ("b",))
+
+
+def random_multigraph(rng: random.Random) -> Graph:
+    """A connected graph on 1-7 vertices: a random spanning tree plus extra
+    edges that are often self-loops or parallel to an existing edge."""
+    n = rng.randint(1, 7)
+    verts = tuple(f"v{i}" for i in range(n))
+    edges = [(verts[i], verts[rng.randrange(i)]) for i in range(1, n)]
+    for _ in range(rng.randint(0, 5)):
+        roll = rng.random()
+        if roll < 0.3:
+            x = rng.choice(verts)
+            edges.append((x, x))
+        elif roll < 0.6 and edges:
+            u, w = rng.choice(edges)
+            edges.append((w, u) if rng.random() < 0.5 else (u, w))
+        else:
+            edges.append((rng.choice(verts), rng.choice(verts)))
+    rng.shuffle(edges)
+    return Graph(verts, tuple(edges))
+
+
+def test_input_graph_matches_normalized_route():
+    # every result read off the input graph equals the one computed on its
+    # subdivision, as graph_core did before it stopped subdividing
+    rng = random.Random(20260418)
+    cases = [g for _, g in bundled_graphs()] + [random_multigraph(rng) for _ in range(1200)]
+    loops = parallels = 0
+    for g in cases:
+        ng = normalize(g)
+        loops += any(u == w for u, w in g.edges)
+        parallels += len({frozenset(e) for e in g.edges}) < g.n_edges
+        cls = classify(g)
+        assert (cls.n0, cls.n1, cls.n2) == oracle_classify(ng), g
+        assert classify(ng) == cls
+        for v in g.vertices:
+            assert is_separating(g, v) == oracle_separating(ng, v), (g, v)
+            if valence(g, v) < 3:
+                continue
+            blocks = components_without(g, v)
+            assert blocks == normalized_blocks(g, v) == components_without(ng, v), (g, v)
+            assert local_quotient(g, v) == local_quotient(ng, v), (g, v)
+    assert loops >= 300 and parallels >= 300

@@ -6,6 +6,7 @@ import itertools
 
 import pytest
 
+from abrams_oracle import normalize
 from conftest import hgraph, oracle_compositions, star, theta
 from gbtc.free_groups import (
     apply_hom,
@@ -19,7 +20,7 @@ from gbtc.free_groups import (
     stallings_core,
     subgroup_rank,
 )
-from gbtc.graph_core import HypothesisError, normalize
+from gbtc.graph_core import HypothesisError
 from gbtc.local_graphs import (
     EquivRelation,
     build_lambda,
@@ -153,10 +154,22 @@ def test_lambda_counts_match_enumeration():
 
 
 def test_lambda_connected():
+    # the spanning tree reaches every vertex, so the model is connected and
+    # pi1_rank's edges - vertices + 1 is the rank of its fundamental group
     for pi in (EquivRelation.discrete(4), EquivRelation.indiscrete(4), PI23):
         for k in range(1, 6):
-            lam = build_lambda(pi, k)
-            assert lam.n_edges - lam.n_vertices + 1 == pi1_rank(lam)
+            basis = free_basis(build_lambda(pi, k))
+            assert all(
+                basis.parent[v] is not None
+                for v in range(basis.lam.n_vertices)
+                if v != basis.basepoint
+            )
+            assert basis.rank == pi1_rank(basis.lam)
+
+
+def test_lambda_rejects_empty_relation():
+    with pytest.raises(ValueError):
+        build_lambda(EquivRelation.discrete(0), 2)
 
 
 def test_pi1_rank_examples():
