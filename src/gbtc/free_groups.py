@@ -8,9 +8,11 @@ non-basepoint state lies on some reduced subgroup word.  Membership is path
 tracing, rank is arcs - states + 1, and intersections of conjugates are read
 off the fiber product of two cores: the two subgroups have disjoint
 conjugates exactly when every component of the product graph is a forest.
-That test walks the product on integer state ids, never materializing the
-state pairs; the product's ``nodes`` and ``edges`` are views built on
-first access.
+That test runs union-find on integer state ids, never materializing the
+state pairs, and skips every product edge with an end of degree 1: such an
+edge is a bridge, and the degree of a pair is read off the signed-slot
+bitmasks of its two states.  The product's ``nodes`` and ``edges`` are
+views built on first access.
 """
 
 from __future__ import annotations
@@ -421,8 +423,9 @@ class PullbackGraph:
     Nodes are state pairs; for each matching pair of arcs there is one edge.
     Components containing a cycle witness a nontrivial intersection of
     conjugates of the two subgroups.  Only the two cores are stored:
-    :func:`is_forest` walks the product on integer state ids, and ``nodes``
-    and ``edges`` are read-only views of the pairs, built on first access.
+    :func:`is_forest` decides acyclicity from the cores' arcs without
+    building the product, and ``nodes`` and ``edges`` are read-only views of
+    all pairs and all edges, pendant ones included, built on first access.
     """
 
     a: FoldedAutomaton
@@ -465,30 +468,84 @@ def pullback(a: FoldedAutomaton, b: FoldedAutomaton) -> PullbackGraph:
     return PullbackGraph(a, b)
 
 
+def _arcs_by_slots(
+    a: FoldedAutomaton, scale: int
+) -> dict[int, dict[tuple[int, int], list[tuple[int, int]]]]:
+    """Arcs s -l-> t as (s * scale, t * scale), grouped by label l and then
+    by the other signed slots of their two ends.  A state's slots are a
+    bitmask with bit 2l for an outgoing l-arc and bit 2l + 1 for an incoming
+    one; the key is the slots at s without the arc's own out-bit and the
+    slots at t without its own in-bit."""
+    slots = [0] * a.n_states
+    for s, l, t in a.arcs:
+        slots[s] |= 1 << 2 * l
+        slots[t] |= 2 << 2 * l
+    groups: dict[int, dict[tuple[int, int], list[tuple[int, int]]]] = {}
+    for s, l, t in a.arcs:
+        key = (slots[s] & ~(1 << 2 * l), slots[t] & ~(2 << 2 * l))
+        groups.setdefault(l, {}).setdefault(key, []).append((s * scale, t * scale))
+    return groups
+
+
+def _kept_edge_groups(
+    p: PullbackGraph,
+) -> list[tuple[list[tuple[int, int]], list[tuple[int, int]]]]:
+    """The product edges with both ends of degree at least 2.
+
+    The edge of arcs s -l-> t and u -l-> v joins (s, u) to (t, v), and a
+    pair's degree is the number of signed slots its two states share, each
+    shared slot being one edge end.  Besides the edge itself, (s, u) has
+    another end exactly when the arcs' other slots at s and u meet, and
+    likewise (t, v).  A product self-loop or a parallel edge gives both its
+    ends degree 2.  Returned as pairs (arcs_a, arcs_b) of groups that pass:
+    arcs_a holds (s * n, t * n) with n the second core's state count,
+    arcs_b holds (u, v), and each arc of one with each of the other makes
+    one kept edge from s * n + u to t * n + v.
+    """
+    by_label_b = _arcs_by_slots(p.b, 1)
+    kept = []
+    for l, groups_a in _arcs_by_slots(p.a, p.b.n_states).items():
+        groups_b = by_label_b.get(l, {})
+        for (ms, mt), arcs_a in groups_a.items():
+            for (mu, mv), arcs_b in groups_b.items():
+                if ms & mu and mt & mv:
+                    kept.append((arcs_a, arcs_b))
+    return kept
+
+
 def is_forest(p: PullbackGraph) -> bool:
     """Is every component of the fiber product a tree?
 
-    Union-find over the product edges, the pair (s, u) encoded as
-    s * n + u with n the second core's state count; stops at the first
-    edge whose ends are already joined.
+    An edge with an end of degree 1 is a bridge and lies on no cycle, so
+    union-find runs only over the edges of :func:`_kept_edge_groups`; they
+    are a subgraph of the product, so a cycle among them is one of the
+    product too.  The pair (s, u) is the integer s * n + u with n the second
+    core's state count, a negative parent marks a root, and finds halve
+    the path.  It stops at the first edge whose ends are already joined.
     """
-    n = p.b.n_states
-    parent = list(range(p.a.n_states * n))
-    by_label = _arcs_by_label(p.b)
-    for s, l, t in p.a.arcs:
-        s0, t0 = s * n, t * n
-        for u, v in by_label.get(l, ()):
-            x = s0 + u
-            while parent[x] != x:
-                parent[x] = parent[parent[x]]
-                x = parent[x]
-            y = t0 + v
-            while parent[y] != y:
-                parent[y] = parent[parent[y]]
-                y = parent[y]
-            if x == y:
-                return False
-            parent[y] = x
+    parent = [-1] * (p.a.n_states * p.b.n_states)
+    for arcs_a, arcs_b in _kept_edge_groups(p):
+        for s0, t0 in arcs_a:
+            for u, v in arcs_b:
+                x = s0 + u
+                while (q := parent[x]) >= 0:
+                    r = parent[q]
+                    if r < 0:
+                        x = q
+                        break
+                    parent[x] = r
+                    x = r
+                y = t0 + v
+                while (q := parent[y]) >= 0:
+                    r = parent[q]
+                    if r < 0:
+                        y = q
+                        break
+                    parent[y] = r
+                    y = r
+                if x == y:
+                    return False
+                parent[y] = x
     return True
 
 

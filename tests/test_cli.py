@@ -33,9 +33,10 @@ def test_classify_disconnected_exits_two(capsys, tmp_path):
     bad.write_text(
         json.dumps({"vertices": ["a", "b", "c", "d"], "edges": [["a", "b"], ["c", "d"]]})
     )
-    code, _ = run(capsys, "classify", str(bad))
-    assert code == 2
-    assert "connected" in capsys.readouterr().err or True
+    code = main(["classify", str(bad)])
+    cap = capsys.readouterr()
+    assert code == 2 and cap.out == ""
+    assert cap.err.splitlines() == ["inapplicable: connected graph required"]
 
 
 def test_missing_file_exits_one(capsys):

@@ -4,12 +4,14 @@ from __future__ import annotations
 
 import itertools
 import random
+from collections import Counter
 
 import pytest
 
 from gbtc.free_groups import (
     FreeHom,
     FreeWord,
+    _kept_edge_groups,
     apply_hom,
     commutator,
     concat,
@@ -336,12 +338,36 @@ def reference_is_forest(nodes, edges):
     return True
 
 
+def reference_kept_edges(edges, n):
+    """The edges with both ends of degree at least 2, each end encoded as
+    s * n + u; a self-loop counts twice at its node."""
+    degree = Counter()
+    for x, y, _ in edges:
+        degree[x] += 1
+        degree[y] += 1
+    return Counter(
+        (x[0] * n + x[1], y[0] * n + y[1])
+        for x, y, _ in edges
+        if degree[x] >= 2 and degree[y] >= 2
+    )
+
+
+def kept_edges(p):
+    return Counter(
+        (s0 + u, t0 + v)
+        for arcs_a, arcs_b in _kept_edge_groups(p)
+        for s0, t0 in arcs_a
+        for u, v in arcs_b
+    )
+
+
 def check_pullback_against_reference(a, b):
     p = pullback(a, b)
     verdict = is_forest(p)
     nodes, edges = reference_pullback(a, b)
     assert p.nodes == nodes and p.edges == edges
     assert p.edges is p.edges
+    assert kept_edges(p) == reference_kept_edges(edges, b.n_states)
     assert verdict is reference_is_forest(nodes, edges)
     return verdict
 
@@ -357,10 +383,11 @@ def nielsen_automorphism(rng, rank, moves):
 
 
 def test_is_forest_matches_reference_on_small_random_pairs():
+    # rank 1 is the all-cycles case: every state of a core has the same slots
     rng = random.Random(83)
     verdicts = set()
-    for _ in range(300):
-        rank = rng.choice((2, 3, 4))
+    for _ in range(1200):
+        rank = rng.randint(1, 6)
         h0 = [random_reduced(rng, rank, 6) for _ in range(rng.randrange(1, 4))]
         h1 = [random_reduced(rng, rank, 6) for _ in range(rng.randrange(1, 4))]
         a, b = stallings_core(rank, h0), stallings_core(rank, h1)
@@ -413,6 +440,31 @@ def test_is_forest_parallel_edges_with_different_labels():
     p = pullback(a, a)
     assert p.edges == (((0, 0), (1, 1), 1), ((0, 0), (1, 1), 2))
     assert check_pullback_against_reference(a, a) is False
+
+
+def test_is_forest_cycle_with_pendant_edges():
+    # a loop at (0, 0) with a pendant edge to (1, 1), plus an isolated edge
+    a = stallings_core(3, [generator(3, 1), w(3, 2, 2)])
+    b = stallings_core(3, [generator(3, 1), w(3, 2, 3, -2)])
+    p = pullback(a, b)
+    assert sorted(p.edges) == [
+        ((0, 0), (0, 0), 1),
+        ((0, 0), (1, 1), 2),
+        ((1, 0), (0, 1), 2),
+    ]
+    assert kept_edges(p) == Counter({(0, 0): 1})
+    assert check_pullback_against_reference(a, b) is False
+
+
+def test_is_forest_only_pendant_edges():
+    # a path (0, 0) - (1, 1) - (2, 2) whose middle has degree 2: both of its
+    # edges have one end of degree 1
+    a = stallings_core(4, [w(4, 1, 2, 3)])
+    b = stallings_core(4, [w(4, 1, 2, 4)])
+    p = pullback(a, b)
+    assert sorted(p.edges) == [((0, 0), (1, 1), 1), ((1, 1), (2, 2), 2)]
+    assert kept_edges(p) == Counter()
+    assert check_pullback_against_reference(a, b) is True
 
 
 def test_is_forest_with_a_trivial_side():
