@@ -24,8 +24,8 @@ from .graph_core import GraphFormatError, HypothesisError, classify, load_graph
 # k=20 (63,756) fits, k=40 (876,211, 14 MB of JSON) does not.
 LAMBDA_MAX_SIZE = 100_000
 
-# Largest star size `verify-lemmas` checks; its cost grows about like n^4.5
-# (Python 3.11 on a 2-core host: n=12 takes 1.2 s, n=14 2.7 s).  The star
+# Largest star size `verify-lemmas` checks; its run time grows with n
+# (Python 3.11 on a 2-core host: the rows take under 30 ms at n=12).  The star
 # rows start at n=4, so a smaller n would check none of them.
 VERIFY_LEMMAS_MAX_N = 12
 
@@ -84,9 +84,9 @@ def _cmd_stable(args) -> int:
 def _lambda_payload(lam: local_graphs.LambdaGraph) -> dict:
     return {
         "k": lam.k,
-        "blocks": [list(b) for b in lam.pi.blocks],
-        "vertices": [list(c) for c in lam.vertices],
-        "edges": [[u, l, j] for u, l, j in lam.edges],
+        "blocks": lam.pi.blocks,
+        "vertices": lam.vertices,
+        "edges": lam.edges,
         "rank": local_graphs.pi1_rank(lam),
     }
 

@@ -109,7 +109,7 @@ def build_complex(g: Graph, k: int, budget: int = DEFAULT_CELL_BUDGET) -> ChainC
     half, n_edges = _smooth(g)
     if not n_edges:
         # a point holds one particle; the reduction needs a half-edge per vertex
-        return ChainComplex(g, k, [[((), ())] if k == 1 and g.vertices else []], [[]])
+        return ChainComplex(g, k, [[((), ())] if k == 1 else []], [[]])
 
     total = sum(_graded_terms([len(hs) - 1 for hs in half], n_edges, k))
     if total > budget:

@@ -581,7 +581,25 @@ class ConjugacySearch:
 
 def disjoint_conjugates_bruteforce(h0, h1, rank: int, max_len: int) -> ConjugacySearch:
     """Independent oracle: search all conjugators g and subgroup elements h
-    up to the given word length for g h g^-1 landing in the second subgroup."""
+    up to the given word length for g h g^-1 landing in the second subgroup.
+
+    For each h in :func:`subgroup_elements_up_to` order, the reduced
+    conjugators g are visited depth first, outermost letter first, and the
+    first g whose reduced conjugate g h g^-1 the second core accepts is the
+    witness.  A word is accepted exactly when the basepoint lies in its
+    fixed-state set, the states s from which reading it returns to s.  Once
+    a step prepends a letter x to g without a cancellation, no step below it
+    cancels either, since g stays reduced, and there the set follows one
+    letter at a time: Fix(x m x^-1) is the set of s whose x-arc ends in
+    Fix(m).  So these nodes carry a fixed-state bitmask instead of a word.
+    The search below such a node depends only on its mask, the outermost
+    letter of its g (which the next letter must not invert) and the length
+    still allowed, so its first witness, as the letters to prepend to the
+    node's g, or None, is memoised on that key within one call.  A memo hit
+    stands for the same depth-first search, so it cannot change the
+    witness.  Nodes reached through a cancellation keep their explicit word.
+    The oracle calls neither :func:`pullback` nor :func:`is_forest`.
+    """
     if max_len < 1:
         raise ValueError("max_len must be at least 1")
     a = stallings_core(rank, h0)
@@ -590,34 +608,66 @@ def disjoint_conjugates_bruteforce(h0, h1, rank: int, max_len: int) -> Conjugacy
     offset = rank
     letters = sorted((l for l in range(-rank, rank + 1) if l != 0), key=_label_key)
 
-    def member(word: tuple[int, ...]) -> bool:
-        cur = 0
+    def trace(cur: int, word: tuple[int, ...]) -> int:
         for x in word:
             cur = tab[cur][x + offset]
             if cur < 0:
-                return False
-        return cur == 0
+                break
+        return cur
+
+    def fixed(word: tuple[int, ...]) -> int:
+        return sum(1 << s for s in range(b.n_states) if trace(s, word) == s)
+
+    def conjugated(mask: int, x: int) -> int:
+        col = x + offset
+        return sum(1 << s for s, row in enumerate(tab) if row[col] >= 0 and mask >> row[col] & 1)
+
+    memo: dict[tuple[int, int, int], tuple[int, ...] | None] = {}
+
+    def settled(mask: int, first: int, rem: int) -> tuple[int, ...] | None:
+        if mask & 1:
+            return ()
+        if not mask or not rem:
+            return None
+        key = (mask, first, rem)
+        if key in memo:
+            return memo[key]
+        found = None
+        for x in letters:
+            if x == -first:
+                continue
+            tail = settled(conjugated(mask, x), x, rem - 1)
+            if tail is not None:
+                found = tail + (x,)
+                break
+        memo[key] = found
+        return found
+
+    def search(g: tuple[int, ...], m: tuple[int, ...]) -> tuple[int, ...] | None:
+        if trace(0, m) == 0:
+            return g
+        if len(g) >= max_len:
+            return None
+        first = g[0] if g else 0
+        fix = fixed(m)
+        for x in letters:
+            if x == -first:
+                continue
+            # conjugating a reduced word by one letter only cancels at the ends
+            if m[0] == -x:
+                lm = m[1:]
+                found = search((x,) + g, lm[:-1] if lm and lm[-1] == x else lm + (-x,))
+            elif m[-1] == x:
+                found = search((x,) + g, (x,) + m[:-1])
+            else:
+                tail = settled(conjugated(fix, x), x, max_len - len(g) - 1)
+                found = None if tail is None else tail + (x,) + g
+            if found is not None:
+                return found
+        return None
 
     for h in subgroup_elements_up_to(a, max_len):
-        # depth-first over reduced conjugators, outermost letter first
-        stack: list[tuple[tuple[int, ...], tuple[int, ...]]] = [((), h)]
-        while stack:
-            g, m = stack.pop()
-            if m and member(m):
-                return ConjugacySearch(
-                    max_len, (FreeWord(rank, g), FreeWord(rank, h))
-                )
-            if len(g) >= max_len:
-                continue
-            first = g[0] if g else 0
-            for x in reversed(letters):
-                if first and x == -first:
-                    continue
-                # conjugating a reduced word by one letter only cancels at the ends
-                if m and m[0] == -x:
-                    lm = m[1:]
-                    m2 = lm[:-1] if lm and lm[-1] == x else lm + (-x,)
-                else:
-                    m2 = ((x,) + m[:-1]) if m and m[-1] == x else (x,) + m + (-x,)
-                stack.append(((x,) + g, m2))
+        g = search((), h)
+        if g is not None:
+            return ConjugacySearch(max_len, (FreeWord(rank, g), FreeWord(rank, h)))
     return ConjugacySearch(max_len, None)

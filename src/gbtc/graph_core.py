@@ -148,7 +148,8 @@ def n_components(g: Graph) -> int:
 
 
 def is_connected(g: Graph) -> bool:
-    return n_components(g) <= 1
+    """Exactly one component: the empty graph is not connected."""
+    return n_components(g) == 1
 
 
 def first_betti(g: Graph) -> int:

@@ -152,11 +152,11 @@ def build_lambda(pi: EquivRelation, k: int) -> LambdaGraph:
     vertices = tuple(lower + upper)
     index = {c: i for i, c in enumerate(lower)}
     index.update({c: len(lower) + i for i, c in enumerate(upper)})
+    label_blocks = [(j, pi.block_of(j)) for j in pi.ground]
     edges = []
     for comp in lower:
         li = index[comp]
-        for j in pi.ground:
-            blk = pi.block_of(j)
+        for j, blk in label_blocks:
             up = list(comp)
             up[blk] += 1
             edges.append((index[tuple(up)], li, j))

@@ -153,7 +153,7 @@ def stable_report(g: Graph, r: int) -> BoundReport:
     trivalent vertices), available exactly when there are no non-separating
     trivalent vertices."""
     if r < 1:
-        raise HypothesisError("the motion-planning order r must be at least 1")
+        raise ValueError("the motion-planning order r must be at least 1")
     cls = classify(g)
     _require_bound_hypotheses(cls)
     if cls.n2 > 0:

@@ -39,6 +39,20 @@ def test_classify_disconnected_exits_two(capsys, tmp_path):
     assert cap.err.splitlines() == ["inapplicable: connected graph required"]
 
 
+def test_empty_graph_is_not_connected(capsys, tmp_path):
+    empty = tmp_path / "empty.json"
+    empty.write_text(json.dumps({"vertices": [], "edges": []}))
+    for argv in (["classify", str(empty)], ["homology", str(empty), "--k", "2"]):
+        code = main(argv)
+        cap = capsys.readouterr()
+        assert code == 2 and cap.out == ""
+        assert cap.err.splitlines() == ["inapplicable: connected graph required"]
+    point = tmp_path / "point.json"
+    point.write_text(json.dumps({"vertices": ["a"], "edges": []}))
+    code, out = run(capsys, "classify", str(point))
+    assert code == 0 and json.loads(out)["m"] == 0
+
+
 def test_missing_file_exits_one(capsys):
     code, _ = run(capsys, "classify", "/nonexistent/file.json")
     assert code == 1
@@ -61,6 +75,22 @@ def test_bound_theta(capsys):
 def test_bound_inapplicable_exits_two(capsys):
     code, _ = run(capsys, "bound", datafile("star3"), "--r", "2", "--k", "4")
     assert code == 2
+
+
+def test_bad_r_exits_one(capsys):
+    # r < 1 is malformed input for both commands; bound's r >= 2 is a hypothesis
+    for argv in (
+        ["stable", datafile("hgraph"), "--r", "0"],
+        ["bound", datafile("hgraph"), "--r", "0", "--k", "4"],
+    ):
+        code = main(argv)
+        cap = capsys.readouterr()
+        assert code == 1 and cap.out == ""
+        assert cap.err.startswith("error:") and "Traceback" not in cap.err
+    code = main(["bound", datafile("hgraph"), "--r", "1", "--k", "4"])
+    cap = capsys.readouterr()
+    assert code == 2 and cap.out == ""
+    assert cap.err.startswith("inapplicable:")
 
 
 def test_stable_hgraph(capsys):

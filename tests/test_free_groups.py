@@ -8,6 +8,7 @@ from collections import Counter
 
 import pytest
 
+from conjugator_oracle import disjoint_conjugates_bruteforce as reference_bruteforce
 from gbtc.free_groups import (
     FreeHom,
     FreeWord,
@@ -32,6 +33,7 @@ from gbtc.free_groups import (
     subgroup_rank,
     word_str,
 )
+from gbtc.local_graphs import star_commutator_subgroups
 
 
 def w(rank, *letters):
@@ -520,6 +522,30 @@ def test_bruteforce_finds_conjugator():
     assert res.found_violation
     g, h = res.violation
     assert g == w(2, -1)
+
+
+def test_bruteforce_matches_reference_enumeration():
+    # the same verdict and the same witness (g, h) as the word-by-word search
+    rng = random.Random(20261018)
+    cases = []
+    for i in range(300):
+        rank = rng.randint(1, 4)
+        h0 = [random_reduced(rng, rank, 4) for _ in range(rng.randint(1, 2))]
+        h1 = [random_reduced(rng, rank, 4) for _ in range(rng.randint(1, 2))]
+        if i % 2:
+            # plant a conjugate of an H0 element, so long witnesses occur
+            c = random_reduced(rng, rank, 4)
+            h1[0] = concat(inverse(c), h0[0], c)
+        cases.append((h0, h1, rank, rng.randint(1, 4)))
+    for n in (4, 5, 6):
+        h0, h1 = star_commutator_subgroups(n, 0), star_commutator_subgroups(n, 1)
+        cases += [(h0, h1, n - 1, 4), (h0, h0, n - 1, 4)]
+    long_witnesses = 0
+    for h0, h1, rank, max_len in cases:
+        res = disjoint_conjugates_bruteforce(h0, h1, rank, max_len)
+        assert res == reference_bruteforce(h0, h1, rank, max_len)
+        long_witnesses += res.found_violation and len(res.violation[0]) >= 2
+    assert long_witnesses >= 20
 
 
 def test_bruteforce_no_violation_for_commutators():

@@ -104,7 +104,7 @@ def test_stable_report_rejects_bad_inputs():
         stable_report(star(3), 2)
     with pytest.raises(HypothesisError):
         stable_report(cycle_graph(4), 2)
-    with pytest.raises(HypothesisError):
+    with pytest.raises(ValueError):
         stable_report(hgraph(), 0)
 
 
