@@ -19,10 +19,9 @@ integers, never in floating point.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
 from math import comb, gcd
 
-from .graph_core import Graph, HypothesisError, classify, half_edges, is_connected
+from .graph_core import Graph, HypothesisError, Record, classify, half_edges, is_connected
 
 DEFAULT_CELL_BUDGET = 1_000_000
 
@@ -77,15 +76,24 @@ def _gal_euler_characteristic(g: Graph, k: int) -> int:
 Cell = tuple[tuple[tuple[int, int], ...], tuple[int, ...]]
 
 
-@dataclass
-class ChainComplex:
+class ChainComplex(Record):
     """Generators graded by degree, with integer boundary columns.
-    Boundary of boundary vanishing is checked at build."""
+    Boundary of boundary vanishing is checked at build.  Unlike the other
+    records it is mutable, and so unhashable."""
 
-    graph: Graph
-    k: int
-    cells: list[list[Cell]]
-    boundaries: list[list[dict[int, int]]]  # boundaries[d][j]: column of generator j in degree d
+    __slots__ = ("graph", "k", "cells", "boundaries")
+    __setattr__ = object.__setattr__
+    __delattr__ = object.__delattr__
+    __hash__ = None
+
+    def __init__(
+        self,
+        graph: Graph,
+        k: int,
+        cells: list[list[Cell]],
+        boundaries: list[list[dict[int, int]]],  # boundaries[d][j]: column of generator j in degree d
+    ):
+        super().__init__(graph, k, cells, boundaries)
 
     @property
     def dimension(self) -> int:
@@ -205,18 +213,14 @@ def _rank_of_columns(
     return len(pivots), set(pivots)
 
 
-@dataclass(frozen=True)
-class BettiVector:
-    betti: tuple[int, ...]
+class BettiVector(Record):
+    __slots__ = ("betti",)
+
+    def __init__(self, betti: tuple[int, ...]):
+        super().__init__(betti)
 
     def __getitem__(self, d: int) -> int:
         return self.betti[d] if 0 <= d < len(self.betti) else 0
-
-    def trimmed(self) -> tuple[int, ...]:
-        b = list(self.betti)
-        while len(b) > 1 and b[-1] == 0:
-            b.pop()
-        return tuple(b)
 
 
 def betti(c: ChainComplex) -> BettiVector:
@@ -243,16 +247,25 @@ def betti(c: ChainComplex) -> BettiVector:
     return BettiVector(tuple(out))
 
 
-@dataclass(frozen=True)
-class NonvanishingReport:
-    k: int
-    m: int
-    degree: int
-    betti: BettiVector | None
-    nonzero: bool | None
-    status: str  # "verified" or "budget-exceeded"
-    cell_counts: tuple[int, ...] = ()  # generators per degree
-    chain_complex: ChainComplex | None = field(default=None, repr=False, compare=False)
+class NonvanishingReport(Record):
+    """The verdict, plus the complex it was read from; the complex takes no
+    part in equality, hashing or repr."""
+
+    __slots__ = ("k", "m", "degree", "betti", "nonzero", "status", "cell_counts", "chain_complex")
+    _fields = __slots__[:-1]
+
+    def __init__(
+        self,
+        k: int,
+        m: int,
+        degree: int,
+        betti: BettiVector | None,
+        nonzero: bool | None,
+        status: str,  # "verified" or "budget-exceeded"
+        cell_counts: tuple[int, ...] = (),  # generators per degree
+        chain_complex: ChainComplex | None = None,
+    ):
+        super().__init__(k, m, degree, betti, nonzero, status, cell_counts, chain_complex)
 
     def as_dict(self) -> dict:
         return {

@@ -18,17 +18,20 @@ views built on first access.
 from __future__ import annotations
 
 from collections import deque
-from dataclasses import dataclass
+
+from .graph_core import Record
 
 
-@dataclass(frozen=True)
-class FreeWord:
+class FreeWord(Record):
     """A freely reduced word in a fixed rank context."""
 
-    rank: int
-    letters: tuple[int, ...]
+    __slots__ = ("rank", "letters")
 
-    def __post_init__(self):
+    def __init__(self, rank: int, letters: tuple[int, ...]):
+        # assigned here, not through Record.__init__: words are built by the
+        # thousand, and the generic loop would add most of a microsecond
+        object.__setattr__(self, "rank", rank)
+        object.__setattr__(self, "letters", letters)
         for x in self.letters:
             if x == 0 or abs(x) > self.rank:
                 raise ValueError(f"generator index {x} out of range for rank {self.rank}")
@@ -140,24 +143,18 @@ def word_str(w: FreeWord) -> str:
     return " ".join(parts)
 
 
-@dataclass(frozen=True)
-class FreeHom:
+class FreeHom(Record):
     """A homomorphism of free groups given by images of the generators."""
 
-    domain_rank: int
-    codomain_rank: int
-    images: tuple[FreeWord, ...]
+    __slots__ = ("domain_rank", "codomain_rank", "images")
 
-    def __post_init__(self):
+    def __init__(self, domain_rank: int, codomain_rank: int, images: tuple[FreeWord, ...]):
+        super().__init__(domain_rank, codomain_rank, images)
         if len(self.images) != self.domain_rank:
             raise ValueError("need one image word per domain generator")
         for w in self.images:
             if w.rank != self.codomain_rank:
                 raise ValueError("image word lives in the wrong rank context")
-
-
-def identity_hom(rank: int) -> FreeHom:
-    return FreeHom(rank, rank, tuple(generator(rank, i + 1) for i in range(rank)))
 
 
 def apply_hom(f: FreeHom, w: FreeWord) -> FreeWord:
@@ -416,8 +413,7 @@ def is_isomorphism(f: FreeHom) -> bool:
     return restriction_injective(f, gens) and maps_onto_full_group(f)
 
 
-@dataclass(frozen=True)
-class PullbackGraph:
+class PullbackGraph(Record):
     """Fiber product of two core automata, as an undirected multigraph.
 
     Nodes are state pairs; for each matching pair of arcs there is one edge.
@@ -425,34 +421,38 @@ class PullbackGraph:
     conjugates of the two subgroups.  Only the two cores are stored:
     :func:`is_forest` decides acyclicity from the cores' arcs without
     building the product, and ``nodes`` and ``edges`` are read-only views of
-    all pairs and all edges, pendant ones included, built on first access.
+    all pairs and all edges, pendant ones included, built on first access
+    and cached in slots that take no part in equality.
     """
 
-    a: FoldedAutomaton
-    b: FoldedAutomaton
+    __slots__ = ("a", "b", "_nodes", "_edges")
+    _fields = ("a", "b")
+
+    def __init__(self, a: FoldedAutomaton, b: FoldedAutomaton):
+        super().__init__(a, b, None, None)
 
     @property
     def nodes(self) -> tuple[tuple[int, int], ...]:
         """Every state pair (i, j), with i the first core's state, row-major."""
-        if "_nodes" not in self.__dict__:
+        if self._nodes is None:
             nb = self.b.n_states
-            self.__dict__["_nodes"] = tuple(
-                (i, j) for i in range(self.a.n_states) for j in range(nb)
-            )
-        return self.__dict__["_nodes"]
+            nodes = tuple((i, j) for i in range(self.a.n_states) for j in range(nb))
+            object.__setattr__(self, "_nodes", nodes)
+        return self._nodes
 
     @property
     def edges(self) -> tuple[tuple[tuple[int, int], tuple[int, int], int], ...]:
         """One ((s, u), (t, v), l) per arc s -l-> t of the first core and
         u -l-> v of the second, in the order of the two arc lists."""
-        if "_edges" not in self.__dict__:
+        if self._edges is None:
             by_label = _arcs_by_label(self.b)
-            self.__dict__["_edges"] = tuple(
+            edges = tuple(
                 ((s, u), (t, v), l)
                 for s, l, t in self.a.arcs
                 for u, v in by_label.get(l, ())
             )
-        return self.__dict__["_edges"]
+            object.__setattr__(self, "_edges", edges)
+        return self._edges
 
 
 def _arcs_by_label(a: FoldedAutomaton) -> dict[int, list[tuple[int, int]]]:
@@ -561,8 +561,7 @@ def disjoint_conjugates(h0, h1, rank: int) -> bool:
     return is_forest(pullback(a, b))
 
 
-@dataclass(frozen=True)
-class ConjugacySearch:
+class ConjugacySearch(Record):
     """Outcome of the exhaustive conjugator search.
 
     ``violation`` holds a witness pair (g, h) with h a nontrivial element of
@@ -571,8 +570,10 @@ class ConjugacySearch:
     disjointness).
     """
 
-    max_len: int
-    violation: tuple[FreeWord, FreeWord] | None
+    __slots__ = ("max_len", "violation")
+
+    def __init__(self, max_len: int, violation: tuple[FreeWord, FreeWord] | None):
+        super().__init__(max_len, violation)
 
     @property
     def found_violation(self) -> bool:

@@ -16,7 +16,60 @@ without any subdivision.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+
+
+class Record:
+    """Base of the package's value records.
+
+    A subclass lists its fields in ``__slots__``, in constructor order, and
+    its ``__init__`` hands their values to :meth:`Record.__init__`.  Equality
+    and hashing compare the record type and the values of ``_fields``, which
+    defaults to ``__slots__``; ``repr`` shows them by name.  A field cannot
+    be reassigned or deleted once set.
+
+    Every CLI call is a fresh process, so the records are plain classes, not
+    built by the standard library's record decorator: importing its module
+    pulls in ``inspect``, ``ast``, ``dis`` and ``tokenize``, and it compiles
+    generated methods for each record.  That cost about 30 ms per process;
+    these classes take a fraction of a millisecond to define.
+    """
+
+    __slots__ = ()
+
+    def __init_subclass__(cls, **kwargs):
+        super().__init_subclass__(**kwargs)
+        if "_fields" not in vars(cls):
+            cls._fields = cls.__slots__
+
+    def __init__(self, *values):
+        for name, value in zip(self.__slots__, values):
+            object.__setattr__(self, name, value)
+
+    def _values(self) -> tuple:
+        return tuple([getattr(self, f) for f in self._fields])
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._values() == other._values()
+
+    def __hash__(self):
+        return hash(self._values())
+
+    def __repr__(self):
+        fields = ", ".join(f"{f}={getattr(self, f)!r}" for f in self._fields)
+        return f"{type(self).__qualname__}({fields})"
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __setstate__(self, state):
+        # pickle and copy restore slot values through setattr otherwise
+        for name, value in state[1].items():
+            object.__setattr__(self, name, value)
 
 
 class GraphFormatError(ValueError):
@@ -27,13 +80,16 @@ class HypothesisError(ValueError):
     """The mathematical hypotheses of an operation are not met."""
 
 
-@dataclass(frozen=True)
-class Graph:
-    vertices: tuple[str, ...]
-    edges: tuple[tuple[str, str], ...]
-    sinks: tuple[str, ...] = ()
+class Graph(Record):
+    __slots__ = ("vertices", "edges", "sinks")
 
-    def __post_init__(self):
+    def __init__(
+        self,
+        vertices: tuple[str, ...],
+        edges: tuple[tuple[str, str], ...],
+        sinks: tuple[str, ...] = (),
+    ):
+        super().__init__(vertices, edges, sinks)
         seen = set()
         for v in self.vertices:
             if v in seen:
@@ -190,21 +246,17 @@ def is_separating(g: Graph, v: str) -> bool:
     return len(_blocks(g, half_edges(g), v)) > 1
 
 
-@dataclass(frozen=True)
-class VertexClassification:
+class VertexClassification(Record):
     """Counts of essential vertices by kind.
 
     n0: valence >= 4; n1: separating trivalent; n2: non-separating trivalent.
     m = n0 + n1 + n2 equals the number of essential vertices.
     """
 
-    n0: int
-    n1: int
-    n2: int
-    m: int
-    trivalent_total: int
+    __slots__ = ("n0", "n1", "n2", "m", "trivalent_total")
 
-    def __post_init__(self):
+    def __init__(self, n0: int, n1: int, n2: int, m: int, trivalent_total: int):
+        super().__init__(n0, n1, n2, m, trivalent_total)
         if min(self.n0, self.n1, self.n2) < 0:
             raise ValueError("classification counts must be nonnegative")
         if self.m != self.n0 + self.n1 + self.n2:

@@ -13,10 +13,9 @@ on loops is computed here.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from math import comb
 
-from .graph_core import Graph, HypothesisError, components_without, is_connected
+from .graph_core import Graph, HypothesisError, Record, components_without, is_connected
 from .free_groups import (
     FreeHom,
     FreeWord,
@@ -28,18 +27,17 @@ from .free_groups import (
 )
 
 
-@dataclass(frozen=True)
-class EquivRelation:
+class EquivRelation(Record):
     """An equivalence relation on the finite ground set {0..n-1}.
 
     Blocks are disjoint, nonempty, cover the ground set, and are kept sorted
     by smallest member.
     """
 
-    ground: tuple[int, ...]
-    blocks: tuple[tuple[int, ...], ...]
+    __slots__ = ("ground", "blocks")
 
-    def __post_init__(self):
+    def __init__(self, ground: tuple[int, ...], blocks: tuple[tuple[int, ...], ...]):
+        super().__init__(ground, blocks)
         seen: set[int] = set()
         for b in self.blocks:
             if not b:
@@ -105,20 +103,32 @@ def local_quotient(g: Graph, v: str) -> EquivRelation:
 
 def compositions(total: int, parts: int) -> list[tuple[int, ...]]:
     """All nonnegative integer vectors of the given length summing to total,
-    in ascending lexicographic order."""
+    in ascending lexicographic order.
+
+    Stars and bars, stepped in place from (0, ..., 0, total): the successor
+    takes one unit from the last nonzero part c[j], j >= 1, into c[j - 1]
+    and moves the rest of c[j] to the last part.  No successor exists once
+    every unit sits in the first part.
+    """
     if parts == 0:
         return [()] if total == 0 else []
-    if parts == 1:
-        return [(total,)]
-    out = []
-    for first in range(total + 1):
-        for rest in compositions(total - first, parts - 1):
-            out.append((first,) + rest)
-    return out
+    c = [0] * parts
+    c[-1] = total
+    out = [tuple(c)]
+    while True:
+        j = parts - 1
+        while j and not c[j]:
+            j -= 1
+        if not j:
+            return out
+        rest = c[j] - 1
+        c[j] = 0
+        c[j - 1] += 1
+        c[-1] = rest
+        out.append(tuple(c))
 
 
-@dataclass(frozen=True)
-class LambdaGraph:
+class LambdaGraph(Record):
     """The k-particle model graph of a local relation.
 
     Vertices are compositions of k-1 (one particle at the center) followed by
@@ -127,10 +137,16 @@ class LambdaGraph:
     particle between the center and the labeled edge's sink.
     """
 
-    pi: EquivRelation
-    k: int
-    vertices: tuple[tuple[int, ...], ...]
-    edges: tuple[tuple[int, int, int], ...]
+    __slots__ = ("pi", "k", "vertices", "edges")
+
+    def __init__(
+        self,
+        pi: EquivRelation,
+        k: int,
+        vertices: tuple[tuple[int, ...], ...],
+        edges: tuple[tuple[int, int, int], ...],
+    ):
+        super().__init__(pi, k, vertices, edges)
 
     @property
     def n_vertices(self) -> int:
@@ -185,8 +201,7 @@ def pi1_rank(lam: LambdaGraph) -> int:
     return lam.n_edges - lam.n_vertices + 1
 
 
-@dataclass(frozen=True)
-class FreeBasis:
+class FreeBasis(Record):
     """Spanning-tree basis of the loops of a particle model graph.
 
     One generator per non-tree edge; a loop's word is read off by recording
@@ -195,11 +210,17 @@ class FreeBasis:
     the move sending the center particle to the sink.
     """
 
-    lam: LambdaGraph
-    basepoint: int
-    parent: tuple[tuple[int, int] | None, ...]  # per vertex: (parent vertex, edge idx)
-    tree_edges: frozenset[int]
-    gens: tuple[int, ...]  # non-tree edge indices, ascending
+    __slots__ = ("lam", "basepoint", "parent", "tree_edges", "gens")
+
+    def __init__(
+        self,
+        lam: LambdaGraph,
+        basepoint: int,
+        parent: tuple[tuple[int, int] | None, ...],  # per vertex: (parent vertex, edge idx)
+        tree_edges: frozenset[int],
+        gens: tuple[int, ...],  # non-tree edge indices, ascending
+    ):
+        super().__init__(lam, basepoint, parent, tree_edges, gens)
 
     @property
     def rank(self) -> int:
@@ -272,15 +293,14 @@ def generator_loop(basis: FreeBasis, gen_edge: int) -> list[tuple[int, int]]:
     return fwd + [(gen_edge, 1)] + back
 
 
-@dataclass(frozen=True)
-class SinkStabilization:
+class SinkStabilization(Record):
     """The particle-adding graph map between consecutive models and the
     homomorphism it induces on spanning-tree bases."""
 
-    source: LambdaGraph
-    target: LambdaGraph
-    block: int
-    hom: FreeHom
+    __slots__ = ("source", "target", "block", "hom")
+
+    def __init__(self, source: LambdaGraph, target: LambdaGraph, block: int, hom: FreeHom):
+        super().__init__(source, target, block, hom)
 
 
 def sink_stabilization(lam: LambdaGraph, block: int) -> SinkStabilization:
@@ -364,29 +384,3 @@ def trivalent_collapse_hom(a: int) -> FreeHom:
         return FreeHom(3, 1, (t2, t, ti))
     # g2 g3 -> t, g1 g3 -> 1
     return FreeHom(3, 1, (t, t2, ti))
-
-
-def gamma_loop_words(n: int) -> list[FreeWord]:
-    """The consecutive-edge loops of the two-particle model of the leaf-
-    identified n-star, written in the deterministic spanning-tree basis.
-
-    The i-th loop sends one particle from the sink to the center along edge
-    i-1 and back along edge i (0-based labels); there are n-1 of them and
-    they form an alternative free basis.
-    """
-    if n < 2:
-        raise ValueError("need at least two star edges")
-    lam = build_lambda(EquivRelation.indiscrete(n), 2)
-    basis = free_basis(lam)
-    edge_by_label = {j: ei for ei, (_, _, j) in enumerate(lam.edges)}
-    words = []
-    for i in range(1, n):
-        path = [(edge_by_label[i - 1], -1), (edge_by_label[i], 1)]
-        words.append(word_of_path(basis, path))
-    return words
-
-
-def gamma_to_tree_hom(n: int) -> FreeHom:
-    """Change of basis from the consecutive-edge loops to the spanning-tree
-    basis; an automorphism of the free group of rank n-1."""
-    return FreeHom(n - 1, n - 1, tuple(gamma_loop_words(n)))

@@ -15,10 +15,9 @@ which is immune to coefficient-weighting mistakes at these sizes.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import NamedTuple
 
-from .graph_core import Graph, HypothesisError, VertexClassification, classify
+from .graph_core import Graph, HypothesisError, Record, VertexClassification, classify
 
 # How the homology nonvanishing input of a bound was settled: not checked,
 # check abandoned at the generator budget, checked nonzero, checked zero
@@ -26,33 +25,47 @@ from .graph_core import Graph, HypothesisError, VertexClassification, classify
 HOMOLOGY_STATUSES = ("assumed", "budget-exceeded", "verified", "contradicted")
 
 
-@dataclass(frozen=True)
-class BoundQuery:
-    graph: Graph
-    r: int
-    k: int
+class BoundQuery(Record):
+    __slots__ = ("graph", "r", "k")
 
-    def __post_init__(self):
+    def __init__(self, graph: Graph, r: int, k: int):
+        super().__init__(graph, r, k)
         if self.r < 1:
             raise ValueError("the motion-planning order r must be at least 1")
         if self.k < 0:
             raise ValueError("the particle count k must be nonnegative")
 
 
-@dataclass(frozen=True)
-class BoundReport:
-    classification: VertexClassification
-    r: int
-    k: int | None = None
-    choice: tuple[int, int, int] | None = None
-    lower: int | None = None
-    upper: int | None = None
-    stable_value: int | None = None
-    k0: int | None = None
-    caveats: tuple[str, ...] = ()
-    homology_status: str = "assumed"
+class BoundReport(Record):
+    __slots__ = (
+        "classification",
+        "r",
+        "k",
+        "choice",
+        "lower",
+        "upper",
+        "stable_value",
+        "k0",
+        "caveats",
+        "homology_status",
+    )
 
-    def __post_init__(self):
+    def __init__(
+        self,
+        classification: VertexClassification,
+        r: int,
+        k: int | None = None,
+        choice: tuple[int, int, int] | None = None,
+        lower: int | None = None,
+        upper: int | None = None,
+        stable_value: int | None = None,
+        k0: int | None = None,
+        caveats: tuple[str, ...] = (),
+        homology_status: str = "assumed",
+    ):
+        super().__init__(
+            classification, r, k, choice, lower, upper, stable_value, k0, caveats, homology_status
+        )
         if self.homology_status not in HOMOLOGY_STATUSES:
             raise ValueError(f"unknown homology status {self.homology_status!r}")
         if self.lower is not None and self.upper is not None and self.lower > self.upper:
@@ -96,17 +109,6 @@ def admissible_choices(cls: VertexClassification, k: int):
 def bound_value(r: int, k: int, m: int, choice: tuple[int, int, int]) -> int:
     c0, c1, c2 = choice
     return (r - 2) * min(k // 2, m) + 2 * (c0 + c1) + c2
-
-
-def greedy_choice(cls: VertexClassification, k: int) -> tuple[int, int, int]:
-    """Maximal ci under the k constraint, filling c0 first, then c1, then c2
-    (their value per admissibility cost decreases in that order)."""
-    c0 = min(cls.n0, k // 2)
-    rem = k - 2 * c0
-    c1 = min(cls.n1, rem // 3)
-    rem -= 3 * c1
-    c2 = min(cls.n2, rem // 2)
-    return (c0, c1, c2)
 
 
 def lower_bound(q: BoundQuery, homology_status: str = "assumed") -> BoundReport:

@@ -2,14 +2,17 @@
 
 The oracles deliberately reimplement things the library computes, with the
 dumbest possible method (exhaustive enumeration, plain BFS), so agreements
-are meaningful.
+are meaningful.  The helpers at the end are ones only the tests call.
 """
 
 from __future__ import annotations
 
 import itertools
 
-from gbtc.graph_core import Graph
+from gbtc.discrete_config import BettiVector
+from gbtc.free_groups import FreeHom, FreeWord, generator
+from gbtc.graph_core import Graph, VertexClassification
+from gbtc.local_graphs import EquivRelation, build_lambda, free_basis, word_of_path
 
 
 def star(n: int) -> Graph:
@@ -124,3 +127,71 @@ def oracle_compositions(total: int, parts: int) -> set[tuple[int, ...]]:
 
 def oracle_betti1(g: Graph) -> int:
     return g.n_edges - g.n_vertices + len(oracle_components(g))
+
+
+def recursive_compositions(total: int, parts: int) -> list[tuple[int, ...]]:
+    """Compositions in ascending lexicographic order, by recursion on the
+    first part: the reference for the iterative ``compositions``."""
+    if parts == 0:
+        return [()] if total == 0 else []
+    if parts == 1:
+        return [(total,)]
+    out = []
+    for first in range(total + 1):
+        for rest in recursive_compositions(total - first, parts - 1):
+            out.append((first,) + rest)
+    return out
+
+
+def greedy_choice(cls: VertexClassification, k: int) -> tuple[int, int, int]:
+    """Maximal ci under the k constraint, filling c0 first, then c1, then c2
+    (their value per admissibility cost decreases in that order)."""
+    c0 = min(cls.n0, k // 2)
+    rem = k - 2 * c0
+    c1 = min(cls.n1, rem // 3)
+    rem -= 3 * c1
+    c2 = min(cls.n2, rem // 2)
+    return (c0, c1, c2)
+
+
+# ---------------------------------------------------------------------------
+# helpers only the tests call
+# ---------------------------------------------------------------------------
+
+
+def trimmed(bv: BettiVector) -> tuple[int, ...]:
+    """The Betti numbers without trailing zeros, keeping degree 0."""
+    b = list(bv.betti)
+    while len(b) > 1 and b[-1] == 0:
+        b.pop()
+    return tuple(b)
+
+
+def identity_hom(rank: int) -> FreeHom:
+    return FreeHom(rank, rank, tuple(generator(rank, i + 1) for i in range(rank)))
+
+
+def gamma_loop_words(n: int) -> list[FreeWord]:
+    """The consecutive-edge loops of the two-particle model of the leaf-
+    identified n-star, written in the deterministic spanning-tree basis.
+
+    The i-th loop sends one particle from the sink to the center along edge
+    i-1 and back along edge i (0-based labels); there are n-1 of them and
+    they form an alternative free basis.
+    """
+    if n < 2:
+        raise ValueError("need at least two star edges")
+    lam = build_lambda(EquivRelation.indiscrete(n), 2)
+    basis = free_basis(lam)
+    edge_by_label = {j: ei for ei, (_, _, j) in enumerate(lam.edges)}
+    words = []
+    for i in range(1, n):
+        path = [(edge_by_label[i - 1], -1), (edge_by_label[i], 1)]
+        words.append(word_of_path(basis, path))
+    return words
+
+
+def gamma_to_tree_hom(n: int) -> FreeHom:
+    """Change of basis from the consecutive-edge loops to the spanning-tree
+    basis; an automorphism of the free group of rank n-1."""
+    return FreeHom(n - 1, n - 1, tuple(gamma_loop_words(n)))

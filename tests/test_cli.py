@@ -2,10 +2,12 @@
 
 from __future__ import annotations
 
-import dataclasses
 import json
 import os
+import subprocess
+import sys
 
+import gbtc
 from gbtc import discrete_config
 from gbtc.cli import main
 from gbtc.corpus import BUNDLED
@@ -147,7 +149,10 @@ def test_bound_check_homology_contradicted_exits_two(capsys, monkeypatch):
     real = discrete_config.nonvanishing_check
 
     def vanishing(g, k, budget):
-        return dataclasses.replace(real(g, k, budget), nonzero=False)
+        rep = real(g, k, budget)
+        return discrete_config.NonvanishingReport(
+            rep.k, rep.m, rep.degree, rep.betti, False, rep.status, rep.cell_counts, rep.chain_complex
+        )
 
     monkeypatch.setattr(discrete_config, "nonvanishing_check", vanishing)
     code = main(["bound", datafile("hgraph"), "--r", "2", "--k", "6", "--check-homology"])
@@ -293,3 +298,21 @@ def test_malformed_graph_exits_one(capsys, tmp_path):
     captured = capsys.readouterr()
     assert code == 1 and captured.out == ""
     assert captured.err.startswith("error:") and "Traceback" not in captured.err
+
+
+def test_import_loads_neither_dataclasses_nor_inspect():
+    # every command pays for what importing gbtc.cli loads, in a fresh process
+    script = (
+        "import sys\n"
+        "before = set(sys.modules)\n"
+        "import gbtc.cli\n"
+        "print(' '.join(sorted(set(sys.modules) - before)))\n"
+    )
+    env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(gbtc.__file__)))
+    proc = subprocess.run(
+        [sys.executable, "-c", script], env=env, capture_output=True, text=True, timeout=60
+    )
+    assert proc.returncode == 0, proc.stderr
+    loaded = set(proc.stdout.split())
+    assert "gbtc.cli" in loaded
+    assert not loaded & {"dataclasses", "inspect"}, sorted(loaded)

@@ -8,6 +8,7 @@ from collections import Counter
 
 import pytest
 
+from conftest import identity_hom
 from conjugator_oracle import disjoint_conjugates_bruteforce as reference_bruteforce
 from gbtc.free_groups import (
     FreeHom,
@@ -21,7 +22,6 @@ from gbtc.free_groups import (
     disjoint_conjugates_bruteforce,
     generator,
     identity,
-    identity_hom,
     inverse,
     is_forest,
     parse_word,

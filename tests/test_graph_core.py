@@ -3,6 +3,9 @@ input graph, checked against the subdivide-first route of the test oracle."""
 
 from __future__ import annotations
 
+import copy
+import inspect
+import pickle
 import random
 
 import pytest
@@ -22,10 +25,26 @@ from conftest import (
     theta,
 )
 from gbtc.corpus import bundled_graphs
+from gbtc.discrete_config import (
+    BettiVector,
+    ChainComplex,
+    NonvanishingReport,
+    build_complex,
+    nonvanishing_check,
+)
+from gbtc.free_groups import (
+    ConjugacySearch,
+    FreeHom,
+    FreeWord,
+    PullbackGraph,
+    pullback,
+    stallings_core,
+)
 from gbtc.graph_core import (
     Graph,
     GraphFormatError,
     HypothesisError,
+    VertexClassification,
     classify,
     components_without,
     first_betti,
@@ -34,7 +53,17 @@ from gbtc.graph_core import (
     is_separating,
     valence,
 )
-from gbtc.local_graphs import local_quotient
+from gbtc.local_graphs import (
+    EquivRelation,
+    FreeBasis,
+    LambdaGraph,
+    SinkStabilization,
+    build_lambda,
+    free_basis,
+    local_quotient,
+    sink_stabilization,
+)
+from gbtc.tc_bounds import BoundQuery, BoundReport, lower_bound
 
 
 def test_valence_star_center():
@@ -299,3 +328,67 @@ def test_input_graph_matches_normalized_route():
             assert blocks == normalized_blocks(g, v) == components_without(ng, v), (g, v)
             assert local_quotient(g, v) == local_quotient(ng, v), (g, v)
     assert loops >= 300 and parallels >= 300
+
+
+# -- value semantics of the records --------------------------------------------
+
+PI = EquivRelation.from_blocks([(0,), (1, 2)])
+
+# one builder per record type; each call builds fresh, equal field values
+RECORDS = {
+    Graph: lambda: Graph(("a", "b"), (("a", "b"), ("b", "b")), ("a",)),
+    VertexClassification: lambda: VertexClassification.of_counts(1, 2, 0),
+    FreeWord: lambda: FreeWord(2, (1, -2, 1)),
+    FreeHom: lambda: FreeHom(2, 1, (FreeWord(1, (1,)), FreeWord(1, ()))),
+    PullbackGraph: lambda: pullback(
+        stallings_core(2, [FreeWord(2, (1, 2))]), stallings_core(2, [FreeWord(2, (2, 1))])
+    ),
+    ConjugacySearch: lambda: ConjugacySearch(3, (FreeWord(2, (1,)), FreeWord(2, (2,)))),
+    EquivRelation: lambda: EquivRelation.from_blocks([(0,), (1, 2)]),
+    LambdaGraph: lambda: build_lambda(PI, 2),
+    FreeBasis: lambda: free_basis(build_lambda(PI, 2)),
+    SinkStabilization: lambda: sink_stabilization(build_lambda(PI, 1), 0),
+    ChainComplex: lambda: build_complex(star(3), 2),
+    BettiVector: lambda: BettiVector((1, 3, 0)),
+    NonvanishingReport: lambda: nonvanishing_check(star(3), 2),
+    BoundQuery: lambda: BoundQuery(hgraph(), 2, 6),
+    BoundReport: lambda: lower_bound(BoundQuery(hgraph(), 2, 6)),
+}
+
+
+@pytest.mark.parametrize("cls", list(RECORDS), ids=lambda c: c.__name__)
+def test_record_value_semantics(cls):
+    a, b = RECORDS[cls](), RECORDS[cls]()
+    assert type(a) is cls and a is not b
+    if cls is PullbackGraph:
+        assert a.nodes and a.edges  # the cached views take no part in equality
+    assert a == b and not a != b
+    assert repr(a) == repr(b) and repr(a).startswith(f"{cls.__name__}(")
+    if cls is ChainComplex:
+        with pytest.raises(TypeError):
+            hash(a)
+    else:
+        assert hash(a) == hash(b)
+    assert copy.copy(a) == a and pickle.loads(pickle.dumps(a)) == a
+
+    for other, build in RECORDS.items():
+        if other is not cls:
+            assert a != build() and not a == build()
+
+    fields = [p for p in inspect.signature(cls.__init__).parameters if p != "self"]
+    for name in fields:
+        changed = copy.copy(b)
+        object.__setattr__(changed, name, object())
+        if cls is NonvanishingReport and name == "chain_complex":
+            assert changed == a and hash(changed) == hash(a)
+            assert "chain_complex" not in repr(a)
+        else:
+            assert changed != a and not changed == a, name
+        if cls is ChainComplex:
+            setattr(b, name, getattr(a, name))
+        else:
+            with pytest.raises(AttributeError):
+                setattr(b, name, getattr(a, name))
+            with pytest.raises(AttributeError):
+                delattr(b, name)
+    assert a == b

@@ -7,7 +7,15 @@ import itertools
 import pytest
 
 from abrams_oracle import normalize
-from conftest import hgraph, oracle_compositions, star, theta
+from conftest import (
+    gamma_loop_words,
+    gamma_to_tree_hom,
+    hgraph,
+    oracle_compositions,
+    recursive_compositions,
+    star,
+    theta,
+)
 from gbtc.free_groups import (
     apply_hom,
     commutator,
@@ -27,8 +35,6 @@ from gbtc.local_graphs import (
     compositions,
     expected_counts,
     free_basis,
-    gamma_loop_words,
-    gamma_to_tree_hom,
     generator_loop,
     local_quotient,
     pi1_rank,
@@ -183,6 +189,15 @@ def test_compositions_order_deterministic():
     comps = compositions(2, 3)
     assert comps == sorted(comps)
     assert set(comps) == oracle_compositions(2, 3)
+
+
+def test_compositions_match_recursive_reference():
+    for total in range(13):
+        for parts in range(7):
+            assert compositions(total, parts) == recursive_compositions(total, parts), (
+                total,
+                parts,
+            )
 
 
 # -- free bases ----------------------------------------------------------------

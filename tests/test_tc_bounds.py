@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import pytest
 
-from conftest import cycle_graph, hgraph, spider, star, theta
+from conftest import cycle_graph, greedy_choice, hgraph, spider, star, theta
 from gbtc.corpus import bundled_graphs
 from gbtc.graph_core import Graph, HypothesisError, classify
 from gbtc.tc_bounds import (
@@ -12,7 +12,6 @@ from gbtc.tc_bounds import (
     BoundReport,
     admissible_choices,
     bound_value,
-    greedy_choice,
     lower_bound,
     proof_chain_check,
     stable_report,
