@@ -148,9 +148,10 @@ def _verify_lemma_rows(max_n: int) -> list[dict]:
         h0 = local_graphs.star_commutator_subgroups(n, 0)
         h1 = local_graphs.star_commutator_subgroups(n, 1)
         rank = n - 1
-        ok = free_groups.disjoint_conjugates(h0, h1, rank)
-        ok = ok and free_groups.subgroup_rank(free_groups.stallings_core(rank, h0)) == 1
-        ok = ok and free_groups.subgroup_rank(free_groups.stallings_core(rank, h1)) == 1
+        a = free_groups.stallings_core(rank, h0)
+        b = free_groups.stallings_core(rank, h1)
+        ok = free_groups.is_forest(free_groups.pullback(a, b))
+        ok = ok and free_groups.subgroup_rank(a) == 1 and free_groups.subgroup_rank(b) == 1
         psi = local_graphs.star_projection_hom(n)
         ok = ok and free_groups.restriction_injective(psi, h0)
         ok = ok and all(free_groups.apply_hom(psi, w).is_identity for w in h1)

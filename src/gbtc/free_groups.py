@@ -4,20 +4,20 @@ Words are freely reduced sequences of signed generator indices: +i is the
 i-th generator (1-based), -i its inverse.  A subgroup is represented by its
 folded core automaton in the Stallings style: a basepointed graph with arcs
 labeled by generators, deterministic in both directions, in which every
-non-basepoint state lies on some reduced subgroup word.  Membership is path
-tracing, rank is arcs - states + 1, and intersections of conjugates are read
-off the fiber product of two cores: the two subgroups have disjoint
-conjugates exactly when every component of the product graph is a forest.
-That test runs union-find on integer state ids, never materializing the
-state pairs, and skips every product edge with an end of degree 1: such an
-edge is a bridge, and the degree of a pair is read off the signed-slot
-bitmasks of its two states.  The product's ``nodes`` and ``edges`` are
-views built on first access.
+non-basepoint state lies on some reduced subgroup word.  A core is built by
+tracing each generator through the partial core, on per-state slot rows, so
+that states fold only where the forward and backward traces of a word meet.
+Membership is path tracing, rank is arcs - states + 1, and intersections of
+conjugates are read off the fiber product of two cores: the two subgroups
+have disjoint conjugates exactly when every component of the product graph
+is a forest.  That test runs union-find on integer state ids, never
+materializing the state pairs, and skips every product edge with an end of
+degree 1: such an edge is a bridge, and the degree of a pair is read off the
+signed-slot bitmasks of its two states.  The product's ``nodes`` and
+``edges`` are views built on first access.
 """
 
 from __future__ import annotations
-
-from collections import deque
 
 from .graph_core import Record
 
@@ -224,34 +224,36 @@ class FoldedAutomaton:
 
 
 def stallings_core(rank: int, gens) -> FoldedAutomaton:
-    """Fold the bouquet of generator loops and prune to the core.
+    """The folded core of the subgroup generated by ``gens``.
 
-    The result recognizes exactly the reduced words of the subgroup generated
-    by ``gens``; an empty or all-identity generating set yields the
-    basepoint-only automaton of the trivial subgroup.
+    The result recognizes exactly the reduced words of the subgroup; an
+    empty or all-identity generating set yields the basepoint-only automaton
+    of the trivial subgroup.
+
+    Each state has one slot row of 2 * rank + 1 ints: ``row[l + rank]`` is
+    the state that letter l leads to, or -1.  Each word is traced through
+    the partial core, forward from the basepoint as far as its arcs go, then
+    backward from the basepoint up to that point, and only the unread middle
+    becomes new states.  So folds happen only where the two traces meet,
+    which merges the two states they stopped at, or where a cyclically
+    unreduced middle leaves and re-enters one state by the same slot, which
+    merges the two states next to it.  A merge folds the two rows into one
+    by union-find, and a stale target in a row is resolved by ``find`` when
+    it is read.  Every state lies on the closed
+    path of a reduced word, which never backtracks in a folded graph, so no
+    state but the basepoint has degree 1 and there is nothing to prune.
+    States are numbered breadth-first from the basepoint in label order
+    1, -1, 2, -2, ..., and each state's positive arcs are emitted once it is
+    numbered, which lists the arcs sorted.
     """
     gens = list(gens)
     for w in gens:
         if w.rank != rank:
             raise ValueError("generator word in the wrong rank context")
 
-    arcs0: list[tuple[int, int, int]] = []
-    n = 1
-    for w in gens:
-        if not w.letters:
-            continue
-        cur = 0
-        for i, x in enumerate(w.letters):
-            nxt = 0 if i == len(w.letters) - 1 else n
-            if nxt == n:
-                n += 1
-            if x > 0:
-                arcs0.append((cur, x, nxt))
-            else:
-                arcs0.append((nxt, -x, cur))
-            cur = nxt
-
-    parent = list(range(n))
+    width = 2 * rank + 1
+    rows: list[list[int]] = [[-1] * width]
+    parent = [0]
 
     def find(x: int) -> int:
         while parent[x] != x:
@@ -259,88 +261,83 @@ def stallings_core(rank: int, gens) -> FoldedAutomaton:
             x = parent[x]
         return x
 
-    out: list[dict[int, int]] = [dict() for _ in range(n)]
-    inc: list[dict[int, int]] = [dict() for _ in range(n)]
-    pending: deque[tuple[int, int]] = deque()
-
     def union(a: int, b: int) -> None:
-        pending.append((a, b))
+        pending = [(a, b)]
         while pending:
-            x, y = pending.popleft()
+            x, y = pending.pop()
             x, y = find(x), find(y)
             if x == y:
                 continue
-            if len(out[x]) + len(inc[x]) < len(out[y]) + len(inc[y]):
-                x, y = y, x
             parent[y] = x
-            for l, t in out[y].items():
-                t0 = out[x].get(l)
-                if t0 is None:
-                    out[x][l] = t
-                else:
-                    pending.append((t0, t))
-            for l, s in inc[y].items():
-                s0 = inc[x].get(l)
-                if s0 is None:
-                    inc[x][l] = s
-                else:
-                    pending.append((s0, s))
-            out[y] = {}
-            inc[y] = {}
+            row_x = rows[x]
+            for k, t in enumerate(rows[y]):
+                if t >= 0:
+                    t0 = row_x[k]
+                    if t0 < 0:
+                        row_x[k] = t
+                    else:
+                        pending.append((t0, t))
 
-    for s, l, t in arcs0:
-        s, t = find(s), find(t)
-        t0 = out[s].get(l)
-        if t0 is not None:
-            union(t0, t)
+    for w in gens:
+        word = w.letters
+        i, j = 0, len(word)
+        head = tail = find(0)
+        while i < j:
+            t = rows[head][word[i] + rank]
+            if t < 0:
+                break
+            head = find(t)
+            i += 1
+        while j > i:
+            t = rows[tail][rank - word[j - 1]]
+            if t < 0:
+                break
+            tail = find(t)
+            j -= 1
+        if i == j:
+            union(head, tail)
             continue
-        s0 = inc[t].get(l)
-        if s0 is not None:
-            union(s0, s)
-            continue
-        out[s][l] = t
-        inc[t][l] = s
+        # the middle word[i:j] runs head, base, base + 1, ..., tail
+        mid = word[i:j]
+        base = len(rows)
+        path = [head, *range(base, base + len(mid) - 1), tail]
+        parent += path[1:-1]
+        for q in range(len(mid) - 1):
+            row = [-1] * width
+            row[rank - mid[q]] = path[q]
+            row[rank + mid[q + 1]] = path[q + 2]
+            rows.append(row)
+        rows[head][rank + mid[0]] = path[1]
+        t = rows[tail][rank - mid[-1]]
+        if t < 0:
+            rows[tail][rank - mid[-1]] = path[-2]
+        else:
+            # a cyclically unreduced middle leaves and re-enters one state
+            # by the same slot
+            union(t, path[-2])
 
-    # canonicalize slots and prune hanging trees off the core
-    reps = sorted({find(i) for i in range(n)})
-    bp = find(0)
-    slots: dict[int, dict[int, int]] = {r: {} for r in reps}
-    for r in reps:
-        for l, t in out[r].items():
-            slots[r][l] = find(t)
-        for l, s in inc[r].items():
-            slots[r][-l] = find(s)
-
-    live = set(reps)
-    queue = deque(r for r in reps if r != bp and len(slots[r]) <= 1)
-    while queue:
-        r = queue.popleft()
-        if r not in live or r == bp or len(slots[r]) > 1:
-            continue
-        live.discard(r)
-        for l, t in list(slots[r].items()):
-            del slots[t][-l]
-            if t != bp and len(slots[t]) <= 1:
-                queue.append(t)
-        slots[r] = {}
-
-    # canonical breadth-first renumbering from the basepoint
-    order = {bp: 0}
-    bfs = deque((bp,))
-    while bfs:
-        s = bfs.popleft()
-        for l in sorted(slots[s], key=_label_key):
-            t = slots[s][l]
-            if t not in order:
-                order[t] = len(order)
-                bfs.append(t)
-    arcs = sorted(
-        (order[s], l, order[t])
-        for s in live
-        for l, t in slots[s].items()
-        if l > 0
-    )
-    return FoldedAutomaton(rank, len(order), tuple(arcs))
+    # canonical breadth-first numbering from the basepoint, resolving
+    # stale targets on the way
+    slots = [rank + l for m in range(1, rank + 1) for l in (m, -m)]
+    number = [-1] * len(rows)
+    bfs = [find(0)]
+    number[bfs[0]] = 0
+    arcs = []
+    for n_s, s in enumerate(bfs):
+        row = rows[s]
+        for k in slots:
+            t = row[k]
+            if t >= 0:
+                if parent[t] != t:
+                    t = row[k] = find(t)
+                if number[t] < 0:
+                    number[t] = len(bfs)
+                    bfs.append(t)
+        for l in range(1, rank + 1):
+            t = row[rank + l]
+            if t >= 0:
+                arcs.append((n_s, l, number[t]))
+    return FoldedAutomaton(rank, len(bfs), tuple(arcs))
 
 
 def contains(a: FoldedAutomaton, w: FreeWord) -> bool:

@@ -6,7 +6,9 @@ to the length bound depth first, outermost letter first, keeps the reduced
 word g h g^-1 at every node and traces it from the second core's basepoint.
 The library visits the same nodes in the same order but carries fixed-state
 bitmasks and memoises settled subtrees, so the two must return equal
-``ConjugacySearch`` objects, witness included.
+``ConjugacySearch`` objects, witness included.  The cores come from the
+arc-by-arc reference folder, so the search shares no core code with the
+library.
 """
 
 from __future__ import annotations
@@ -15,9 +17,9 @@ from gbtc.free_groups import (
     ConjugacySearch,
     FreeWord,
     _label_key,
-    stallings_core,
     subgroup_elements_up_to,
 )
+from stallings_oracle import stallings_core
 
 
 def disjoint_conjugates_bruteforce(h0, h1, rank: int, max_len: int) -> ConjugacySearch:

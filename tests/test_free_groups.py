@@ -10,6 +10,7 @@ import pytest
 
 from conftest import identity_hom
 from conjugator_oracle import disjoint_conjugates_bruteforce as reference_bruteforce
+from stallings_oracle import stallings_core as reference_core
 from gbtc.free_groups import (
     FreeHom,
     FreeWord,
@@ -174,6 +175,78 @@ def test_folding_confluent_under_generator_shuffles():
             shuffled = gens[:]
             rng.shuffle(shuffled)
             assert stallings_core(rank, shuffled) == reference
+
+
+def _reference_case(rng):
+    """A random generating set that also exercises every branch of the
+    trace: identity words, cyclically unreduced words x u x^-1, products
+    g h^-1 of earlier generators, which read back to the basepoint through
+    arcs that already exist, and prefixes of earlier generators with a new
+    tail, which stop part way along them.  Returns the rank, the words and
+    how many of them are such products."""
+    rank = rng.randint(1, 5)
+    gens = []
+    products = 0
+    for _ in range(rng.randint(0, 5)):
+        kind = rng.randrange(4)
+        if kind == 0 or not gens:
+            word = random_reduced(rng, rank, 30, min_len=0)
+        elif kind == 1:
+            u = random_reduced(rng, rank, 8, min_len=0)
+            x = random_reduced(rng, rank, 6)
+            word = concat(x, u, inverse(x))
+        elif kind == 2:
+            word = concat(rng.choice(gens), inverse(rng.choice(gens)))
+            products += not word.is_identity
+        else:
+            g = rng.choice(gens).letters
+            cut = rng.randint(0, len(g))
+            word = reduce_word(rank, g[:cut] + random_reduced(rng, rank, 4, min_len=0).letters)
+        gens.append(word)
+    return rank, gens, products
+
+
+def test_core_matches_reference_folder():
+    rng = random.Random(20261018)
+    seen = Counter()
+    for _ in range(3000):
+        rank, gens, products = _reference_case(rng)
+        for g in gens:
+            letters = g.letters
+            seen["identity"] += not letters
+            seen["cyclically unreduced"] += len(letters) > 1 and letters[0] == -letters[-1]
+        seen["reads back"] += products
+        seen[f"rank {rank}"] += 1
+        assert stallings_core(rank, gens) == reference_core(rank, gens), (rank, gens)
+    assert all(seen[f"rank {r}"] for r in range(1, 6))
+    assert seen["identity"] and seen["cyclically unreduced"] and seen["reads back"]
+
+
+@pytest.mark.parametrize(
+    "gens, arcs",
+    [
+        # an identity word, then a cyclically unreduced word whose first
+        # and last letters take the same slot at the basepoint
+        ([(), (2, 1, -2)], ((0, 2, 1), (1, 1, 1))),
+        # the second word is read in full up to the first word's middle
+        # state, so the meet merges the 2-cycle into a loop at the basepoint
+        ([(-1, -1), (1,), (-2,)], ((0, 1, 0), (0, 2, 0))),
+    ],
+)
+def test_core_pinned_regressions(gens, arcs):
+    words = [FreeWord(2, g) for g in gens]
+    a = stallings_core(2, words)
+    assert a.arcs == arcs
+    assert a == reference_core(2, words)
+
+
+def test_core_has_no_hanging_trees():
+    rng = random.Random(11)
+    for _ in range(500):
+        rank, gens, _ = _reference_case(rng)
+        a = stallings_core(rank, gens)
+        for state, row in enumerate(a.transition_table()):
+            assert state == 0 or len(row) - row.count(-1) >= 2
 
 
 def test_contains_powers():
