@@ -61,7 +61,6 @@ from .tc_bounds import (
     lower_bound,
     proof_chain_check,
     stable_report,
-    upper_bound,
 )
 
 __version__ = "0.1.0"

@@ -12,6 +12,15 @@ the edges.  The differential sends h - h0(v) to e(h) - e(h0(v)), with the
 Koszul sign of the occupied vertex's position.  No subdivision is needed, and
 the generator count is known in closed form before anything is enumerated.
 
+The complex is Z[E] tensored with one small complex per vertex, and the
+generators are indexed that way: degree d lists its vertex states (occupied
+vertices with their half-edge picks) and its edge monomials (in
+``combinations_with_replacement`` order), and generator j is state j // M_d
+with monomial j % M_d, M_d being the number of monomials.  A boundary row is
+then plain arithmetic on the index of the state with one vertex emptied and
+the rank of the monomial times one edge; no generator is hashed, and a
+generator's tuple is spelled out only when ``ChainComplex.cells`` is read.
+
 Exactness is non-negotiable: ranks are computed fraction-free over the
 integers, never in floating point.
 """
@@ -19,6 +28,7 @@ integers, never in floating point.
 from __future__ import annotations
 
 import itertools
+from collections.abc import Sequence
 from math import comb, gcd
 
 from .graph_core import Graph, HypothesisError, Record, classify, half_edges, is_connected
@@ -76,8 +86,49 @@ def _gal_euler_characteristic(g: Graph, k: int) -> int:
 Cell = tuple[tuple[tuple[int, int], ...], tuple[int, ...]]
 
 
+class GeneratorLayer(Record):
+    """The generators of one degree, in order, without spelling them out.
+
+    Generator j is ``(states[j // M], monos[j % M])`` with ``M =
+    len(monos)``: every vertex state times every edge monomial, the
+    monomial varying fastest.  Supports ``len``, indexing and iteration;
+    a generator's tuple is built only when it is read.
+    """
+
+    __slots__ = ("states", "monos")
+
+    def __init__(
+        self,
+        states: tuple[tuple[tuple[int, int], ...], ...],  # occupied (vertex, half-edge) pairs
+        monos: tuple[tuple[int, ...], ...],  # edge monomials as sorted edge indices
+    ):
+        super().__init__(states, monos)
+
+    def __len__(self) -> int:
+        return len(self.states) * len(self.monos)
+
+    def __getitem__(self, j: int) -> Cell:
+        if j < 0:
+            j += len(self)
+        if not 0 <= j < len(self):
+            raise IndexError("generator index out of range")
+        q, r = divmod(j, len(self.monos))
+        return self.states[q], self.monos[r]
+
+    def __iter__(self):
+        for s in self.states:
+            for m in self.monos:
+                yield s, m
+
+
 class ChainComplex(Record):
     """Generators graded by degree, with integer boundary columns.
+
+    ``cells[d]`` is a sequence of the degree-d generators; the builder
+    gives a :class:`GeneratorLayer`, which holds the vertex states and edge
+    monomials of that degree and spells out a generator only when it is
+    read.  ``boundaries[d][j]`` is the column of generator j of degree d, as
+    a ``{row: coefficient}`` dict over the generators of degree d - 1.
     Boundary of boundary vanishing is checked at build.  Unlike the other
     records it is mutable, and so unhashable."""
 
@@ -90,7 +141,7 @@ class ChainComplex(Record):
         self,
         graph: Graph,
         k: int,
-        cells: list[list[Cell]],
+        cells: list[Sequence[Cell]],
         boundaries: list[list[dict[int, int]]],  # boundaries[d][j]: column of generator j in degree d
     ):
         super().__init__(graph, k, cells, boundaries)
@@ -109,6 +160,12 @@ def build_complex(g: Graph, k: int, budget: int = DEFAULT_CELL_BUDGET) -> ChainC
 
     Raises :class:`CellBudgetError` before enumerating anything when the
     generator count exceeds ``budget``.  Verifies boundary-of-boundary.
+
+    The row of a boundary term is (index of the state with one occupied
+    vertex emptied) * M_(d-1) + (rank of the monomial times one edge).  Only
+    the vertex states are hashed, once each, to find the first index; the
+    monomial ranks need no lookup at all.  Each row number is one int
+    object, shared by all the columns that hold it.
     """
     if k < 1:
         raise ValueError("particle count k must be at least 1")
@@ -117,7 +174,7 @@ def build_complex(g: Graph, k: int, budget: int = DEFAULT_CELL_BUDGET) -> ChainC
     half, n_edges = _smooth(g)
     if not n_edges:
         # a point holds one particle; the reduction needs a half-edge per vertex
-        return ChainComplex(g, k, [[((), ())] if k == 1 else []], [[]])
+        return ChainComplex(g, k, [GeneratorLayer(((),) if k == 1 else (), ((),))], [[]])
 
     total = sum(_graded_terms([len(hs) - 1 for hs in half], n_edges, k))
     if total > budget:
@@ -125,31 +182,47 @@ def build_complex(g: Graph, k: int, budget: int = DEFAULT_CELL_BUDGET) -> ChainC
             f"generator budget exceeded: {total} generators for k={k}, budget {budget}"
         )
     active = [v for v, hs in enumerate(half) if len(hs) > 1]
-    layers: list[list[Cell]] = []
-    for d in range(min(k, len(active)) + 1):
-        monomials = list(itertools.combinations_with_replacement(range(n_edges), k - d))
-        layer: list[Cell] = []
-        for verts in itertools.combinations(active, d):
-            for picks in itertools.product(*(range(1, len(half[v])) for v in verts)):
-                states = tuple(zip(verts, picks))
-                layer.extend((states, mono) for mono in monomials)
-        layers.append(layer)
+    layers = [
+        GeneratorLayer(
+            tuple(
+                tuple(zip(verts, picks))
+                for verts in itertools.combinations(active, d)
+                for picks in itertools.product(*(range(1, len(half[v])) for v in verts))
+            ),
+            tuple(itertools.combinations_with_replacement(range(n_edges), k - d)),
+        )
+        for d in range(min(k, len(active)) + 1)
+    ]
 
     boundaries: list[list[dict[int, int]]] = [[] for _ in layers]
     for d in range(1, len(layers)):
-        idx = {cell: i for i, cell in enumerate(layers[d - 1])}
-        cols = []
-        for states, mono in layers[d]:
-            col: dict[int, int] = {}
+        lower, upper = layers[d - 1], layers[d]
+        # up[e][r]: the rank among lower.monos of monomial r of upper.monos
+        # times edge e.  Multiplying by e maps the monomials onto those that
+        # contain e and keeps their order (sorted tuples compare at the
+        # least edge whose multiplicity differs), so up[e] lists the ranks
+        # of the monomials containing e, in order.
+        up = [[r for r, m in enumerate(lower.monos) if e in m] for e in range(n_edges)]
+        # below[s][r]: the row of (s, monomial r), one int object per row
+        # shared by every column that holds it
+        n = len(lower.monos)
+        below = {s: list(range(i * n, i * n + n)) for i, s in enumerate(lower.states)}
+        cols: list[dict[int, int]] = []
+        for states in upper.states:
+            rows: list[list[int]] = []
+            signs: list[int] = []
             for i, (v, j) in enumerate(states):
-                rest = states[:i] + states[i + 1 :]
+                e, e0 = half[v][j], half[v][0]
+                if e == e0:
+                    continue  # the two half-edges of one loop: the terms cancel
+                at = below[states[:i] + states[i + 1 :]]
                 sign = -1 if i % 2 else 1
-                for e, s in ((half[v][j], sign), (half[v][0], -sign)):
-                    row = idx[(rest, tuple(sorted(mono + (e,))))]
-                    col[row] = col.get(row, 0) + s
-                    if col[row] == 0:
-                        del col[row]
-            cols.append(col)
+                rows += ([at[r] for r in up[e]], [at[r] for r in up[e0]])
+                signs += (sign, -sign)
+            if rows:
+                cols += [dict(zip(col, signs)) for col in zip(*rows)]
+            else:
+                cols += [{} for _ in upper.monos]
         boundaries[d] = cols
 
     _check_boundary_squares_to_zero(boundaries)

@@ -179,34 +179,37 @@ def _label_key(l: int) -> tuple[int, int]:
 class FoldedAutomaton:
     """Folded core automaton of a finitely generated subgroup.
 
-    States are 0..n_states-1 with basepoint 0; arcs carry positive labels,
-    and a letter -l traverses the l-arc backwards.  States are numbered
-    canonically (breadth-first from the basepoint in label order), so two
-    runs of the construction produce identical objects.
+    States are 0..n_states-1 with basepoint 0; arcs carry positive labels
+    1..rank, and a letter -l traverses the l-arc backwards.  States are
+    numbered canonically (breadth-first from the basepoint in label order),
+    so two runs of the construction produce identical objects.  Each state
+    has a dense row of 2 * rank + 1 ints: ``row[l + rank]`` is the state
+    that letter l leads to, or -1.
     """
 
     def __init__(self, rank: int, n_states: int, arcs: tuple[tuple[int, int, int], ...]):
         self.rank = rank
         self.n_states = n_states
         self.arcs = arcs
-        trans: dict[tuple[int, int], int] = {}
+        rows = [[-1] * (2 * rank + 1) for _ in range(n_states)]
         for s, l, t in arcs:
-            if (s, l) in trans or (t, -l) in trans:
+            row_s, row_t = rows[s], rows[t]
+            if row_s[rank + l] >= 0 or row_t[rank - l] >= 0:
                 raise ValueError("automaton is not folded")
-            trans[(s, l)] = t
-            trans[(t, -l)] = s
-        self._trans = trans
+            row_s[rank + l] = t
+            row_t[rank - l] = s
+        self._rows = rows
 
     def step(self, state: int, letter: int) -> int | None:
-        return self._trans.get((state, letter))
+        """The state that the letter leads to, or None."""
+        if not (0 <= state < self.n_states and -self.rank <= letter <= self.rank):
+            return None  # a row index out of range would wrap or raise
+        t = self._rows[state][letter + self.rank]
+        return t if t >= 0 else None
 
     def transition_table(self) -> list[list[int]]:
-        """Dense table: table[state][letter + rank] -> state or -1."""
-        width = 2 * self.rank + 1
-        tab = [[-1] * width for _ in range(self.n_states)]
-        for (s, l), t in self._trans.items():
-            tab[s][l + self.rank] = t
-        return tab
+        """Dense table: table[state][letter + rank] -> state or -1 (a copy)."""
+        return [row[:] for row in self._rows]
 
     def __eq__(self, other):
         return (

@@ -143,13 +143,6 @@ def lower_bound(q: BoundQuery, homology_status: str = "assumed") -> BoundReport:
     )
 
 
-def upper_bound(q: BoundQuery) -> int:
-    """r * m; asserted for k >= 2m, still reported (with a caveat at the
-    reporting layer) below that range."""
-    cls = classify(q.graph)
-    return q.r * cls.m
-
-
 def stable_report(g: Graph, r: int) -> BoundReport:
     """Stable value r * m and stable range start k0 = 2m + (number of
     trivalent vertices), available exactly when there are no non-separating

@@ -11,8 +11,9 @@ import itertools
 
 from gbtc.discrete_config import BettiVector
 from gbtc.free_groups import FreeHom, FreeWord, generator
-from gbtc.graph_core import Graph, VertexClassification
+from gbtc.graph_core import Graph, VertexClassification, classify
 from gbtc.local_graphs import EquivRelation, build_lambda, free_basis, word_of_path
+from gbtc.tc_bounds import BoundQuery
 
 
 def star(n: int) -> Graph:
@@ -165,6 +166,12 @@ def trimmed(bv: BettiVector) -> tuple[int, ...]:
     while len(b) > 1 and b[-1] == 0:
         b.pop()
     return tuple(b)
+
+
+def upper_bound(q: BoundQuery) -> int:
+    """r * m; asserted for k >= 2m, still reported (with a caveat at the
+    reporting layer) below that range."""
+    return q.r * classify(q.graph).m
 
 
 def identity_hom(rank: int) -> FreeHom:

@@ -10,7 +10,7 @@ from __future__ import annotations
 import random
 import time
 
-from conftest import hgraph, star, theta, trimmed
+from conftest import hgraph, star, theta, trimmed, upper_bound
 from gbtc.cli import main as cli_main
 from gbtc.corpus import bundled_graphs
 from gbtc.discrete_config import nonvanishing_check
@@ -39,7 +39,7 @@ from gbtc.local_graphs import (
     trivalent_collapse_hom,
     trivalent_product_subgroups,
 )
-from gbtc.tc_bounds import BoundQuery, lower_bound, proof_chain_check, upper_bound
+from gbtc.tc_bounds import BoundQuery, lower_bound, proof_chain_check
 
 
 def report(number: int, ok: bool, detail: str) -> None:

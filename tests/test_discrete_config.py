@@ -4,9 +4,12 @@ Euler characteristic."""
 
 from __future__ import annotations
 
+from math import comb
+
 import pytest
 import sympy
 
+import swiatkowski_oracle
 from abrams_oracle import abrams_model, chains, normalize, sufficient_subdivision
 from conftest import cycle_graph, hgraph, path_graph, spider, star, theta, trimmed
 from gbtc import discrete_config
@@ -21,7 +24,14 @@ from gbtc.discrete_config import (
     _rank_of_columns,
     _smooth,
 )
-from gbtc.graph_core import Graph, HypothesisError
+from gbtc.graph_core import Graph, HypothesisError, is_connected
+
+LOOPS_AND_MULTI_EDGES = (
+    Graph(("c", "a", "b"), (("c", "c"), ("c", "a"), ("c", "b"))),
+    Graph(("c",), (("c", "c"), ("c", "c"))),
+    Graph(("a", "b"), (("a", "a"), ("a", "b"), ("b", "b"))),
+    Graph(("c", "m", "l"), (("c", "m"), ("m", "c"), ("c", "l"))),
+)
 
 
 def model(g: Graph, k: int):
@@ -131,6 +141,66 @@ def test_generator_count_closed_form_matches_enumeration():
             assert counts == got + [0] * (k + 1 - len(got)), (name, k)
 
 
+def random_multigraph(rng) -> Graph:
+    """A connected graph on 2 to 6 vertices: a random spanning tree plus up
+    to four extra edges, each a loop, a parallel edge or a chord."""
+    verts = tuple(f"v{i}" for i in range(rng.randint(2, 6)))
+    edges = [(verts[i], verts[rng.randrange(i)]) for i in range(1, len(verts))]
+    for _ in range(rng.randint(0, 4)):
+        kind = rng.choice(("loop", "parallel", "chord"))
+        if kind == "loop":
+            v = rng.choice(verts)
+            edges.append((v, v))
+        elif kind == "parallel":
+            edges.append(rng.choice(edges))
+        else:
+            edges.append((rng.choice(verts), rng.choice(verts)))
+    rng.shuffle(edges)
+    return Graph(verts, tuple(edges))
+
+
+def assert_same_complex(g: Graph, k: int) -> None:
+    got, want = build_complex(g, k), swiatkowski_oracle.build_complex(g, k)
+    assert got.cell_counts() == want.cell_counts()
+    assert [list(layer) for layer in got.cells] == [list(layer) for layer in want.cells]
+    # same columns, with their rows in the same order
+    assert [[list(col.items()) for col in cols] for cols in got.boundaries] == [
+        [list(col.items()) for col in cols] for cols in want.boundaries
+    ]
+
+
+def test_arithmetic_indexing_matches_tuple_keyed_reference():
+    for name in BUNDLED:
+        for k in range(1, 6):
+            assert_same_complex(load_bundled(name), k)
+    for g in LOOPS_AND_MULTI_EDGES:
+        for k in range(1, 6):
+            assert_same_complex(g, k)
+    import random
+
+    rng = random.Random(20261018)
+    loops = parallels = 0
+    for _ in range(80):
+        g = random_multigraph(rng)
+        assert is_connected(g)
+        loops += any(u == w for u, w in g.edges)
+        parallels += len(set(map(frozenset, g.edges))) < len(g.edges)
+        for k in range(1, 5):
+            assert_same_complex(g, k)
+    assert loops and parallels
+
+
+def test_generator_layer_is_a_lazy_sequence():
+    layer = build_complex(hgraph(), 3).cells[1]
+    cells = list(layer)
+    assert len(layer) == len(cells) == 2 * 2 * 15
+    assert [layer[j] for j in range(len(layer))] == cells
+    assert layer[-1] == cells[-1]
+    with pytest.raises(IndexError):
+        layer[len(layer)]
+    assert cells[0] in layer
+
+
 def test_boundary_squares_to_zero_spot():
     # build_complex verifies this internally; re-check one instance by hand
     c = model(theta(), 2)
@@ -211,13 +281,7 @@ def test_matches_abrams_oracle_on_bundled_graphs():
 
 
 def test_matches_abrams_oracle_on_loops_and_multi_edges():
-    cases = [
-        Graph(("c", "a", "b"), (("c", "c"), ("c", "a"), ("c", "b"))),
-        Graph(("c",), (("c", "c"), ("c", "c"))),
-        Graph(("a", "b"), (("a", "a"), ("a", "b"), ("b", "b"))),
-        Graph(("c", "m", "l"), (("c", "m"), ("m", "c"), ("c", "l"))),
-    ]
-    for g in cases:
+    for g in LOOPS_AND_MULTI_EDGES:
         for k in (1, 2, 3):
             assert nonvanishing_check(g, k).betti.betti == betti(abrams_model(g, k)).betti
 
@@ -252,6 +316,17 @@ def test_goldens_beyond_the_abrams_complex():
     ]
     for g, k, want in golden:
         assert nonvanishing_check(g, k).betti.betti == want
+
+
+def test_observed_betti_closed_forms_regression():
+    # observed on the computed Betti numbers, not proven: pinned as
+    # regressions, not as theorems
+    for k in range(6, 16):
+        want = (1, 3, comb(k - 2, 2)) + (0,) * (k - 2)
+        assert nonvanishing_check(theta(), k).betti.betti == want, ("theta", k)
+    for k in range(6, 14):
+        want = (1, k * (k - 1), comb(k, 4)) + (0,) * (k - 2)
+        assert nonvanishing_check(hgraph(), k).betti.betti == want, ("hgraph", k)
 
 
 def test_beta0_is_one_on_connected_inputs():

@@ -12,6 +12,7 @@ from conftest import identity_hom
 from conjugator_oracle import disjoint_conjugates_bruteforce as reference_bruteforce
 from stallings_oracle import stallings_core as reference_core
 from gbtc.free_groups import (
+    FoldedAutomaton,
     FreeHom,
     FreeWord,
     _kept_edge_groups,
@@ -247,6 +248,23 @@ def test_core_has_no_hanging_trees():
         a = stallings_core(rank, gens)
         for state, row in enumerate(a.transition_table()):
             assert state == 0 or len(row) - row.count(-1) >= 2
+
+
+def test_folded_automaton_rows_and_fold_check():
+    a = FoldedAutomaton(2, 2, ((0, 1, 1), (0, 2, 0), (1, 2, 1)))
+    assert [a.step(0, l) for l in (1, -1, 2, -2, 0)] == [1, None, 0, 0, None]
+    assert [a.step(1, l) for l in (1, -1, 2, -2, 0)] == [None, 0, 1, 1, None]
+    # letters and states out of range lead nowhere, as unknown keys did
+    assert [a.step(0, l) for l in (3, -3, -4)] == [None, None, None]
+    assert a.step(2, 1) is None and a.step(-1, 1) is None
+    tab = a.transition_table()
+    assert tab == [[0, -1, -1, 1, 0], [1, 0, -1, -1, 1]]
+    tab[0][3] = 5  # a copy: the automaton is unchanged
+    assert a.step(0, 1) == 1 and a.transition_table()[0][3] == 1
+    # two arcs leave by one slot, enter by one slot, or a loop repeats
+    for arcs in (((0, 1, 1), (0, 1, 0)), ((0, 1, 1), (1, 1, 1)), ((0, 2, 0), (0, 2, 0))):
+        with pytest.raises(ValueError, match="not folded"):
+            FoldedAutomaton(2, 2, arcs)
 
 
 def test_contains_powers():

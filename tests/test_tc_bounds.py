@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import pytest
 
-from conftest import cycle_graph, greedy_choice, hgraph, spider, star, theta
+from conftest import cycle_graph, greedy_choice, hgraph, spider, star, theta, upper_bound
 from gbtc.corpus import bundled_graphs
 from gbtc.graph_core import Graph, HypothesisError, classify
 from gbtc.tc_bounds import (
@@ -15,7 +15,6 @@ from gbtc.tc_bounds import (
     lower_bound,
     proof_chain_check,
     stable_report,
-    upper_bound,
 )
 
 
