@@ -21,8 +21,13 @@ then plain arithmetic on the index of the state with one vertex emptied and
 the rank of the monomial times one edge; no generator is hashed, and a
 generator's tuple is spelled out only when ``ChainComplex.cells`` is read.
 
-Exactness is non-negotiable: ranks are computed fraction-free over the
-integers, never in floating point.
+Exactness is non-negotiable: ranks are computed over the integers, never in
+floating point.  Degrees 2 and up are reduced fraction-free, each column
+pivoting on its largest row, which on this complex creates far less fill
+than pivoting on the smallest.  Degree 1 needs no elimination: every column
+of d_1 is zero or e(h) - e(h0) on two monomials, so d_1 is the incidence
+matrix of a graph on the degree-0 generators, and its rank is their number
+less the number of components, counted by union-find.
 """
 
 from __future__ import annotations
@@ -246,9 +251,10 @@ def _rank_of_columns(
 ) -> tuple[int, set[int]]:
     """Rank of an integer matrix given by columns, with the set of pivot rows.
 
-    Column reduction against the minimal-row pivot, fraction-free: combining
+    Column reduction against the largest-row pivot, fraction-free: combining
     a*col - b*pivot keeps everything integral; columns are divided by their
-    content when registered so pivots stay small.
+    content when registered so pivots stay small.  Each registered column
+    has its pivot as its largest row.
     """
     pivots: dict[int, dict[int, int]] = {}
     for j, col0 in enumerate(columns):
@@ -256,7 +262,7 @@ def _rank_of_columns(
             continue
         col = dict(col0)
         while col:
-            r = min(col)
+            r = max(col)
             piv = pivots.get(r)
             if piv is None:
                 g = 0
@@ -286,6 +292,37 @@ def _rank_of_columns(
     return len(pivots), set(pivots)
 
 
+def _rank_of_incidence_columns(
+    columns: list[dict[int, int]], n_rows: int, skip: set[int] | None = None
+) -> int:
+    """Rank of a matrix whose columns are each zero or c*(row x - row y).
+
+    Such a matrix is the incidence matrix of a graph on its rows, one edge
+    per nonzero column, so its rank is the number of edges that join two
+    components, counted by union-find.  Any other column raises
+    :class:`AssertionError`, skipped ones included.
+    """
+    parent = list(range(n_rows))
+    rank = 0
+    for j, col in enumerate(columns):
+        if not col:
+            continue
+        # two entries of opposite sign and equal size
+        if len(col) != 2 or sum(col.values()) or 0 in col.values():
+            raise AssertionError(f"degree-1 column {j} is not an incidence column: {col}")
+        if skip is not None and j in skip:
+            continue
+        x, y = col
+        while parent[x] != x:
+            parent[x] = x = parent[parent[x]]
+        while parent[y] != y:
+            parent[y] = y = parent[parent[y]]
+        if x != y:
+            parent[x] = y
+            rank += 1
+    return rank
+
+
 class BettiVector(Record):
     __slots__ = ("betti",)
 
@@ -301,16 +338,24 @@ def betti(c: ChainComplex) -> BettiVector:
 
     Ranks of the boundary matrices are computed top dimension first so the
     pivot rows of each reduction mark columns of the next matrix down as
-    dependent (safe to skip).
+    dependent (safe to skip).  This clearing holds for largest-row pivots:
+    a reduced column b of d_(d+1) has d_d b = 0, so column p of d_d, p being
+    b's largest row, is a combination of columns of smaller index; by
+    induction upward over the pivot rows, every skipped column lies in the
+    span of the columns kept.  Degree 1 is ranked by union-find
+    (:func:`_rank_of_incidence_columns`), since d_1 is an incidence matrix
+    on both the Świątkowski and the Abrams complex.
     """
     dim = c.dimension
     n = c.cell_counts()
     ranks = [0] * (dim + 2)
     cleared: set[int] = set()
-    for d in range(dim, 0, -1):
+    for d in range(dim, 1, -1):
         # pivot rows of the reduction one dimension up index dependent
         # columns here, so they are skipped without affecting the rank
         ranks[d], cleared = _rank_of_columns(c.boundaries[d], cleared or None)
+    if dim >= 1:
+        ranks[1] = _rank_of_incidence_columns(c.boundaries[1], n[0], cleared or None)
     out = []
     for d in range(dim + 1):
         b = n[d] - ranks[d] - ranks[d + 1]

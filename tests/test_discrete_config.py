@@ -4,6 +4,7 @@ Euler characteristic."""
 
 from __future__ import annotations
 
+import random
 from math import comb
 
 import pytest
@@ -22,6 +23,7 @@ from gbtc.discrete_config import (
     _gal_euler_characteristic,
     _graded_terms,
     _rank_of_columns,
+    _rank_of_incidence_columns,
     _smooth,
 )
 from gbtc.graph_core import Graph, HypothesisError, is_connected
@@ -159,6 +161,11 @@ def random_multigraph(rng) -> Graph:
     return Graph(verts, tuple(edges))
 
 
+def seeded_multigraphs() -> list[Graph]:
+    rng = random.Random(20261018)
+    return [random_multigraph(rng) for _ in range(80)]
+
+
 def assert_same_complex(g: Graph, k: int) -> None:
     got, want = build_complex(g, k), swiatkowski_oracle.build_complex(g, k)
     assert got.cell_counts() == want.cell_counts()
@@ -176,12 +183,8 @@ def test_arithmetic_indexing_matches_tuple_keyed_reference():
     for g in LOOPS_AND_MULTI_EDGES:
         for k in range(1, 6):
             assert_same_complex(g, k)
-    import random
-
-    rng = random.Random(20261018)
     loops = parallels = 0
-    for _ in range(80):
-        g = random_multigraph(rng)
+    for g in seeded_multigraphs():
         assert is_connected(g)
         loops += any(u == w for u, w in g.edges)
         parallels += len(set(map(frozenset, g.edges))) < len(g.edges)
@@ -253,8 +256,6 @@ def test_betti_matches_sympy_on_small_complexes():
 
 
 def test_rank_of_columns_against_sympy_random():
-    import random
-
     rng = random.Random(3)
     for _ in range(40):
         rows = rng.randrange(1, 8)
@@ -265,6 +266,42 @@ def test_rank_of_columns_against_sympy_random():
         ]
         rank, _ = _rank_of_columns(columns)
         assert rank == sympy.Matrix(dense).rank()
+
+
+def test_incidence_rank_and_clearing_match_plain_elimination():
+    # per degree, the rank with the pivot rows of the degree above skipped
+    # equals the rank of every column; in degree 1, union-find agrees with
+    # elimination with and without those skipped columns
+    cases = [(load_bundled(name), k) for name in BUNDLED for k in range(1, 7)]
+    cases += [(g, k) for g in LOOPS_AND_MULTI_EDGES for k in range(1, 6)]
+    cases += [(g, k) for g in seeded_multigraphs() for k in range(1, 5)]
+    for g, k in cases:
+        c = build_complex(g, k)
+        cleared: set[int] = set()
+        for d in range(c.dimension, 0, -1):
+            rank, pivots = _rank_of_columns(c.boundaries[d], cleared or None)
+            assert rank == _rank_of_columns(c.boundaries[d])[0], (g, k, d)
+            if d == 1:
+                n0 = len(c.cells[0])
+                assert _rank_of_incidence_columns(c.boundaries[1], n0) == rank, (g, k)
+                assert _rank_of_incidence_columns(c.boundaries[1], n0, cleared) == rank, (g, k)
+            cleared = pivots
+
+
+def test_incidence_rank_rejects_other_columns():
+    malformed = ({0: 1, 1: -1, 2: 1}, {0: 1, 1: 1}, {0: 2, 1: -1}, {0: 1})
+    for col in malformed:
+        with pytest.raises(AssertionError, match="incidence"):
+            _rank_of_incidence_columns([{0: 1, 1: -1}, col], 3)
+        # a skipped column is checked too
+        with pytest.raises(AssertionError, match="incidence"):
+            _rank_of_incidence_columns([col], 3, skip={0})
+        # and betti raises rather than ranking degree 1 another way
+        c = build_complex(star(3), 2)
+        c.boundaries[1][0] = col
+        with pytest.raises(AssertionError, match="incidence"):
+            betti(c)
+    assert _rank_of_incidence_columns([{}, {0: 3, 2: -3}, {2: 1, 0: -1}], 3) == 1
 
 
 # -- agreement with the Abrams complex ----------------------------------------------
@@ -330,8 +367,20 @@ def test_observed_betti_closed_forms_regression():
 
 
 def test_beta0_is_one_on_connected_inputs():
-    for g, k in ((star(3), 2), (theta(), 2), (hgraph(), 2), (star(4), 3)):
-        assert betti(model(g, k)).betti[0] == 1
+    # each bundled graph up to the k it runs in about 0.1 s; the bundled
+    # stars are star(3..5), run with star(6) below
+    top = {"hgraph": 12, "random10": 6, "spider": 6, "theta": 12}
+    assert set(BUNDLED) == set(top) | {"star3", "star4", "star5"}
+    for name, k_max in top.items():
+        g = load_bundled(name)
+        for k in range(1, k_max + 1):
+            assert betti(model(g, k)).betti[0] == 1, (name, k)
+    # a star's complex stops in degree 1, so b_1 follows from the Euler
+    # characteristic C(n+k-1, k) - (n-1) C(n+k-2, k-1) of its generators
+    for n in range(3, 7):
+        for k in range(1, 15):
+            b1 = 1 - comb(n + k - 1, k) + (n - 1) * comb(n + k - 2, k - 1)
+            assert betti(model(star(n), k)).betti == (1, b1), (n, k)
 
 
 def test_nonvanishing_star3_k2():
