@@ -24,10 +24,11 @@ from .graph_core import GraphFormatError, HypothesisError, classify, load_graph
 # k=20 (63,756) fits, k=40 (876,211, 14 MB of JSON) does not.
 LAMBDA_MAX_SIZE = 100_000
 
-# Largest star size `verify-lemmas` checks; its run time grows with n
-# (Python 3.11 on a 2-core host: the rows take under 30 ms at n=12).  The star
-# rows start at n=4, so a smaller n would check none of them.
-VERIFY_LEMMAS_MAX_N = 12
+# Largest star size `verify-lemmas` checks.  Its run time grows about
+# quadratically with n; at 64 it stays a cheap query (Python 3.11 on a 2-core
+# host: the rows take 0.13 s at n=64, 0.4 s at n=128).  The star rows start
+# at n=4, so a smaller n would check none of them.
+VERIFY_LEMMAS_MAX_N = 64
 
 
 def _emit(obj, pretty: bool) -> None:

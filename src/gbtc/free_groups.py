@@ -10,11 +10,11 @@ that states fold only where the forward and backward traces of a word meet.
 Membership is path tracing, rank is arcs - states + 1, and intersections of
 conjugates are read off the fiber product of two cores: the two subgroups
 have disjoint conjugates exactly when every component of the product graph
-is a forest.  That test runs union-find on integer state ids, never
-materializing the state pairs, and skips every product edge with an end of
-degree 1: such an edge is a bridge, and the degree of a pair is read off the
-signed-slot bitmasks of its two states.  The product's ``nodes`` and
-``edges`` are views built on first access.
+is a forest.  Every cycle of the product passes a pair whose first state is
+a branch state of the first core, so that test walks the product from those
+pairs along the first core's unbranched segments and runs union-find over
+the walks that reach another such pair, never materializing the product.
+Its ``nodes`` and ``edges`` are views built on first access.
 """
 
 from __future__ import annotations
@@ -418,11 +418,13 @@ class PullbackGraph(Record):
 
     Nodes are state pairs; for each matching pair of arcs there is one edge.
     Components containing a cycle witness a nontrivial intersection of
-    conjugates of the two subgroups.  Only the two cores are stored:
-    :func:`is_forest` decides acyclicity from the cores' arcs without
-    building the product, and ``nodes`` and ``edges`` are read-only views of
-    all pairs and all edges, pendant ones included, built on first access
-    and cached in slots that take no part in equality.
+    conjugates of the two subgroups.  The product of two folded cores is
+    folded, and a pair's degree is the number of signed slots its two
+    states share.  Only the two cores are stored: :func:`is_forest` walks
+    the product from the first core's branch states without building it,
+    and ``nodes`` and ``edges`` are read-only views of all pairs and all
+    edges, built on first access and cached in slots that take no part in
+    equality.
     """
 
     __slots__ = ("a", "b", "_nodes", "_edges")
@@ -445,21 +447,22 @@ class PullbackGraph(Record):
         """One ((s, u), (t, v), l) per arc s -l-> t of the first core and
         u -l-> v of the second, in the order of the two arc lists."""
         if self._edges is None:
-            by_label = _arcs_by_label(self.b)
+            steps, rank = _arcs_by_slot(self.b), self.a.rank
             edges = tuple(
-                ((s, u), (t, v), l)
-                for s, l, t in self.a.arcs
-                for u, v in by_label.get(l, ())
+                ((s, u), (t, v), l) for s, l, t in self.a.arcs for u, v in steps[rank + l]
             )
             object.__setattr__(self, "_edges", edges)
         return self._edges
 
 
-def _arcs_by_label(a: FoldedAutomaton) -> dict[int, list[tuple[int, int]]]:
-    by_label: dict[int, list[tuple[int, int]]] = {}
-    for s, l, t in a.arcs:
-        by_label.setdefault(l, []).append((s, t))
-    return by_label
+def _arcs_by_slot(a: FoldedAutomaton) -> list[list[tuple[int, int]]]:
+    """For each letter l, at index l + rank, the steps (u, v) it takes
+    along the arcs, in arc order: a letter -l reads an l-arc backwards."""
+    steps: list[list[tuple[int, int]]] = [[] for _ in range(2 * a.rank + 1)]
+    for u, l, v in a.arcs:
+        steps[a.rank + l].append((u, v))
+        steps[a.rank - l].append((v, u))
+    return steps
 
 
 def pullback(a: FoldedAutomaton, b: FoldedAutomaton) -> PullbackGraph:
@@ -468,84 +471,73 @@ def pullback(a: FoldedAutomaton, b: FoldedAutomaton) -> PullbackGraph:
     return PullbackGraph(a, b)
 
 
-def _arcs_by_slots(
-    a: FoldedAutomaton, scale: int
-) -> dict[int, dict[tuple[int, int], list[tuple[int, int]]]]:
-    """Arcs s -l-> t as (s * scale, t * scale), grouped by label l and then
-    by the other signed slots of their two ends.  A state's slots are a
-    bitmask with bit 2l for an outgoing l-arc and bit 2l + 1 for an incoming
-    one; the key is the slots at s without the arc's own out-bit and the
-    slots at t without its own in-bit."""
-    slots = [0] * a.n_states
-    for s, l, t in a.arcs:
-        slots[s] |= 1 << 2 * l
-        slots[t] |= 2 << 2 * l
-    groups: dict[int, dict[tuple[int, int], list[tuple[int, int]]]] = {}
-    for s, l, t in a.arcs:
-        key = (slots[s] & ~(1 << 2 * l), slots[t] & ~(2 << 2 * l))
-        groups.setdefault(l, {}).setdefault(key, []).append((s * scale, t * scale))
-    return groups
-
-
-def _kept_edge_groups(
-    p: PullbackGraph,
-) -> list[tuple[list[tuple[int, int]], list[tuple[int, int]]]]:
-    """The product edges with both ends of degree at least 2.
-
-    The edge of arcs s -l-> t and u -l-> v joins (s, u) to (t, v), and a
-    pair's degree is the number of signed slots its two states share, each
-    shared slot being one edge end.  Besides the edge itself, (s, u) has
-    another end exactly when the arcs' other slots at s and u meet, and
-    likewise (t, v).  A product self-loop or a parallel edge gives both its
-    ends degree 2.  Returned as pairs (arcs_a, arcs_b) of groups that pass:
-    arcs_a holds (s * n, t * n) with n the second core's state count,
-    arcs_b holds (u, v), and each arc of one with each of the other makes
-    one kept edge from s * n + u to t * n + v.
-    """
-    by_label_b = _arcs_by_slots(p.b, 1)
-    kept = []
-    for l, groups_a in _arcs_by_slots(p.a, p.b.n_states).items():
-        groups_b = by_label_b.get(l, {})
-        for (ms, mt), arcs_a in groups_a.items():
-            for (mu, mv), arcs_b in groups_b.items():
-                if ms & mu and mt & mv:
-                    kept.append((arcs_a, arcs_b))
-    return kept
-
-
 def is_forest(p: PullbackGraph) -> bool:
     """Is every component of the fiber product a tree?
 
-    An edge with an end of degree 1 is a bridge and lies on no cycle, so
-    union-find runs only over the edges of :func:`_kept_edge_groups`; they
-    are a subgraph of the product, so a cycle among them is one of the
-    product too.  The pair (s, u) is the integer s * n + u with n the second
-    core's state count, a negative parent marks a root, and finds halve
-    the path.  It stops at the first edge whose ends are already joined.
+    The product of two folded cores is folded, so an embedded cycle in it
+    projects onto the first core as a closed walk that never backtracks,
+    which passes a branch state (degree at least 3) unless that core is a
+    circle.  So every product cycle passes a seed: a pair (s, u) with s a
+    branch state, or any state when there is none.  Between seeds the first
+    core runs along segments of states of degree at most 2, where the
+    product has degree at most 2 too.  So a walk from a seed along a shared
+    slot has one way to go on: it stops at a dead end, a tree branch, or
+    reads its whole segment and ends at a seed, which gives one compressed
+    edge.  Distinct compressed edges share no product edge, so the product
+    is a forest exactly when the graph of compressed edges is.
+
+    A segment is found from both of its ends, so it is taken only from the
+    end whose (state, slot) is smaller; it is never its own reverse, which
+    would need a reduced word equal to its inverse.  Union-find keys (s, u)
+    as s * n + u, n the second core's state count, keeps the non-roots in a
+    dict, halves paths and stops at the first edge whose ends are joined.
     """
-    parent = [-1] * (p.a.n_states * p.b.n_states)
-    for arcs_a, arcs_b in _kept_edge_groups(p):
-        for s0, t0 in arcs_a:
-            for u, v in arcs_b:
-                x = s0 + u
-                while (q := parent[x]) >= 0:
-                    r = parent[q]
-                    if r < 0:
-                        x = q
+    a, b = p.a, p.b
+    rank, nb = a.rank, b.n_states
+    rows_a, rows_b = a._rows, b._rows
+    # the signed slots of each state of a, as row indices
+    slots: list[list[int]] = [[] for _ in rows_a]
+    for s, l, t in a.arcs:
+        slots[s].append(rank + l)
+        slots[t].append(rank - l)
+    steps = _arcs_by_slot(b)
+    seed = [len(ks) >= 3 for ks in slots]
+    if not any(seed):
+        seed = [True] * a.n_states
+    parent: dict[int, int] = {}
+
+    def root(x: int) -> int:
+        while (q := parent.get(x)) is not None:
+            r = parent.get(q)
+            if r is None:
+                return q
+            parent[x] = r
+            x = r
+        return x
+
+    for s, ks in enumerate(slots):
+        if not seed[s]:
+            continue
+        for first in ks:
+            # the first core's segment from s through slot `first`: the
+            # slots after the first one, and the seed t it reaches
+            path, t, back = [], rows_a[s][first], 2 * rank - first
+            while not seed[t] and len(slots[t]) == 2:
+                k = slots[t][slots[t][0] == back]  # t's other slot
+                path.append(k)
+                t, back = rows_a[t][k], 2 * rank - k
+            if not seed[t] or (t, back) < (s, first):
+                continue
+            for u, v in steps[first]:
+                for k in path:
+                    v = rows_b[v][k]
+                    if v < 0:
                         break
-                    parent[x] = r
-                    x = r
-                y = t0 + v
-                while (q := parent[y]) >= 0:
-                    r = parent[q]
-                    if r < 0:
-                        y = q
-                        break
-                    parent[y] = r
-                    y = r
-                if x == y:
-                    return False
-                parent[y] = x
+                else:
+                    x, y = root(s * nb + u), root(t * nb + v)
+                    if x == y:
+                        return False
+                    parent[y] = x
     return True
 
 

@@ -15,7 +15,6 @@ from gbtc.free_groups import (
     FoldedAutomaton,
     FreeHom,
     FreeWord,
-    _kept_edge_groups,
     apply_hom,
     commutator,
     concat,
@@ -431,36 +430,12 @@ def reference_is_forest(nodes, edges):
     return True
 
 
-def reference_kept_edges(edges, n):
-    """The edges with both ends of degree at least 2, each end encoded as
-    s * n + u; a self-loop counts twice at its node."""
-    degree = Counter()
-    for x, y, _ in edges:
-        degree[x] += 1
-        degree[y] += 1
-    return Counter(
-        (x[0] * n + x[1], y[0] * n + y[1])
-        for x, y, _ in edges
-        if degree[x] >= 2 and degree[y] >= 2
-    )
-
-
-def kept_edges(p):
-    return Counter(
-        (s0 + u, t0 + v)
-        for arcs_a, arcs_b in _kept_edge_groups(p)
-        for s0, t0 in arcs_a
-        for u, v in arcs_b
-    )
-
-
 def check_pullback_against_reference(a, b):
     p = pullback(a, b)
     verdict = is_forest(p)
     nodes, edges = reference_pullback(a, b)
     assert p.nodes == nodes and p.edges == edges
     assert p.edges is p.edges
-    assert kept_edges(p) == reference_kept_edges(edges, b.n_states)
     assert verdict is reference_is_forest(nodes, edges)
     return verdict
 
@@ -519,6 +494,68 @@ def test_is_forest_matches_reference_on_large_cores():
     assert largest >= 200
 
 
+def branch_states(a):
+    """The states of a core with at least three signed slots."""
+    degree = Counter()
+    for s, _, t in a.arcs:
+        degree[s] += 1
+        degree[t] += 1
+    return {s for s, d in degree.items() if d >= 3}
+
+
+def test_is_forest_agrees_with_reference_sweep():
+    # ranks 1-4 with identity words among the generators, so trivial and
+    # circle cores occur beside branched ones
+    rng = random.Random(97)
+    verdicts, circles = Counter(), 0
+    for _ in range(18000):
+        rank = rng.randint(1, 4)
+        h0 = [random_reduced(rng, rank, 6, min_len=0) for _ in range(rng.randrange(4))]
+        h1 = [random_reduced(rng, rank, 6, min_len=0) for _ in range(rng.randrange(4))]
+        a, b = stallings_core(rank, h0), stallings_core(rank, h1)
+        verdict = is_forest(pullback(a, b))
+        assert verdict is reference_is_forest(*reference_pullback(a, b)), (rank, h0, h1)
+        verdicts[verdict] += 1
+        circles += sum(1 for c in (a, b) if c.arcs and not branch_states(c))
+    assert verdicts[True] and verdicts[False] and circles
+
+
+def test_is_forest_cycle_avoids_branch_branch_pairs():
+    # 0 is the only branch state of either core, and the only cycle is the
+    # parallel pair of edges (0, 1) - (1, 0): it passes a branch state of
+    # each core, but never both at one product node
+    a = stallings_core(3, [w(3, -1, -3), w(3, 2, -1)])
+    b = stallings_core(3, [w(3, -1, 2), w(3, -3)])
+    assert branch_states(a) == branch_states(b) == {0}
+    assert [e for e in pullback(a, b).edges if e[0] == (0, 1)] == [
+        ((0, 1), (1, 0), 1),
+        ((0, 1), (1, 0), 2),
+    ]
+    assert check_pullback_against_reference(a, b) is False
+    assert check_pullback_against_reference(b, a) is False
+
+
+def test_is_forest_on_circle_cores():
+    # no core here has a branch state, so every state seeds: x1^2 and x1^3
+    # give one 6-cycle, x1 x2 and x1 x2^-1 two disjoint edges
+    a, b = stallings_core(1, [w(1, 1, 1)]), stallings_core(1, [w(1, 1, 1, 1)])
+    c, d = stallings_core(2, [w(2, 1, 2)]), stallings_core(2, [w(2, 1, -2)])
+    assert not any(branch_states(x) for x in (a, b, c, d))
+    assert check_pullback_against_reference(a, b) is False
+    assert check_pullback_against_reference(c, d) is True
+
+
+def test_is_forest_basepoint_of_degree_one():
+    # x1 x2 x1^-1: the basepoint has only its x1 arc, so the segment from
+    # the branch state 1 back through it is a dead end
+    a = stallings_core(3, [w(3, 1, 2, -1)])
+    assert a.arcs == ((0, 1, 1), (1, 2, 1)) and branch_states(a) == {1}
+    for gen, disjoint in ((w(3, 2, 2), False), (w(3, 1, 3, -1), True)):
+        b = stallings_core(3, [gen])
+        assert check_pullback_against_reference(a, b) is disjoint
+        assert check_pullback_against_reference(b, a) is disjoint
+
+
 def test_is_forest_product_self_loop():
     # g1 conjugated into both cores puts a loop at their non-basepoint states
     a = stallings_core(3, [w(3, 2, 1, -2)])
@@ -545,7 +582,6 @@ def test_is_forest_cycle_with_pendant_edges():
         ((0, 0), (1, 1), 2),
         ((1, 0), (0, 1), 2),
     ]
-    assert kept_edges(p) == Counter({(0, 0): 1})
     assert check_pullback_against_reference(a, b) is False
 
 
@@ -556,7 +592,6 @@ def test_is_forest_only_pendant_edges():
     b = stallings_core(4, [w(4, 1, 2, 4)])
     p = pullback(a, b)
     assert sorted(p.edges) == [((0, 0), (1, 1), 1), ((1, 1), (2, 2), 2)]
-    assert kept_edges(p) == Counter()
     assert check_pullback_against_reference(a, b) is True
 
 
