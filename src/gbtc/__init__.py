@@ -9,8 +9,6 @@ from .graph_core import (
     classify,
     components_without,
     graph_from_data,
-    graph_to_data,
-    is_separating,
     load_graph,
     valence,
 )
@@ -27,13 +25,11 @@ from .free_groups import (
     generator,
     identity,
     inverse,
-    parse_word,
     pullback,
     reduce_word,
     restriction_injective,
     stallings_core,
     subgroup_rank,
-    word_str,
 )
 from .local_graphs import (
     EquivRelation,
@@ -59,7 +55,6 @@ from .tc_bounds import (
     BoundQuery,
     BoundReport,
     lower_bound,
-    proof_chain_check,
     stable_report,
 )
 

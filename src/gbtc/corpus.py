@@ -23,7 +23,3 @@ def load_bundled(name: str) -> Graph:
         raise KeyError(f"no bundled graph named {name!r}")
     data = resources.files("gbtc.data").joinpath(f"{name}.json").read_text("utf-8")
     return graph_from_data(json.loads(data))
-
-
-def bundled_graphs() -> list[tuple[str, Graph]]:
-    return [(name, load_bundled(name)) for name in BUNDLED]

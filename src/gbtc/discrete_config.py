@@ -70,14 +70,16 @@ def _smooth(g: Graph) -> tuple[list[list[int]], int]:
 
 
 def _graded_terms(coeffs: list[int], n_edges: int, k: int) -> list[int]:
-    """[t^d] prod_c (1 + c t) times [t^(k-d)] (1 - t)^(-n_edges), for d = 0..k."""
-    poly = [1] + [0] * k
+    """[t^d] prod_c (1 + c t) times [t^(k-d)] (1 - t)^(-n_edges), for
+    d = 0..min(k, len(coeffs)): the product has no terms of higher degree."""
+    top = min(k, len(coeffs))
+    poly = [1] + [0] * top
     for c in coeffs:
-        for d in range(k, 0, -1):
+        for d in range(top, 0, -1):
             poly[d] += c * poly[d - 1]
     return [
         poly[d] * (comb(n_edges + k - d - 1, k - d) if n_edges else int(d == k))
-        for d in range(k + 1)
+        for d in range(top + 1)
     ]
 
 

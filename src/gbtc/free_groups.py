@@ -93,56 +93,6 @@ def commutator(u: FreeWord, v: FreeWord) -> FreeWord:
     return concat(u, v, inverse(u), inverse(v))
 
 
-def parse_word(rank: int, text: str) -> FreeWord:
-    """Parse the textual syntax: generators g1..gN, inverses g1^-1, powers
-    g1^3, commutator sugar [g1,g2]; tokens separated by whitespace."""
-
-    def simple(tok: str) -> list[int]:
-        base, _, pow_s = tok.partition("^")
-        if not base.startswith("g"):
-            raise ValueError(f"bad token {tok!r}")
-        try:
-            i = int(base[1:])
-            p = int(pow_s) if pow_s else 1
-        except ValueError as exc:
-            raise ValueError(f"bad token {tok!r}") from exc
-        if not 1 <= i <= rank:
-            raise ValueError(f"generator index {i} out of range for rank {rank}")
-        return [i] * p if p >= 0 else [-i] * (-p)
-
-    letters: list[int] = []
-    for tok in text.split():
-        if tok == "1":
-            continue
-        if tok.startswith("[") and tok.endswith("]"):
-            try:
-                left, right = tok[1:-1].split(",")
-            except ValueError as exc:
-                raise ValueError(f"bad commutator token {tok!r}") from exc
-            u, v = simple(left), simple(right)
-            letters += u + v + [-x for x in reversed(u)] + [-x for x in reversed(v)]
-        else:
-            letters += simple(tok)
-    return reduce_word(rank, letters)
-
-
-def word_str(w: FreeWord) -> str:
-    if not w.letters:
-        return "1"
-    parts = []
-    i = 0
-    while i < len(w.letters):
-        x = w.letters[i]
-        j = i
-        while j < len(w.letters) and w.letters[j] == x:
-            j += 1
-        run = j - i
-        power = run if x > 0 else -run
-        parts.append(f"g{abs(x)}" if power == 1 else f"g{abs(x)}^{power}")
-        i = j
-    return " ".join(parts)
-
-
 class FreeHom(Record):
     """A homomorphism of free groups given by images of the generators."""
 
@@ -400,18 +350,15 @@ def restriction_injective(f: FreeHom, subgroup_gens) -> bool:
     return r_image == r_source
 
 
-def maps_onto_full_group(f: FreeHom) -> bool:
-    """Do the generator images generate the whole codomain free group?"""
-    core = stallings_core(f.codomain_rank, f.images)
-    return core.n_states == 1 and len(core.arcs) == f.codomain_rank
-
-
 def is_isomorphism(f: FreeHom) -> bool:
     if f.domain_rank != f.codomain_rank:
         return False
     gens = [generator(f.domain_rank, i + 1) for i in range(f.domain_rank)]
-    return restriction_injective(f, gens) and maps_onto_full_group(f)
-
+    if not restriction_injective(f, gens):
+        return False
+    # onto: the generator images fold to the bouquet of every codomain generator
+    core = stallings_core(f.codomain_rank, f.images)
+    return core.n_states == 1 and len(core.arcs) == f.codomain_rank
 
 class PullbackGraph(Record):
     """Fiber product of two core automata, as an undirected multigraph.

@@ -144,14 +144,6 @@ def graph_from_data(data: dict) -> Graph:
     return Graph(vertices, edges, sinks)
 
 
-def graph_to_data(g: Graph) -> dict:
-    return {
-        "vertices": list(g.vertices),
-        "edges": [list(e) for e in g.edges],
-        "sinks": list(g.sinks),
-    }
-
-
 def load_graph(path: str) -> Graph:
     with open(path, encoding="utf-8") as fh:
         return graph_from_data(json.load(fh))
@@ -190,27 +182,13 @@ def _fill(g: Graph, at: dict[str, list[int]], start: str, label: dict[str, int])
                 stack.append(y)
 
 
-def n_components(g: Graph) -> int:
-    """Number of connected components of g."""
-    at = half_edges(g)
-    label: dict[str, int] = {}
-    count = 0
-    for v in g.vertices:
-        if v not in label:
-            label[v] = count
-            _fill(g, at, v, label)
-            count += 1
-    return count
-
-
 def is_connected(g: Graph) -> bool:
     """Exactly one component: the empty graph is not connected."""
-    return n_components(g) == 1
-
-
-def first_betti(g: Graph) -> int:
-    """Rank of first homology: edges - vertices + number of components."""
-    return g.n_edges - g.n_vertices + n_components(g)
+    if not g.vertices:
+        return False
+    label = {g.vertices[0]: 0}
+    _fill(g, half_edges(g), g.vertices[0], label)
+    return len(label) == g.n_vertices
 
 
 def _blocks(g: Graph, at: dict[str, list[int]], v: str) -> tuple[tuple[int, ...], ...]:
@@ -234,16 +212,6 @@ def _blocks(g: Graph, at: dict[str, list[int]], v: str) -> tuple[tuple[int, ...]
             _fill(g, at, far, label)
         blocks[label[far]].append(pos)
     return tuple(tuple(b) for b in blocks)
-
-
-def is_separating(g: Graph, v: str) -> bool:
-    """True iff deleting the point v disconnects the graph, i.e. the
-    half-edges at v fall into more than one block."""
-    if v not in g.vertices:
-        raise GraphFormatError(f"unknown vertex id {v!r}")
-    if not is_connected(g):
-        raise HypothesisError("connected graph required")
-    return len(_blocks(g, half_edges(g), v)) > 1
 
 
 class VertexClassification(Record):

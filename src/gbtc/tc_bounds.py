@@ -8,14 +8,12 @@ choice 0 <= ci <= ni with k >= 2(c0 + c2) + 3 c1 certifies
     TC_r >= (r - 2) * min(floor(k/2), m) + 2 (c0 + c1) + c2      (r >= 2),
 
 and TC_r <= r * m holds for k >= 2 m.  When n2 = 0 the two meet: TC_r equals
-r * m for all k >= 2 m + n1.  The engine maximizes the certified bound over
-the (at most) (n0+1)(n1+1)(n2+1) admissible triples by exhaustive search,
-which is immune to coefficient-weighting mistakes at these sizes.
+r * m for all k >= 2 m + n1.  The engine maximizes the certified bound in
+closed form for each c1 and takes the best of those at most n1 + 1; the
+tests compare it with exhaustive search over all admissible triples.
 """
 
 from __future__ import annotations
-
-from typing import NamedTuple
 
 from .graph_core import Graph, HypothesisError, Record, VertexClassification, classify
 
@@ -98,17 +96,30 @@ def _require_bound_hypotheses(cls: VertexClassification) -> None:
         raise HypothesisError("connected graph with m >= 2 required (at least two essential vertices)")
 
 
-def admissible_choices(cls: VertexClassification, k: int):
-    for c0 in range(cls.n0 + 1):
-        for c1 in range(cls.n1 + 1):
-            for c2 in range(cls.n2 + 1):
-                if 2 * (c0 + c2) + 3 * c1 <= k:
-                    yield (c0, c1, c2)
-
-
 def bound_value(r: int, k: int, m: int, choice: tuple[int, int, int]) -> int:
     c0, c1, c2 = choice
     return (r - 2) * min(k // 2, m) + 2 * (c0 + c1) + c2
+
+
+def _best_choice(cls: VertexClassification, r: int, k: int) -> tuple[int, int, int]:
+    """The admissible choice with the largest bound at (r, k), ties broken to
+    the lexicographically largest triple.
+
+    For each c1 <= k / 3, the only choice maximizing 2 c0 + c2 under
+    c0 + c2 <= B = floor((k - 3 c1) / 2) gives c0 all of B it can and c2 the
+    rest, a unit of c0 being worth two of c2 at the same cost; so the best
+    choice is the best of these at most n1 + 1 candidates.
+    """
+
+    def candidate(c1: int) -> tuple[int, int, int]:
+        b = (k - 3 * c1) // 2
+        c0 = min(cls.n0, b)
+        return (c0, c1, min(cls.n2, b - c0))
+
+    return max(
+        (candidate(c1) for c1 in range(min(cls.n1, k // 3) + 1)),
+        key=lambda c: (bound_value(r, k, cls.m, c), c),
+    )
 
 
 def lower_bound(q: BoundQuery, homology_status: str = "assumed") -> BoundReport:
@@ -120,10 +131,7 @@ def lower_bound(q: BoundQuery, homology_status: str = "assumed") -> BoundReport:
         raise HypothesisError("the lower bound requires r >= 2")
     _require_bound_hypotheses(cls)
 
-    best = max(
-        admissible_choices(cls, q.k),
-        key=lambda c: (bound_value(q.r, q.k, cls.m, c), c),
-    )
+    best = _best_choice(cls, q.r, q.k)
     lower = bound_value(q.r, q.k, cls.m, best)
     upper = q.r * cls.m
     caveats = []
@@ -169,45 +177,3 @@ def stable_report(g: Graph, r: int) -> BoundReport:
         k0=k0,
     )
 
-
-class ChainCheck(NamedTuple):
-    ok: bool
-    steps: tuple[str, ...]
-
-    def __bool__(self) -> bool:  # noqa: D105
-        return self.ok
-
-
-def proof_chain_check(g: Graph, r: int) -> ChainCheck:
-    """Re-run the stable-value arithmetic with every ci maximal.
-
-    At k = 2 c0 + 3 c1 (c2 = 0 forced), the certified bound collapses to
-    (r - 2) m + 2 m = r m and meets the upper bound; the check recomputes
-    each step and confirms the chain closes.  Graphs with non-separating
-    trivalent vertices fail the hypotheses and return not-ok.
-    """
-    cls = classify(g)
-    if cls.m < 2:
-        return ChainCheck(False, ("hypothesis failed: m >= 2 required",))
-    if cls.n2 > 0:
-        return ChainCheck(False, ("hypothesis failed: no non-separating trivalent vertices allowed",))
-    if r < 2:
-        return ChainCheck(False, ("hypothesis failed: r >= 2 required",))
-
-    c0, c1, c2 = cls.n0, cls.n1, 0
-    m = cls.m
-    k_star = 2 * (c0 + c2) + 3 * c1
-    steps = []
-    line1 = (r - 2) * min(k_star // 2, m) + 2 * (c0 + c1) + c2
-    line2 = (r - 2) * min(m + c1 // 2, m) + 2 * m
-    line3 = r * m
-    steps.append(f"k* = 2(c0+c2) + 3 c1 = {k_star}")
-    steps.append(f"(r-2) min(floor(k*/2), m) + 2(c0+c1) + c2 = {line1}")
-    steps.append(f"(r-2) min(m + floor(c1/2), m) + 2m = {line2}")
-    steps.append(f"r m = {line3}")
-    ok = line1 == line2 == line3
-    report = lower_bound(BoundQuery(g, r, k_star))
-    ok = ok and report.lower == line3 and report.upper == line3
-    ok = ok and k_star == 2 * m + cls.trivalent_total
-    steps.append(f"engine lower = {report.lower}, upper = {report.upper}")
-    return ChainCheck(ok, tuple(steps))

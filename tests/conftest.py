@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import itertools
 
+from gbtc.corpus import BUNDLED, load_bundled
 from gbtc.discrete_config import BettiVector
 from gbtc.free_groups import FreeHom, FreeWord, generator
 from gbtc.graph_core import Graph, VertexClassification, classify
@@ -144,6 +145,15 @@ def recursive_compositions(total: int, parts: int) -> list[tuple[int, ...]]:
     return out
 
 
+def admissible_choices(cls: VertexClassification, k: int):
+    """Every triple 0 <= ci <= ni with 2 (c0 + c2) + 3 c1 <= k."""
+    for c0 in range(cls.n0 + 1):
+        for c1 in range(cls.n1 + 1):
+            for c2 in range(cls.n2 + 1):
+                if 2 * (c0 + c2) + 3 * c1 <= k:
+                    yield (c0, c1, c2)
+
+
 def greedy_choice(cls: VertexClassification, k: int) -> tuple[int, int, int]:
     """Maximal ci under the k constraint, filling c0 first, then c1, then c2
     (their value per admissibility cost decreases in that order)."""
@@ -158,6 +168,10 @@ def greedy_choice(cls: VertexClassification, k: int) -> tuple[int, int, int]:
 # ---------------------------------------------------------------------------
 # helpers only the tests call
 # ---------------------------------------------------------------------------
+
+
+def bundled_graphs() -> list[tuple[str, Graph]]:
+    return [(name, load_bundled(name)) for name in BUNDLED]
 
 
 def trimmed(bv: BettiVector) -> tuple[int, ...]:

@@ -10,9 +10,8 @@ from __future__ import annotations
 import random
 import time
 
-from conftest import hgraph, star, theta, trimmed, upper_bound
+from conftest import bundled_graphs, hgraph, star, theta, trimmed, upper_bound
 from gbtc.cli import main as cli_main
-from gbtc.corpus import bundled_graphs
 from gbtc.discrete_config import nonvanishing_check
 from gbtc.free_groups import (
     FreeHom,
@@ -39,7 +38,7 @@ from gbtc.local_graphs import (
     trivalent_collapse_hom,
     trivalent_product_subgroups,
 )
-from gbtc.tc_bounds import BoundQuery, lower_bound, proof_chain_check
+from gbtc.tc_bounds import BoundQuery, lower_bound, stable_report
 
 
 def report(number: int, ok: bool, detail: str) -> None:
@@ -222,7 +221,8 @@ def test_criterion_6_stable_equality_on_corpus():
                 rep = lower_bound(BoundQuery(g, r, k))
                 up = upper_bound(BoundQuery(g, r, k))
                 ok = ok and rep.lower == up == r * cls.m
-            ok = ok and proof_chain_check(g, r).ok
+            rep = stable_report(g, r)
+            ok = ok and rep.k0 == k0 and rep.stable_value == r * cls.m
         checked.append(name)
     dt = time.perf_counter() - t0
     ok = ok and dt < 5.0 and set(checked) == {"hgraph", "random10", "spider"}

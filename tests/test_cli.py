@@ -1,4 +1,5 @@
-"""Command-line front end: output contracts, exit codes, determinism."""
+"""Command-line front end: output contracts, exit codes, determinism; the
+package names the benchmark calls."""
 
 from __future__ import annotations
 
@@ -8,7 +9,7 @@ import subprocess
 import sys
 
 import gbtc
-from gbtc import discrete_config
+from gbtc import discrete_config, free_groups, graph_core
 from gbtc.cli import main
 from gbtc.corpus import BUNDLED
 
@@ -192,7 +193,7 @@ def test_homology_dump_boundaries(capsys, tmp_path):
 
 
 def test_homology_dump_boundaries_writes_the_reported_complex(capsys, tmp_path, monkeypatch):
-    from gbtc import discrete_config
+    from gbtc import discrete_config, free_groups, graph_core
 
     built = []
     real = discrete_config.build_complex
@@ -316,3 +317,25 @@ def test_import_loads_neither_dataclasses_nor_inspect():
     loaded = set(proc.stdout.split())
     assert "gbtc.cli" in loaded
     assert not loaded & {"dataclasses", "inspect"}, sorted(loaded)
+
+
+def test_names_the_benchmark_calls_stay_public():
+    # perfbench/workloads.py calls these, and perfbench/tracing.py finds its
+    # hooks by name: were one deleted or renamed, its counters would stop
+    # without an error
+    names = {
+        free_groups: (
+            "stallings_core",
+            "pullback",
+            "is_forest",
+            "contains",
+            "disjoint_conjugates_bruteforce",
+            "subgroup_elements_up_to",
+            "FreeWord",
+        ),
+        discrete_config: ("build_complex", "nonvanishing_check"),
+        graph_core: ("graph_from_data",),
+    }
+    for module, attrs in names.items():
+        for attr in attrs:
+            assert callable(getattr(module, attr, None)), (module.__name__, attr)

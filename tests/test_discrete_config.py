@@ -140,7 +140,16 @@ def test_generator_count_closed_form_matches_enumeration():
             half, n_edges = _smooth(g)
             counts = _graded_terms([len(hs) - 1 for hs in half], n_edges, k)
             got = model(g, k).cell_counts()
-            assert counts == got + [0] * (k + 1 - len(got)), (name, k)
+            assert counts + [0] * (k + 1 - len(counts)) == got + [0] * (k + 1 - len(got)), (name, k)
+
+
+def test_graded_terms_stop_at_the_product_degree():
+    # the budget pre-check must not spend a term on each degree up to k
+    k = 10**9
+    terms = _graded_terms([2, -1, 3], 5, k)
+    assert len(terms) == 4
+    assert terms[0] == comb(5 + k - 1, k)
+    assert terms[3] == 2 * -1 * 3 * comb(5 + k - 4, k - 3)
 
 
 def random_multigraph(rng) -> Graph:

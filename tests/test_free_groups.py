@@ -25,14 +25,13 @@ from gbtc.free_groups import (
     identity,
     inverse,
     is_forest,
-    parse_word,
+    is_isomorphism,
     pullback,
     reduce_word,
     restriction_injective,
     stallings_core,
     subgroup_elements_up_to,
     subgroup_rank,
-    word_str,
 )
 from gbtc.local_graphs import star_commutator_subgroups
 
@@ -351,6 +350,16 @@ def test_restriction_injective_identity_hom():
     for _ in range(20):
         gens = [random_reduced(rng, 3, 5) for _ in range(rng.randrange(1, 3))]
         assert restriction_injective(identity_hom(3), gens) is True
+
+
+def test_is_isomorphism_needs_onto():
+    # x1 -> x1^2, x2 -> x2 is injective but misses x1
+    square = FreeHom(2, 2, (w(2, 1, 1), generator(2, 2)))
+    assert restriction_injective(square, [generator(2, 1), generator(2, 2)]) is True
+    assert is_isomorphism(square) is False
+    swap = FreeHom(2, 2, (generator(2, 2), w(2, 1, 2)))
+    assert is_isomorphism(swap) is True
+    assert is_isomorphism(kill_third()) is False
 
 
 # -- pullbacks and disjoint conjugates ----------------------------------------
@@ -784,25 +793,3 @@ def random_reduced_over(rng, rank, lo, hi, max_len):
         ]
         letters.append(rng.choice(choices))
     return FreeWord(rank, tuple(letters))
-
-
-# -- textual syntax ------------------------------------------------------------
-
-
-def test_parse_word_round_trip():
-    for text in ("g1", "g1^-1", "g1 g2^-1", "g2^3", "1"):
-        assert word_str(parse_word(3, text)) == text
-
-
-def test_parse_commutator_sugar():
-    assert parse_word(2, "[g1,g2]") == commutator(generator(2, 1), generator(2, 2))
-
-
-def test_parse_rejects_bad_tokens():
-    for bad in ("x1", "g0", "g9", "[g1;g2]"):
-        with pytest.raises(ValueError):
-            parse_word(2, bad)
-
-
-def test_word_str_identity():
-    assert word_str(identity(2)) == "1"

@@ -2,18 +2,28 @@
 
 from __future__ import annotations
 
+import itertools
+
 import pytest
 
-from conftest import cycle_graph, greedy_choice, hgraph, spider, star, theta, upper_bound
-from gbtc.corpus import bundled_graphs
-from gbtc.graph_core import Graph, HypothesisError, classify
+from conftest import (
+    admissible_choices,
+    bundled_graphs,
+    cycle_graph,
+    greedy_choice,
+    hgraph,
+    spider,
+    star,
+    theta,
+    upper_bound,
+)
+from gbtc.graph_core import Graph, HypothesisError, VertexClassification, classify
 from gbtc.tc_bounds import (
     BoundQuery,
     BoundReport,
-    admissible_choices,
+    _best_choice,
     bound_value,
     lower_bound,
-    proof_chain_check,
     stable_report,
 )
 
@@ -107,19 +117,26 @@ def test_stable_report_rejects_bad_inputs():
 
 
 def test_proof_chain_hgraph_r5():
-    check = proof_chain_check(hgraph(), 5)
-    assert check.ok
-    assert any("10" in s for s in check.steps)
+    # every ci maximal costs k0 = 2 c0 + 3 c1 and certifies r m
+    rep = stable_report(hgraph(), 5)
+    assert (rep.stable_value, rep.k0) == (10, 6)
+    at_k0 = lower_bound(BoundQuery(hgraph(), 5, 6))
+    assert at_k0.choice == (0, 2, 0)
+    assert at_k0.lower == at_k0.upper == 10
 
 
 def test_proof_chain_spider_r2():
-    assert proof_chain_check(spider(), 2).ok
+    rep = stable_report(spider(), 2)
+    assert (rep.stable_value, rep.k0) == (4, 4)
+    at_k0 = lower_bound(BoundQuery(spider(), 2, 4))
+    assert at_k0.choice == (2, 0, 0)
+    assert at_k0.lower == at_k0.upper == 4
 
 
 def test_proof_chain_theta_inapplicable():
-    check = proof_chain_check(theta(), 2)
-    assert not check.ok
-    assert any("non-separating" in s for s in check.steps)
+    rep = stable_report(theta(), 2)
+    assert rep.stable_value is None
+    assert any("non-separating" in c for c in rep.caveats)
 
 
 def test_lower_at_most_upper_in_range():
@@ -173,7 +190,8 @@ def test_stable_equality_from_k0():
             for k in range(k0, k0 + 5):
                 rep = lower_bound(BoundQuery(g, r, k))
                 assert rep.lower == rep.upper == r * cls.m, (name, r, k)
-            assert proof_chain_check(g, r).ok, (name, r)
+            rep = stable_report(g, r)
+            assert (rep.k0, rep.stable_value) == (k0, r * cls.m), (name, r)
 
 
 def test_admissibility_constraint_enforced():
@@ -183,6 +201,30 @@ def test_admissibility_constraint_enforced():
             assert 2 * (c[0] + c[2]) + 3 * c[1] <= k
     # bound_value is the certified formula
     assert bound_value(3, 4, 2, (0, 0, 2)) == 1 * 2 + 2
+
+
+def test_best_choice_matches_exhaustive_search():
+    cases = 0
+    for n0, n1, n2 in itertools.product(range(7), repeat=3):
+        if n0 + n1 + n2 < 2:
+            continue
+        cls = VertexClassification.of_counts(n0, n1, n2)
+        for k in range(40):
+            for r in (2, 3, 5):
+                best = max(
+                    admissible_choices(cls, k),
+                    key=lambda c: (bound_value(r, k, cls.m, c), c),
+                )
+                assert _best_choice(cls, r, k) == best, (n0, n1, n2, r, k)
+                cases += 1
+    assert cases == 40680
+
+
+def test_best_choice_with_two_hundred_of_each_kind():
+    # exhaustive search reads 201^3 triples per choice at this size
+    cls = VertexClassification.of_counts(200, 200, 200)
+    for k in range(0, 1410, 7):
+        assert _best_choice(cls, 3, k) == greedy_choice(cls, k), k
 
 
 def test_report_validation():
