@@ -16,27 +16,34 @@ The complex is Z[E] tensored with one small complex per vertex, and the
 generators are indexed that way: degree d lists its vertex states (occupied
 vertices with their half-edge picks) and its edge monomials (in
 ``combinations_with_replacement`` order), and generator j is state j // M_d
-with monomial j % M_d, M_d being the number of monomials.  A boundary row is
-then plain arithmetic on the index of the state with one vertex emptied and
-the rank of the monomial times one edge; no generator is hashed, and a
-generator's tuple is spelled out only when ``ChainComplex.cells`` is read.
+with monomial j % M_d, M_d being the number of monomials.  Each boundary map
+is stored factored the same way (:class:`Boundary`): every column of one
+vertex state has the same terms (the state with one vertex emptied, the edge
+its particle moves onto, a sign), and a row is plain arithmetic on the index
+of that lower state and the rank of the monomial times the edge.  No
+generator is hashed and nothing is stored per generator: a generator's tuple
+is spelled out when ``ChainComplex.cells`` is read, a column when
+``ChainComplex.boundaries`` is.
 
-Exactness is non-negotiable: ranks are computed over the integers, never in
-floating point.  Degrees 2 and up are reduced fraction-free, each column
-pivoting on its largest row, which on this complex creates far less fill
-than pivoting on the smallest.  Degree 1 needs no elimination: every column
-of d_1 is zero or e(h) - e(h0) on two monomials, so d_1 is the incidence
-matrix of a graph on the degree-0 generators, and its rank is their number
-less the number of components, counted by union-find.
+Boundary of boundary is checked on the factors, once per vertex state for
+all monomials at once (:func:`_check_squares_to_zero`).  Exactness is
+non-negotiable: ranks are computed over the integers, never in floating
+point.  Degrees 2 and up are reduced fraction-free, each column pivoting on
+its largest row, which on this complex creates far less fill than pivoting
+on the smallest; a column is built only when the clearing does not skip it.
+Degree 1 needs no elimination: every column of d_1 is zero or
+e(h) - e(h0) on two monomials, so d_1 is the incidence matrix of a graph on
+the degree-0 generators, and its rank is their number less the number of
+components, counted by union-find straight from the factors.
 """
 
 from __future__ import annotations
 
 import itertools
-from collections.abc import Sequence
+from collections.abc import Iterable, Sequence, Set
 from math import comb, gcd
 
-from .graph_core import Graph, HypothesisError, Record, classify, half_edges, is_connected
+from .graph_core import Graph, HypothesisError, Record, _connected, half_edges
 
 DEFAULT_CELL_BUDGET = 1_000_000
 
@@ -45,8 +52,9 @@ class CellBudgetError(RuntimeError):
     """The complex would exceed the configured generator budget."""
 
 
-def _smooth(g: Graph) -> tuple[list[list[int]], int]:
-    """Half-edges of g with its bivalent vertices smoothed away.
+def _smooth(g: Graph, at: dict[str, list[int]]) -> tuple[list[list[int]], int]:
+    """Half-edges of g, given as ``at`` by :func:`half_edges`, with the
+    bivalent vertices smoothed away; ``at`` is left as it was.
 
     Returns one list per remaining vertex, in input order, of the edge index
     of each half-edge there (a self-loop is listed twice), and the number of
@@ -54,7 +62,7 @@ def _smooth(g: Graph) -> tuple[list[list[int]], int]:
     """
     vid = {v: i for i, v in enumerate(g.vertices)}
     ends = [[vid[u], vid[w]] for u, w in g.edges]
-    at = list(half_edges(g).values())
+    at = [list(hs) for hs in at.values()]  # a copy, rewritten below
     alive = [True] * len(ends)
     for v, hs in enumerate(at):
         if len(hs) != 2 or hs[0] == hs[1]:
@@ -83,10 +91,11 @@ def _graded_terms(coeffs: list[int], n_edges: int, k: int) -> list[int]:
     ]
 
 
-def _gal_euler_characteristic(g: Graph, k: int) -> int:
-    """chi(UConf_k g) from valences alone: the t^k coefficient of
-    prod_v (1 + (1 - val v) t) * (1 - t)^(-|E|) (Gal, Colloq. Math. 89, 2001)."""
-    return sum(_graded_terms([1 - len(hs) for hs in half_edges(g).values()], g.n_edges, k))
+def _gal_euler_characteristic(valences: Iterable[int], n_edges: int, k: int) -> int:
+    """chi(UConf_k) of a graph from its valences alone: the t^k coefficient
+    of prod_v (1 + (1 - val v) t) * (1 - t)^(-|E|) (Gal, Colloq. Math. 89,
+    2001)."""
+    return sum(_graded_terms([1 - val for val in valences], n_edges, k))
 
 
 # (occupied vertices as (vertex, half-edge position) pairs, edge monomial)
@@ -128,16 +137,92 @@ class GeneratorLayer(Record):
                 yield s, m
 
 
+class Boundary(Record):
+    """The boundary map of one degree d >= 1, stored once per vertex state.
+
+    Every column of an upper vertex state s has the same terms, listed in
+    ``terms[s]`` as (q, e, sign): q indexes the lower state with one vertex
+    emptied and e is the edge its particle moves onto.  ``up[e][r]`` is the
+    rank among the lower monomials of upper monomial r times e, and
+    ``stride`` the number of lower monomials.  Column j = s * M + r, with
+    M = len(up[e]), holds each sign at row q * stride + up[e][r].
+
+    Supports ``len``, indexing and iteration like a list of columns; each
+    column read is a fresh ``{row: coefficient}`` dict, so nothing is kept
+    per generator.
+    """
+
+    __slots__ = ("terms", "up", "stride")
+    __hash__ = None
+
+    def __init__(
+        self,
+        terms: list[tuple[tuple[int, int, int], ...]],  # terms[s]: (lower state, edge, sign)
+        up: list[list[int]],  # up[e][r]: rank of upper monomial r times edge e
+        stride: int,  # number of lower monomials
+    ):
+        super().__init__(terms, up, stride)
+
+    def __len__(self) -> int:
+        return len(self.terms) * len(self.up[0])
+
+    def __getitem__(self, j: int) -> dict[int, int]:
+        if j < 0:
+            j += len(self)
+        if not 0 <= j < len(self):
+            raise IndexError("column index out of range")
+        s, r = divmod(j, len(self.up[0]))
+        terms = self.terms[s]
+        rows = [q * self.stride + self.up[e][r] for q, e, _ in terms]
+        return _column(rows, [sign for _, _, sign in terms])
+
+    def __iter__(self):
+        return self.columns()
+
+    def columns(self, skip: Set[int] = frozenset()):
+        """Yield column j as a fresh dict, in order, for each j not in skip.
+
+        Each row number is one int object, shared by every column that
+        holds it, so dict lookups between columns match keys by identity.
+        """
+        width, stride = len(self.up[0]), self.stride
+        below: dict[int, list[int]] = {}  # below[q]: the rows of lower state q
+        for s, terms in enumerate(self.terms):
+            rows = []
+            for q, e, _ in terms:
+                at = below.get(q)
+                if at is None:
+                    at = below[q] = list(range(q * stride, q * stride + stride))
+                rows.append(list(map(at.__getitem__, self.up[e])))
+            signs = [sign for _, _, sign in terms]
+            for j, col in enumerate(zip(*rows) if rows else [()] * width, s * width):
+                if j not in skip:
+                    yield _column(col, signs)
+
+
+def _column(rows: Sequence[int], signs: Sequence[int]) -> dict[int, int]:
+    """The sum of signs[i] at rows[i], as a ``{row: coefficient}`` dict."""
+    col = dict(zip(rows, signs))
+    if len(col) < len(signs):
+        # two terms on one row, which no built complex has: add them up
+        col = {}
+        for row, sign in zip(rows, signs):
+            col[row] = col.get(row, 0) + sign
+        col = {row: c for row, c in col.items() if c}
+    return col
+
+
 class ChainComplex(Record):
-    """Generators graded by degree, with integer boundary columns.
+    """Generators graded by degree, with integer boundary maps.
 
     ``cells[d]`` is a sequence of the degree-d generators; the builder
     gives a :class:`GeneratorLayer`, which holds the vertex states and edge
     monomials of that degree and spells out a generator only when it is
-    read.  ``boundaries[d][j]`` is the column of generator j of degree d, as
-    a ``{row: coefficient}`` dict over the generators of degree d - 1.
-    Boundary of boundary vanishing is checked at build.  Unlike the other
-    records it is mutable, and so unhashable."""
+    read.  ``boundaries[d]`` is a :class:`Boundary` for d >= 1 (and an empty
+    list for d = 0): ``boundaries[d][j]`` is the column of generator j of
+    degree d, a fresh ``{row: coefficient}`` dict over the generators of
+    degree d - 1.  Boundary of boundary vanishing is checked at build.
+    Unlike the other records it is mutable, and so unhashable."""
 
     __slots__ = ("graph", "k", "cells", "boundaries")
     __setattr__ = object.__setattr__
@@ -149,7 +234,7 @@ class ChainComplex(Record):
         graph: Graph,
         k: int,
         cells: list[Sequence[Cell]],
-        boundaries: list[list[dict[int, int]]],  # boundaries[d][j]: column of generator j in degree d
+        boundaries: list,  # boundaries[d][j]: column of generator j in degree d
     ):
         super().__init__(graph, k, cells, boundaries)
 
@@ -168,17 +253,16 @@ def build_complex(g: Graph, k: int, budget: int = DEFAULT_CELL_BUDGET) -> ChainC
     Raises :class:`CellBudgetError` before enumerating anything when the
     generator count exceeds ``budget``.  Verifies boundary-of-boundary.
 
-    The row of a boundary term is (index of the state with one occupied
-    vertex emptied) * M_(d-1) + (rank of the monomial times one edge).  Only
-    the vertex states are hashed, once each, to find the first index; the
-    monomial ranks need no lookup at all.  Each row number is one int
-    object, shared by all the columns that hold it.
+    Each boundary map is stored factored (:class:`Boundary`): the terms of
+    each vertex state, found by hashing the states once each, and the rank
+    of every monomial times every edge.  No column is built.
     """
     if k < 1:
         raise ValueError("particle count k must be at least 1")
-    if not is_connected(g):
+    at = half_edges(g)
+    if not _connected(g, at):
         raise HypothesisError("connected graph required")
-    half, n_edges = _smooth(g)
+    half, n_edges = _smooth(g, at)
     if not n_edges:
         # a point holds one particle; the reduction needs a half-edge per vertex
         return ChainComplex(g, k, [GeneratorLayer(((),) if k == 1 else (), ((),))], [[]])
@@ -201,57 +285,79 @@ def build_complex(g: Graph, k: int, budget: int = DEFAULT_CELL_BUDGET) -> ChainC
         for d in range(min(k, len(active)) + 1)
     ]
 
-    boundaries: list[list[dict[int, int]]] = [[] for _ in layers]
+    boundaries: list = [[]]
     for d in range(1, len(layers)):
         lower, upper = layers[d - 1], layers[d]
-        # up[e][r]: the rank among lower.monos of monomial r of upper.monos
-        # times edge e.  Multiplying by e maps the monomials onto those that
-        # contain e and keeps their order (sorted tuples compare at the
-        # least edge whose multiplicity differs), so up[e] lists the ranks
-        # of the monomials containing e, in order.
+        # Multiplying by e maps the monomials onto those that contain e and
+        # keeps their order (sorted tuples compare at the least edge whose
+        # multiplicity differs), so up[e] lists the ranks of the lower
+        # monomials containing e, in order.
         up = [[r for r, m in enumerate(lower.monos) if e in m] for e in range(n_edges)]
-        # below[s][r]: the row of (s, monomial r), one int object per row
-        # shared by every column that holds it
-        n = len(lower.monos)
-        below = {s: list(range(i * n, i * n + n)) for i, s in enumerate(lower.states)}
-        cols: list[dict[int, int]] = []
+        index = {s: i for i, s in enumerate(lower.states)}
+        terms: list[tuple[tuple[int, int, int], ...]] = []
         for states in upper.states:
-            rows: list[list[int]] = []
-            signs: list[int] = []
+            t: list[tuple[int, int, int]] = []
             for i, (v, j) in enumerate(states):
                 e, e0 = half[v][j], half[v][0]
                 if e == e0:
                     continue  # the two half-edges of one loop: the terms cancel
-                at = below[states[:i] + states[i + 1 :]]
+                q = index[states[:i] + states[i + 1 :]]
                 sign = -1 if i % 2 else 1
-                rows += ([at[r] for r in up[e]], [at[r] for r in up[e0]])
-                signs += (sign, -sign)
-            if rows:
-                cols += [dict(zip(col, signs)) for col in zip(*rows)]
-            else:
-                cols += [{} for _ in upper.monos]
-        boundaries[d] = cols
+                t += ((q, e, sign), (q, e0, -sign))
+            terms.append(tuple(t))
+        boundaries.append(Boundary(terms, up, len(lower.monos)))
 
-    _check_boundary_squares_to_zero(boundaries)
+    _check_squares_to_zero(boundaries)
     return ChainComplex(g, k, layers, boundaries)
 
 
-def _check_boundary_squares_to_zero(boundaries: list[list[dict[int, int]]]) -> None:
+def _check_squares_to_zero(boundaries: list) -> None:
+    """Raise unless d_(d-1) d_d vanishes on every column, for d >= 2.
+
+    Composing the two maps, column (s, r) goes to the sum over the terms
+    (q, e, sign) of s and (q2, e2, sign2) of q of sign * sign2 at row
+    q2 * stride' + up'[e2][up[e][r]], up' and stride' being the lower
+    map's.  When
+    up'[b][up[a][r]] == up'[a][up[b][r]] for every pair of edges (the two
+    products name one monomial), that row depends only on q2, the unordered
+    pair {e, e2} and r.  Summing the signs of each state's pairs by
+    (q2, {e, e2}) and finding every sum zero then proves all the state's
+    columns vanish, for every r at once.  A state whose sums do not all
+    vanish, or every state of a degree whose maps do not commute, is
+    checked column by column, so the check raises exactly when some column
+    composes to a nonzero vector.
+    """
     for d in range(2, len(boundaries)):
-        lower = boundaries[d - 1]
-        for col in boundaries[d]:
-            acc: dict[int, int] = {}
-            for row, c in col.items():
-                for row2, c2 in lower[row].items():
-                    acc[row2] = acc.get(row2, 0) + c * c2
-            if any(acc.values()):
-                raise AssertionError("boundary of boundary is nonzero")
+        hi, lo = boundaries[d], boundaries[d - 1]
+        n_edges = len(hi.up)
+        commute = all(
+            list(map(lo.up[b].__getitem__, hi.up[a])) == list(map(lo.up[a].__getitem__, hi.up[b]))
+            for a in range(n_edges)
+            for b in range(a)
+        )
+        width, lo_terms, pairs = len(hi.up[0]), lo.terms, n_edges * n_edges
+        for s, terms in enumerate(hi.terms):
+            if commute:
+                # keyed by q2 and the unordered pair {e, e2}, as one int
+                acc: dict[int, int] = {}
+                for q, e, sign in terms:
+                    for q2, e2, sign2 in lo_terms[q]:
+                        key = q2 * pairs + (e * n_edges + e2 if e < e2 else e2 * n_edges + e)
+                        acc[key] = acc.get(key, 0) + sign * sign2
+                if not any(acc.values()):
+                    continue
+            for j in range(s * width, s * width + width):
+                acc2: dict[int, int] = {}
+                for row, c in hi[j].items():
+                    for row2, c2 in lo[row].items():
+                        acc2[row2] = acc2.get(row2, 0) + c * c2
+                if any(acc2.values()):
+                    raise AssertionError("boundary of boundary is nonzero")
 
 
-def _rank_of_columns(
-    columns: list[dict[int, int]], skip: set[int] | None = None
-) -> tuple[int, set[int]]:
-    """Rank of an integer matrix given by columns, with the set of pivot rows.
+def _eliminate(columns: Iterable[dict[int, int]]) -> tuple[int, set[int]]:
+    """Rank of an integer matrix given by fresh columns, which it consumes,
+    with the set of pivot rows.
 
     Column reduction against the largest-row pivot, fraction-free: combining
     a*col - b*pivot keeps everything integral; columns are divided by their
@@ -259,10 +365,7 @@ def _rank_of_columns(
     has its pivot as its largest row.
     """
     pivots: dict[int, dict[int, int]] = {}
-    for j, col0 in enumerate(columns):
-        if skip is not None and j in skip:
-            continue
-        col = dict(col0)
+    for col in columns:
         while col:
             r = max(col)
             piv = pivots.get(r)
@@ -270,6 +373,8 @@ def _rank_of_columns(
                 g = 0
                 for v in col.values():
                     g = gcd(g, v)
+                    if g == 1:
+                        break
                 if g > 1:
                     for rr in col:
                         col[rr] //= g
@@ -294,34 +399,34 @@ def _rank_of_columns(
     return len(pivots), set(pivots)
 
 
-def _rank_of_incidence_columns(
-    columns: list[dict[int, int]], n_rows: int, skip: set[int] | None = None
-) -> int:
-    """Rank of a matrix whose columns are each zero or c*(row x - row y).
+def _rank_by_union_find(bd: Boundary) -> int:
+    """Rank of d_1, read as the incidence matrix of a graph.
 
-    Such a matrix is the incidence matrix of a graph on its rows, one edge
-    per nonzero column, so its rank is the number of edges that join two
-    components, counted by union-find.  Any other column raises
-    :class:`AssertionError`, skipped ones included.
+    Degree 0 has one vertex state, the empty one, so each state of d_1 has
+    no terms or the two terms (0, e, sign), (0, e0, -sign) with e != e0,
+    and its column r is sign * (row up[e][r] - row up[e0][r]).  The rank is
+    the number of columns that join two components, counted by union-find.
+    A state with any other terms raises :class:`AssertionError`.
     """
-    parent = list(range(n_rows))
+    parent = list(range(bd.stride))
     rank = 0
-    for j, col in enumerate(columns):
-        if not col:
+    for s, terms in enumerate(bd.terms):
+        if not terms:
             continue
-        # two entries of opposite sign and equal size
-        if len(col) != 2 or sum(col.values()) or 0 in col.values():
-            raise AssertionError(f"degree-1 column {j} is not an incidence column: {col}")
-        if skip is not None and j in skip:
-            continue
-        x, y = col
-        while parent[x] != x:
-            parent[x] = x = parent[parent[x]]
-        while parent[y] != y:
-            parent[y] = y = parent[parent[y]]
-        if x != y:
-            parent[x] = y
-            rank += 1
+        ok = len(terms) == 2
+        if ok:
+            (q, e, sign), (q0, e0, sign0) = terms
+            ok = q == q0 == 0 and e != e0 and sign == -sign0 != 0
+        if not ok:
+            raise AssertionError(f"degree-1 state {s} does not give incidence columns: {terms}")
+        for x, y in zip(bd.up[e], bd.up[e0]):
+            while parent[x] != x:
+                parent[x] = x = parent[parent[x]]
+            while parent[y] != y:
+                parent[y] = y = parent[parent[y]]
+            if x != y:
+                parent[x] = y
+                rank += 1
     return rank
 
 
@@ -336,28 +441,28 @@ class BettiVector(Record):
 
 
 def betti(c: ChainComplex) -> BettiVector:
-    """Exact rational Betti numbers.
+    """Exact rational Betti numbers of a built complex.
 
     Ranks of the boundary matrices are computed top dimension first so the
     pivot rows of each reduction mark columns of the next matrix down as
-    dependent (safe to skip).  This clearing holds for largest-row pivots:
-    a reduced column b of d_(d+1) has d_d b = 0, so column p of d_d, p being
-    b's largest row, is a combination of columns of smaller index; by
-    induction upward over the pivot rows, every skipped column lies in the
-    span of the columns kept.  Degree 1 is ranked by union-find
-    (:func:`_rank_of_incidence_columns`), since d_1 is an incidence matrix
-    on both the Świątkowski and the Abrams complex.
+    dependent (safe to skip, and never built).  This clearing holds for
+    largest-row pivots: a reduced column b of d_(d+1) has d_d b = 0, so
+    column p of d_d, p being b's largest row, is a combination of columns
+    of smaller index; by induction upward over the pivot rows, every
+    skipped column lies in the span of the columns kept.  Degree 1 is
+    ranked whole by union-find (:func:`_rank_by_union_find`), since d_1 is
+    an incidence matrix.
     """
     dim = c.dimension
     n = c.cell_counts()
     ranks = [0] * (dim + 2)
-    cleared: set[int] = set()
+    cleared: Set[int] = frozenset()
     for d in range(dim, 1, -1):
         # pivot rows of the reduction one dimension up index dependent
         # columns here, so they are skipped without affecting the rank
-        ranks[d], cleared = _rank_of_columns(c.boundaries[d], cleared or None)
+        ranks[d], cleared = _eliminate(c.boundaries[d].columns(cleared))
     if dim >= 1:
-        ranks[1] = _rank_of_incidence_columns(c.boundaries[1], n[0], cleared or None)
+        ranks[1] = _rank_by_union_find(c.boundaries[1])
     out = []
     for d in range(dim + 1):
         b = n[d] - ranks[d] - ranks[d + 1]
@@ -410,21 +515,25 @@ def nonvanishing_check(
     """
     if g.sinks:
         raise HypothesisError("homology is computed for sink-free graphs only")
-    cls = classify(g)
-    degree = min(k // 2, cls.m)
+    at = half_edges(g)
+    if not _connected(g, at):
+        raise HypothesisError("connected graph required")
+    valences = [len(hs) for hs in at.values()]
+    m = sum(val >= 3 for val in valences)  # the essential vertices
+    degree = min(k // 2, m)
     try:
         complex_ = build_complex(g, k, budget)
     except CellBudgetError:
-        return NonvanishingReport(k, cls.m, degree, None, None, "budget-exceeded")
+        return NonvanishingReport(k, m, degree, None, None, "budget-exceeded")
     b = betti(complex_).betti
     bv = BettiVector(b + (0,) * (k + 1 - len(b)))
     chi = sum((-1) ** d * x for d, x in enumerate(bv.betti))
-    gal = _gal_euler_characteristic(g, k)
+    gal = _gal_euler_characteristic(valences, g.n_edges, k)
     if chi != gal:
         raise AssertionError(f"Euler characteristic {chi} != Gal's formula {gal}")
     return NonvanishingReport(
         k,
-        cls.m,
+        m,
         degree,
         bv,
         bv[degree] != 0,

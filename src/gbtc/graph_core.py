@@ -184,10 +184,15 @@ def _fill(g: Graph, at: dict[str, list[int]], start: str, label: dict[str, int])
 
 def is_connected(g: Graph) -> bool:
     """Exactly one component: the empty graph is not connected."""
+    return _connected(g, half_edges(g))
+
+
+def _connected(g: Graph, at: dict[str, list[int]]) -> bool:
+    """:func:`is_connected`, given the half-edges of g."""
     if not g.vertices:
         return False
     label = {g.vertices[0]: 0}
-    _fill(g, half_edges(g), g.vertices[0], label)
+    _fill(g, at, g.vertices[0], label)
     return len(label) == g.n_vertices
 
 

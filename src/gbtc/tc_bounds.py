@@ -8,9 +8,9 @@ choice 0 <= ci <= ni with k >= 2(c0 + c2) + 3 c1 certifies
     TC_r >= (r - 2) * min(floor(k/2), m) + 2 (c0 + c1) + c2      (r >= 2),
 
 and TC_r <= r * m holds for k >= 2 m.  When n2 = 0 the two meet: TC_r equals
-r * m for all k >= 2 m + n1.  The engine maximizes the certified bound in
-closed form for each c1 and takes the best of those at most n1 + 1; the
-tests compare it with exhaustive search over all admissible triples.
+r * m for all k >= 2 m + n1.  The engine takes the greedy choice, which
+maximizes the certified bound (an exchange argument, at ``_best_choice``);
+the tests compare it with exhaustive search over all admissible triples.
 """
 
 from __future__ import annotations
@@ -103,23 +103,31 @@ def bound_value(r: int, k: int, m: int, choice: tuple[int, int, int]) -> int:
 
 def _best_choice(cls: VertexClassification, r: int, k: int) -> tuple[int, int, int]:
     """The admissible choice with the largest bound at (r, k), ties broken to
-    the lexicographically largest triple.
+    the lexicographically largest triple: the greedy one, c0 as large as k
+    allows, then c1, then c2.
 
-    For each c1 <= k / 3, the only choice maximizing 2 c0 + c2 under
-    c0 + c2 <= B = floor((k - 3 c1) / 2) gives c0 all of B it can and c2 the
-    rest, a unit of c0 being worth two of c2 at the same cost; so the best
-    choice is the best of these at most n1 + 1 candidates.
+    The bound is (r - 2) min(floor(k/2), m) + 2 c0 + 2 c1 + c2, so r only
+    shifts it and the choice maximizes 2 c0 + 2 c1 + c2 under the cost
+    2 c0 + 3 c1 + 2 c2 <= k.  Take an optimal choice, lexicographically
+    largest among the optima, and exchange:
+    - If c0 < min(n0, floor(k/2)), then one more c0 fits when the slack
+      k - cost is 2 or more (gain 2); else c2 > 0 or c1 > 0, since
+      c1 = c2 = 0 would leave slack k - 2 c0 >= 2.  Trading one c2 for a c0
+      costs nothing and gains 1; trading one c1 for a c0 frees 1 and gains
+      0 but makes the triple lexicographically larger.  Each contradicts
+      the choice, so c0 = min(n0, floor(k/2)).
+    - With that c0 and R = k - 2 c0, if c1 < min(n1, floor(R/3)), one more
+      c1 fits when the slack is 3 or more (gain 2).  Else
+      2 c2 >= R - 3 c1 - 2 >= 1, so c2 >= 1: at slack 1 or 2, trading one
+      c2 for a c1 gains 1; at slack 0, 2 c2 = R - 3 c1 >= 3 gives c2 >= 2,
+      and trading two c2 for a c1 gains 0 with a larger c1.  So
+      c1 = min(n1, floor(R/3)).
+    - c2 then takes all it can: min(n2, floor((R - 3 c1) / 2)).
     """
-
-    def candidate(c1: int) -> tuple[int, int, int]:
-        b = (k - 3 * c1) // 2
-        c0 = min(cls.n0, b)
-        return (c0, c1, min(cls.n2, b - c0))
-
-    return max(
-        (candidate(c1) for c1 in range(min(cls.n1, k // 3) + 1)),
-        key=lambda c: (bound_value(r, k, cls.m, c), c),
-    )
+    c0 = min(cls.n0, k // 2)
+    rest = k - 2 * c0
+    c1 = min(cls.n1, rest // 3)
+    return (c0, c1, min(cls.n2, (rest - 3 * c1) // 2))
 
 
 def lower_bound(q: BoundQuery, homology_status: str = "assumed") -> BoundReport:

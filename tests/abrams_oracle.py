@@ -23,7 +23,8 @@ import itertools
 from collections import Counter
 
 from conftest import oracle_components
-from gbtc.discrete_config import ChainComplex, _check_boundary_squares_to_zero
+from dict_columns import _check_boundary_squares_to_zero
+from gbtc.discrete_config import ChainComplex
 from gbtc.graph_core import Graph, HypothesisError, is_connected
 
 

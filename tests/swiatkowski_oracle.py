@@ -2,27 +2,29 @@
 ``gbtc.discrete_config.build_complex``.
 
 This builder spells every generator out as a tuple, hashes each one into an
-index, and finds the row of every boundary term by rebuilding and sorting
-the edge monomial of that term and looking the pair up.  The library finds
-the same rows by arithmetic on (vertex-state index, monomial rank), so the
-two must return the same generators, in the same order, and the same
-boundary columns on every input.
+index, finds the row of every boundary term by rebuilding and sorting the
+edge monomial of that term and looking the pair up, and stores one
+``{row: coefficient}`` dict per generator.  The library stores each
+boundary factored per vertex state and finds the same rows by arithmetic on
+(vertex-state index, monomial rank), so the two must return the same
+generators, in the same order, and the same boundary columns on every
+input.
 """
 
 from __future__ import annotations
 
 import itertools
 
+from dict_columns import _check_boundary_squares_to_zero
 from gbtc.discrete_config import (
     DEFAULT_CELL_BUDGET,
     Cell,
     CellBudgetError,
     ChainComplex,
-    _check_boundary_squares_to_zero,
     _graded_terms,
     _smooth,
 )
-from gbtc.graph_core import Graph, HypothesisError, is_connected
+from gbtc.graph_core import Graph, HypothesisError, half_edges, is_connected
 
 
 def build_complex(g: Graph, k: int, budget: int = DEFAULT_CELL_BUDGET) -> ChainComplex:
@@ -36,7 +38,7 @@ def build_complex(g: Graph, k: int, budget: int = DEFAULT_CELL_BUDGET) -> ChainC
         raise ValueError("particle count k must be at least 1")
     if not is_connected(g):
         raise HypothesisError("connected graph required")
-    half, n_edges = _smooth(g)
+    half, n_edges = _smooth(g, half_edges(g))
     if not n_edges:
         # a point holds one particle; the reduction needs a half-edge per vertex
         return ChainComplex(g, k, [[((), ())] if k == 1 else []], [[]])

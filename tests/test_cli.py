@@ -9,9 +9,10 @@ import subprocess
 import sys
 
 import gbtc
+import swiatkowski_oracle
 from gbtc import discrete_config, free_groups, graph_core
 from gbtc.cli import main
-from gbtc.corpus import BUNDLED
+from gbtc.corpus import BUNDLED, load_bundled
 
 DATA = os.path.join(os.path.dirname(__file__), "..", "src", "gbtc", "data")
 
@@ -217,6 +218,25 @@ def test_homology_dump_boundaries_writes_the_reported_complex(capsys, tmp_path, 
         for j, col in enumerate(c.boundaries[d]):
             want += [f"{row} {j} {col[row]}" for row in sorted(col)]
     assert path.read_text().splitlines() == want
+
+
+def test_homology_dump_boundaries_match_the_dict_column_oracle(capsys, tmp_path):
+    # the factored boundaries, read through their view, dump the same bytes
+    # as the tuple-keyed builder's one dict per generator
+    for name in BUNDLED:
+        for k in range(2, 6):
+            path = tmp_path / f"{name}-{k}.txt"
+            code, _ = run(
+                capsys, "homology", datafile(name), "--k", str(k), "--dump-boundaries", str(path)
+            )
+            assert code == 0
+            c = swiatkowski_oracle.build_complex(load_bundled(name), k)
+            want = []
+            for d in range(1, c.dimension + 1):
+                want.append(f"# boundary {d}\n")
+                for j, col in enumerate(c.boundaries[d]):
+                    want += [f"{row} {j} {col[row]}\n" for row in sorted(col)]
+            assert path.read_bytes() == "".join(want).encode(), (name, k)
 
 
 def test_homology_dump_boundaries_budget_exceeded(capsys, tmp_path, monkeypatch):

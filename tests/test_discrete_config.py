@@ -13,6 +13,12 @@ import sympy
 import swiatkowski_oracle
 from abrams_oracle import abrams_model, chains, normalize, sufficient_subdivision
 from conftest import cycle_graph, hgraph, path_graph, spider, star, theta, trimmed
+from dict_columns import (
+    _check_boundary_squares_to_zero,
+    _rank_of_columns,
+    _rank_of_incidence_columns,
+)
+from dict_columns import betti as dict_betti
 from gbtc import discrete_config
 from gbtc.corpus import BUNDLED, load_bundled
 from gbtc.discrete_config import (
@@ -20,13 +26,14 @@ from gbtc.discrete_config import (
     betti,
     build_complex,
     nonvanishing_check,
+    _check_squares_to_zero,
+    _eliminate,
     _gal_euler_characteristic,
     _graded_terms,
-    _rank_of_columns,
-    _rank_of_incidence_columns,
+    _rank_by_union_find,
     _smooth,
 )
-from gbtc.graph_core import Graph, HypothesisError, is_connected
+from gbtc.graph_core import Graph, HypothesisError, half_edges, is_connected
 
 LOOPS_AND_MULTI_EDGES = (
     Graph(("c", "a", "b"), (("c", "c"), ("c", "a"), ("c", "b"))),
@@ -84,14 +91,16 @@ def test_sufficient_subdivision_requires_connected():
 
 def test_smoothing_keeps_loops_and_parallel_edges():
     # a bare circle becomes one vertex with a loop
-    assert _smooth(cycle_graph(5)) == ([[0, 0]], 1)
+    assert _smooth(cycle_graph(5), half_edges(cycle_graph(5))) == ([[0, 0]], 1)
     # a path becomes one edge between two leaves
-    assert _smooth(path_graph(4)) == ([[0], [0]], 1)
+    assert _smooth(path_graph(4), half_edges(path_graph(4))) == ([[0], [0]], 1)
     # theta has no bivalent vertex: three parallel edges stay
-    assert _smooth(theta()) == ([[0, 1, 2], [0, 1, 2]], 3)
+    assert _smooth(theta(), half_edges(theta())) == ([[0, 1, 2], [0, 1, 2]], 3)
     # a bivalent vertex on a double edge turns it into a loop
     g = Graph(("c", "m", "l"), (("c", "m"), ("m", "c"), ("c", "l")))
-    assert _smooth(g) == ([[0, 0, 1], [1]], 2)
+    at = half_edges(g)
+    assert _smooth(g, at) == ([[0, 0, 1], [1]], 2)
+    assert at == half_edges(g)  # the half-edges handed in are left alone
 
 
 def test_interval_configurations_contractible():
@@ -120,7 +129,7 @@ def test_zero_dim_complex_counts_points():
     # one particle: the Abrams complex is the subdivided graph itself, and the
     # reduced complex has one degree-0 generator per edge of the smoothed graph
     c = abrams_model(star(3), 1)
-    assert trimmed(betti(c)) == (1,)
+    assert trimmed(dict_betti(c)) == (1,)
     assert len(c.cells[0]) == c.graph.n_vertices
     assert model(star(3), 1).cell_counts() == [3, 2]
     assert trimmed(betti(model(star(3), 1))) == (1,)
@@ -137,7 +146,7 @@ def test_generator_count_closed_form_matches_enumeration():
     for name in BUNDLED:
         g = load_bundled(name)
         for k in (1, 2, 3, 4):
-            half, n_edges = _smooth(g)
+            half, n_edges = _smooth(g, half_edges(g))
             counts = _graded_terms([len(hs) - 1 for hs in half], n_edges, k)
             got = model(g, k).cell_counts()
             assert counts + [0] * (k + 1 - len(counts)) == got + [0] * (k + 1 - len(got)), (name, k)
@@ -265,6 +274,8 @@ def test_betti_matches_sympy_on_small_complexes():
 
 
 def test_rank_of_columns_against_sympy_random():
+    # the library's elimination and the dict-column oracle's, on the same
+    # random matrices
     rng = random.Random(3)
     for _ in range(40):
         rows = rng.randrange(1, 8)
@@ -273,28 +284,36 @@ def test_rank_of_columns_against_sympy_random():
         columns = [
             {i: dense[i][j] for i in range(rows) if dense[i][j]} for j in range(cols)
         ]
-        rank, _ = _rank_of_columns(columns)
-        assert rank == sympy.Matrix(dense).rank()
+        want = sympy.Matrix(dense).rank()
+        assert _rank_of_columns(columns)[0] == want
+        assert _eliminate(dict(col) for col in columns)[0] == want
 
 
 def test_incidence_rank_and_clearing_match_plain_elimination():
-    # per degree, the rank with the pivot rows of the degree above skipped
-    # equals the rank of every column; in degree 1, union-find agrees with
-    # elimination with and without those skipped columns
+    # per degree, the library's rank from the factors, with the pivot rows
+    # of the degree above skipped, equals the dict-column oracle's rank of
+    # every column; in degree 1, union-find on the factors agrees with the
+    # oracle's union-find and elimination, with and without those columns
     cases = [(load_bundled(name), k) for name in BUNDLED for k in range(1, 7)]
     cases += [(g, k) for g in LOOPS_AND_MULTI_EDGES for k in range(1, 6)]
     cases += [(g, k) for g in seeded_multigraphs() for k in range(1, 5)]
     for g, k in cases:
         c = build_complex(g, k)
-        cleared: set[int] = set()
+        cleared: frozenset[int] = frozenset()
         for d in range(c.dimension, 0, -1):
-            rank, pivots = _rank_of_columns(c.boundaries[d], cleared or None)
-            assert rank == _rank_of_columns(c.boundaries[d])[0], (g, k, d)
+            columns = list(c.boundaries[d])
+            rank = _rank_of_columns(columns)[0]
             if d == 1:
                 n0 = len(c.cells[0])
-                assert _rank_of_incidence_columns(c.boundaries[1], n0) == rank, (g, k)
-                assert _rank_of_incidence_columns(c.boundaries[1], n0, cleared) == rank, (g, k)
-            cleared = pivots
+                assert _rank_by_union_find(c.boundaries[1]) == rank, (g, k)
+                assert _rank_of_incidence_columns(columns, n0) == rank, (g, k)
+                assert _rank_of_incidence_columns(columns, n0, cleared) == rank, (g, k)
+            # the skipped columns are never built
+            kept = list(c.boundaries[d].columns(cleared))
+            assert len(kept) == len(columns) - len(cleared), (g, k, d)
+            got, pivots = _eliminate(kept)
+            assert got == rank, (g, k, d)
+            cleared = frozenset(pivots)
 
 
 def test_incidence_rank_rejects_other_columns():
@@ -305,12 +324,186 @@ def test_incidence_rank_rejects_other_columns():
         # a skipped column is checked too
         with pytest.raises(AssertionError, match="incidence"):
             _rank_of_incidence_columns([col], 3, skip={0})
-        # and betti raises rather than ranking degree 1 another way
+    assert _rank_of_incidence_columns([{}, {0: 3, 2: -3}, {2: 1, 0: -1}], 3) == 1
+    # the library stores d_1 as the terms each vertex state shares, so the
+    # malformed columns are planted there: betti raises rather than ranking
+    # degree 1 another way.  On star3 at k = 2, state 0 is (0, 1, 1), (0, 0, -1).
+    planted = (
+        ((0, 1, 1), (0, 0, -1), (0, 2, 1)),  # three rows
+        ((0, 1, 1), (0, 0, 1)),  # one sign twice
+        ((0, 1, 2), (0, 0, -1)),  # unequal sizes
+        ((0, 1, 1),),  # one row
+        ((0, 1, 1), (0, 1, -1)),  # one edge twice
+    )
+    for terms in planted:
         c = build_complex(star(3), 2)
-        c.boundaries[1][0] = col
+        assert c.boundaries[1].terms[0] == ((0, 1, 1), (0, 0, -1))
+        c.boundaries[1].terms[0] = terms
         with pytest.raises(AssertionError, match="incidence"):
             betti(c)
-    assert _rank_of_incidence_columns([{}, {0: 3, 2: -3}, {2: 1, 0: -1}], 3) == 1
+
+
+# -- the d² check on the factors ----------------------------------------------------
+
+
+def squares_to_zero(check, boundaries) -> bool:
+    try:
+        check(boundaries)
+    except AssertionError as exc:
+        assert "boundary of boundary" in str(exc)
+        return False
+    return True
+
+
+def verdicts(c) -> tuple[bool, bool]:
+    """The factored check's verdict on c, and the dict-column oracle's on
+    the columns c's boundaries read as."""
+    return (
+        squares_to_zero(_check_squares_to_zero, c.boundaries),
+        squares_to_zero(_check_boundary_squares_to_zero, [list(bd) for bd in c.boundaries]),
+    )
+
+
+def test_factored_square_check_matches_dict_columns(monkeypatch):
+    cases = [(load_bundled(name), k) for name in BUNDLED for k in range(1, 7)]
+    cases += [(g, k) for g in LOOPS_AND_MULTI_EDGES for k in range(1, 6)]
+    cases += [(g, k) for g in seeded_multigraphs() for k in range(1, 5)]
+    checked = 0
+    for g, k in cases:
+        c = build_complex(g, k)
+        assert verdicts(c) == (True, True), (g, k)
+        checked += c.dimension >= 2
+    assert checked > 100
+    # on a built complex every state's signs cancel, so the check reads
+    # no column at all
+    def no_columns(self, j):
+        raise AssertionError("a column was read")
+
+    monkeypatch.setattr(discrete_config.Boundary, "__getitem__", no_columns)
+    for g, k in cases:
+        build_complex(g, k)
+
+
+def test_factored_square_check_reads_columns_where_signs_do_not_cancel():
+    # Factors no builder makes, with every monomial product landing on one
+    # rank: the composed maps commute, and the signs of the one upper state
+    # fall on two keys, (0, {0, 2}) and (0, {1, 2}), that do not cancel.
+    # Both keys reach the same row, so every column still composes to zero,
+    # and the check must pass, as the dict-column check does.
+    lo = discrete_config.Boundary([((0, 2, 1),)], [[0, 0, 0]] * 3, 1)
+    hi = discrete_config.Boundary([((0, 0, 1), (0, 1, -1))], [[0], [1], [2]], 3)
+    assert list(hi) == [{0: 1, 1: -1}] and list(lo) == [{0: 1}] * 3
+    assert squares_to_zero(_check_boundary_squares_to_zero, [[], list(lo), list(hi)])
+    assert squares_to_zero(_check_squares_to_zero, [[], lo, hi])
+    # with the second term's edge moved to a monomial whose column is zero,
+    # the column composes to a nonzero vector
+    lo = discrete_config.Boundary([((0, 2, 1),), ()], [[0, 0, 0]] * 3, 1)
+    hi = discrete_config.Boundary([((0, 0, 1), (1, 1, -1))], [[0], [1], [2]], 3)
+    assert not squares_to_zero(_check_boundary_squares_to_zero, [[], list(lo), list(hi)])
+    assert not squares_to_zero(_check_squares_to_zero, [[], lo, hi])
+
+
+def test_boundary_columns_add_terms_on_one_row():
+    # no built complex puts two terms of a state on one row; a column read
+    # through the view is the sum of its terms all the same
+    bd = discrete_config.Boundary([((0, 0, 1), (0, 1, -1), (0, 0, 1), (0, 1, 1))], [[0], [1]], 2)
+    assert bd[0] == {0: 2}
+    assert list(bd) == [{0: 2}]
+
+
+def top_state(c, d: int) -> int:
+    """A state of degree d whose terms all lead to lower states with terms."""
+    hi, lo = c.boundaries[d], c.boundaries[d - 1]
+    return next(
+        s for s, terms in enumerate(hi.terms) if terms and all(lo.terms[q] for q, _, _ in terms)
+    )
+
+
+def flip_sign(c, d):
+    terms = c.boundaries[d].terms
+    s = top_state(c, d)
+    (q, e, sign), *rest = terms[s]
+    terms[s] = ((q, e, -sign), *rest)
+
+
+def swap_edge(c, d):
+    terms, n_edges = c.boundaries[d].terms, len(c.boundaries[d].up)
+    s = top_state(c, d)
+    (q, e, sign), *rest = terms[s]
+    terms[s] = ((q, (e + 1) % n_edges, sign), *rest)
+
+
+def drop_term(c, d):
+    terms = c.boundaries[d].terms
+    s = top_state(c, d)
+    terms[s] = terms[s][1:]
+
+
+def break_commuting(c, d):
+    # one degree down, the monomial that a column of degree d reaches
+    # through edge b trades its rank times another edge a with a neighbour,
+    # so the path through b then a and the one through a then b part
+    hi, lo = c.boundaries[d], c.boundaries[d - 1]
+    q, b, _ = hi.terms[top_state(c, d)][0]
+    a = next(e for _, e, _ in lo.terms[q] if e != b)
+    x = hi.up[b][0]
+    y = x + 1 if x + 1 < len(lo.up[a]) else x - 1
+    lo.up[a][x], lo.up[a][y] = lo.up[a][y], lo.up[a][x]
+
+
+MUTANT_CASES = (
+    (theta(), 3),
+    (theta(), 4),
+    (hgraph(), 3),
+    (hgraph(), 4),
+    (spider(), 3),
+    (LOOPS_AND_MULTI_EDGES[2], 3),
+)
+
+
+def test_factored_square_check_rejects_mutants():
+    for g, k in MUTANT_CASES:
+        for d in range(2, build_complex(g, k).dimension + 1):
+            for mutate in (flip_sign, swap_edge, drop_term, break_commuting):
+                c = build_complex(g, k)
+                mutate(c, d)
+                assert verdicts(c) == (False, False), (mutate.__name__, g, k, d)
+
+
+def test_factored_square_check_matches_dict_columns_on_random_mutants():
+    # the factored check raises exactly when the dict-column check on the
+    # columns read through the view does, also on factors no builder makes
+    rng = random.Random(20261019)
+    outcomes = set()
+    for _ in range(400):
+        g, k = rng.choice(MUTANT_CASES)
+        c = build_complex(g, k)
+        d = rng.randrange(2, c.dimension + 1)
+        for _ in range(rng.randint(1, 2)):
+            bd = c.boundaries[rng.choice((d, d - 1)) if d > 2 else d]
+            kind = rng.randrange(4)
+            if kind == 3:
+                e = rng.randrange(len(bd.up))
+                x, y = rng.randrange(len(bd.up[e])), rng.randrange(len(bd.up[e]))
+                bd.up[e][x], bd.up[e][y] = bd.up[e][y], bd.up[e][x]
+                continue
+            s = rng.randrange(len(bd.terms))
+            terms = list(bd.terms[s])
+            if not terms:
+                continue
+            i = rng.randrange(len(terms))
+            q, e, sign = terms[i]
+            if kind == 0:
+                terms[i] = (q, e, -sign)
+            elif kind == 1:
+                terms[i] = (q, rng.randrange(len(bd.up)), sign)
+            else:
+                del terms[i]
+            bd.terms[s] = tuple(terms)
+        got, want = verdicts(c)
+        assert got == want, (g, k, d)
+        outcomes.add(got)
+    assert outcomes == {True, False}
 
 
 # -- agreement with the Abrams complex ----------------------------------------------
@@ -323,13 +516,14 @@ def test_matches_abrams_oracle_on_bundled_graphs():
     cases += [("star3", 4), ("theta", 4), ("hgraph", 4)]
     for name, k in cases:
         g = load_bundled(name)
-        assert nonvanishing_check(g, k).betti.betti == betti(abrams_model(g, k)).betti, (name, k)
+        want = dict_betti(abrams_model(g, k)).betti
+        assert nonvanishing_check(g, k).betti.betti == want, (name, k)
 
 
 def test_matches_abrams_oracle_on_loops_and_multi_edges():
     for g in LOOPS_AND_MULTI_EDGES:
         for k in (1, 2, 3):
-            assert nonvanishing_check(g, k).betti.betti == betti(abrams_model(g, k)).betti
+            assert nonvanishing_check(g, k).betti.betti == dict_betti(abrams_model(g, k)).betti
 
 
 def test_no_essential_vertex_reports_degrees_zero_to_k():
@@ -337,8 +531,8 @@ def test_no_essential_vertex_reports_degrees_zero_to_k():
     # path (1, 0, 0) and the circle (1, 1) at k=3; the report now always has
     # length k+1, and the trimmed vectors agree
     path, circle = path_graph(3), cycle_graph(4)
-    assert betti(abrams_model(path, 3)).betti == (1, 0, 0)
-    assert betti(abrams_model(circle, 3)).betti == (1, 1)
+    assert dict_betti(abrams_model(path, 3)).betti == (1, 0, 0)
+    assert dict_betti(abrams_model(circle, 3)).betti == (1, 1)
     assert nonvanishing_check(path, 3).betti.betti == (1, 0, 0, 0)
     assert nonvanishing_check(circle, 3).betti.betti == (1, 1, 0, 0)
 
@@ -418,6 +612,14 @@ def test_nonvanishing_budget_exceeded_is_reported():
     assert rep.status == "verified" and sum(rep.cell_counts) == 79
 
 
+def test_nonvanishing_rejects_disconnected():
+    # before the particle count or the budget is looked at
+    g = Graph(("a", "b", "c", "d"), (("a", "b"), ("c", "d")))
+    for k, budget in ((0, 10**6), (2, 10**6), (2, 1)):
+        with pytest.raises(HypothesisError, match="connected"):
+            nonvanishing_check(g, k, budget)
+
+
 def test_nonvanishing_rejects_sinks():
     g = theta()
     with pytest.raises(HypothesisError):
@@ -432,13 +634,14 @@ def test_euler_characteristic_matches_gal_on_bundled_graphs():
             rep = nonvanishing_check(g, k)
             chi = sum((-1) ** d * b for d, b in enumerate(rep.betti.betti))
             assert rep.status == "verified"
-            assert chi == _gal_euler_characteristic(g, k), (name, k)
+            valences = [len(hs) for hs in half_edges(g).values()]
+            assert chi == _gal_euler_characteristic(valences, g.n_edges, k), (name, k)
 
 
 def test_euler_characteristic_mismatch_raises(monkeypatch):
     real = discrete_config._gal_euler_characteristic
     monkeypatch.setattr(
-        discrete_config, "_gal_euler_characteristic", lambda g, k: real(g, k) + 1
+        discrete_config, "_gal_euler_characteristic", lambda *args: real(*args) + 1
     )
     with pytest.raises(AssertionError, match="Gal"):
         nonvanishing_check(theta(), 3)
