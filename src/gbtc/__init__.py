@@ -20,7 +20,6 @@ from .free_groups import (
     commutator,
     concat,
     contains,
-    disjoint_conjugates,
     disjoint_conjugates_bruteforce,
     generator,
     identity,

@@ -156,15 +156,16 @@ def _verify_lemma_rows(max_n: int) -> list[dict]:
         psi = local_graphs.star_projection_hom(n)
         ok = ok and free_groups.restriction_injective(psi, h0)
         ok = ok and all(free_groups.apply_hom(psi, w).is_identity for w in h1)
-        search = free_groups.disjoint_conjugates_bruteforce(h0, h1, rank, 4)
+        search = free_groups.disjoint_conjugates_bruteforce(a, b, 4)
         ok = ok and not search.found_violation
         row(f"star commutator subgroups have disjoint conjugates (n={n})", ok)
 
     h0 = local_graphs.trivalent_product_subgroups(0)
     h1 = local_graphs.trivalent_product_subgroups(1)
-    ok = free_groups.disjoint_conjugates(h0, h1, 3)
-    for a, pair in ((0, (h0, h1)), (1, (h1, h0))):
-        psi = local_graphs.trivalent_collapse_hom(a)
+    a, b = free_groups.stallings_core(3, h0), free_groups.stallings_core(3, h1)
+    ok = free_groups.is_forest(free_groups.pullback(a, b))
+    for side, pair in ((0, (h0, h1)), (1, (h1, h0))):
+        psi = local_graphs.trivalent_collapse_hom(side)
         ok = ok and free_groups.restriction_injective(psi, pair[0])
         ok = ok and all(free_groups.apply_hom(psi, w).is_identity for w in pair[1])
     lam = local_graphs.build_lambda(
@@ -185,13 +186,12 @@ def _verify_lemma_rows(max_n: int) -> list[dict]:
         psi = free_groups.FreeHom(rank, keep, tuple(images))
         h0 = [_random_word(rng, rank, 1, keep) for _ in range(rng.choice((1, 2)))]
         h1 = [_random_word(rng, rank, keep + 1, rank) for _ in range(rng.choice((1, 2)))]
-        h0 = [w for w in h0 if not w.is_identity]
-        h1 = [w for w in h1 if not w.is_identity]
         applies = free_groups.restriction_injective(psi, h0) and all(
             free_groups.apply_hom(psi, w).is_identity for w in h1
         )
-        if applies and not free_groups.disjoint_conjugates(h0, h1, rank):
-            agree = False
+        if applies:
+            a, b = free_groups.stallings_core(rank, h0), free_groups.stallings_core(rank, h1)
+            agree = agree and free_groups.is_forest(free_groups.pullback(a, b))
     row("kernel criterion verdicts match the fiber-product decision", agree)
 
     ok = True

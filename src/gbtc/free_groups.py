@@ -353,10 +353,8 @@ def restriction_injective(f: FreeHom, subgroup_gens) -> bool:
 def is_isomorphism(f: FreeHom) -> bool:
     if f.domain_rank != f.codomain_rank:
         return False
-    gens = [generator(f.domain_rank, i + 1) for i in range(f.domain_rank)]
-    if not restriction_injective(f, gens):
-        return False
-    # onto: the generator images fold to the bouquet of every codomain generator
+    # onto: the generator images fold to the bouquet of every codomain
+    # generator, of rank n, the domain rank, so f is injective too
     core = stallings_core(f.codomain_rank, f.images)
     return core.n_states == 1 and len(core.arcs) == f.codomain_rank
 
@@ -488,18 +486,6 @@ def is_forest(p: PullbackGraph) -> bool:
     return True
 
 
-def disjoint_conjugates(h0, h1, rank: int) -> bool:
-    """Do the subgroups generated by h0 and h1 have disjoint conjugates?
-
-    True iff every conjugate of the first meets the second trivially, decided
-    by acyclicity of the fiber product of the two core automata.  A trivial
-    side makes the condition vacuous.
-    """
-    a = stallings_core(rank, h0)
-    b = stallings_core(rank, h1)
-    return is_forest(pullback(a, b))
-
-
 class ConjugacySearch(Record):
     """Outcome of the exhaustive conjugator search.
 
@@ -519,9 +505,9 @@ class ConjugacySearch(Record):
         return self.violation is not None
 
 
-def disjoint_conjugates_bruteforce(h0, h1, rank: int, max_len: int) -> ConjugacySearch:
-    """Independent oracle: search all conjugators g and subgroup elements h
-    up to the given word length for g h g^-1 landing in the second subgroup.
+def disjoint_conjugates_bruteforce(a, b, max_len: int) -> ConjugacySearch:
+    """Independent oracle on two cores: search all conjugators g and elements
+    h of the first subgroup up to the given length for g h g^-1 in the second.
 
     For each h in :func:`subgroup_elements_up_to` order, the reduced
     conjugators g are visited depth first, outermost letter first, and the
@@ -540,12 +526,12 @@ def disjoint_conjugates_bruteforce(h0, h1, rank: int, max_len: int) -> Conjugacy
     witness.  Nodes reached through a cancellation keep their explicit word.
     The oracle calls neither :func:`pullback` nor :func:`is_forest`.
     """
+    if a.rank != b.rank:
+        raise ValueError("rank context mismatch")
     if max_len < 1:
         raise ValueError("max_len must be at least 1")
-    a = stallings_core(rank, h0)
-    b = stallings_core(rank, h1)
+    rank = offset = a.rank
     tab = b.transition_table()
-    offset = rank
     letters = sorted((l for l in range(-rank, rank + 1) if l != 0), key=_label_key)
 
     def trace(cur: int, word: tuple[int, ...]) -> int:

@@ -101,9 +101,13 @@ class Graph(Record):
             for x in e:
                 if x not in seen:
                     raise GraphFormatError(f"edge endpoint {x!r} is not a declared vertex")
+        sinks = set()
         for s in self.sinks:
             if s not in seen:
                 raise GraphFormatError(f"sink {s!r} is not a declared vertex")
+            if s in sinks:
+                raise GraphFormatError(f"duplicate sink id {s!r}")
+            sinks.add(s)
 
     @property
     def n_vertices(self) -> int:
@@ -146,7 +150,11 @@ def graph_from_data(data: dict) -> Graph:
 
 def load_graph(path: str) -> Graph:
     with open(path, encoding="utf-8") as fh:
-        return graph_from_data(json.load(fh))
+        try:
+            data = json.load(fh)
+        except RecursionError:
+            raise GraphFormatError("graph JSON is nested too deeply") from None
+    return graph_from_data(data)
 
 
 def half_edges(g: Graph) -> dict[str, list[int]]:

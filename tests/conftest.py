@@ -11,7 +11,7 @@ import itertools
 
 from gbtc.corpus import BUNDLED, load_bundled
 from gbtc.discrete_config import BettiVector
-from gbtc.free_groups import FreeHom, FreeWord, generator
+from gbtc.free_groups import FreeHom, FreeWord, generator, is_forest, pullback, stallings_core
 from gbtc.graph_core import Graph, VertexClassification, classify
 from gbtc.local_graphs import EquivRelation, build_lambda, free_basis, word_of_path
 from gbtc.tc_bounds import BoundQuery
@@ -190,6 +190,13 @@ def upper_bound(q: BoundQuery) -> int:
 
 def identity_hom(rank: int) -> FreeHom:
     return FreeHom(rank, rank, tuple(generator(rank, i + 1) for i in range(rank)))
+
+
+def cores_disjoint(h0, h1, rank: int) -> bool:
+    """Do the subgroups that h0 and h1 generate have disjoint conjugates?
+    Decided as the library's callers do: fold each side once, then ask
+    whether the fiber product of the two cores is a forest."""
+    return is_forest(pullback(stallings_core(rank, h0), stallings_core(rank, h1)))
 
 
 def gamma_loop_words(n: int) -> list[FreeWord]:

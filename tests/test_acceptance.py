@@ -19,11 +19,12 @@ from gbtc.free_groups import (
     apply_hom,
     concat,
     contains,
-    disjoint_conjugates,
     disjoint_conjugates_bruteforce,
     generator,
     identity,
     inverse,
+    is_forest,
+    pullback,
     restriction_injective,
     stallings_core,
 )
@@ -54,10 +55,11 @@ def test_criterion_1_star_commutator_disjointness():
         h0 = star_commutator_subgroups(n, 0)
         h1 = star_commutator_subgroups(n, 1)
         t0 = time.perf_counter()
-        disjoint = disjoint_conjugates(h0, h1, rank)
+        a, b = stallings_core(rank, h0), stallings_core(rank, h1)
+        disjoint = is_forest(pullback(a, b))
         dt = time.perf_counter() - t0
         ok = ok and disjoint and dt < 1.0
-        search = disjoint_conjugates_bruteforce(h0, h1, rank, 6)
+        search = disjoint_conjugates_bruteforce(a, b, 6)
         ok = ok and not search.found_violation
         details.append(f"n={n}: disjoint in {dt * 1000:.1f}ms, oracle(6) clean")
     report(1, ok, "; ".join(details))
@@ -67,7 +69,7 @@ def test_criterion_2_trivalent_product_disjointness():
     t0 = time.perf_counter()
     h0 = trivalent_product_subgroups(0)
     h1 = trivalent_product_subgroups(1)
-    disjoint = disjoint_conjugates(h0, h1, 3)
+    disjoint = is_forest(pullback(stallings_core(3, h0), stallings_core(3, h1)))
     inj = []
     for a, (keep, kill) in ((0, (h0, h1)), (1, (h1, h0))):
         psi = trivalent_collapse_hom(a)
@@ -122,7 +124,8 @@ def test_criterion_3_kernel_criterion_and_oracle_consistency():
     kernel_applied = 0
     oracle_violations = 0
     for rank, h0, h1, psi in instances:
-        decided = disjoint_conjugates(h0, h1, rank)
+        a, b = stallings_core(rank, h0), stallings_core(rank, h1)
+        decided = is_forest(pullback(a, b))
         if psi is not None:
             applies = restriction_injective(psi, h0) and all(
                 apply_hom(psi, x).is_identity for x in h1
@@ -130,13 +133,13 @@ def test_criterion_3_kernel_criterion_and_oracle_consistency():
             if applies:
                 kernel_applied += 1
                 assert decided is True, "kernel criterion disagrees with the fiber product"
-        search = disjoint_conjugates_bruteforce(h0, h1, rank, 5)
+        search = disjoint_conjugates_bruteforce(a, b, 5)
         if search.found_violation:
             oracle_violations += 1
             g, h = search.violation
             assert decided is False, "oracle violation but fiber product says disjoint"
-            assert contains(stallings_core(rank, h0), h)
-            assert contains(stallings_core(rank, h1), concat(g, h, inverse(g)))
+            assert contains(a, h)
+            assert contains(b, concat(g, h, inverse(g)))
     dt = time.perf_counter() - t0
     ok = dt < 60.0 and kernel_applied >= 100 and oracle_violations >= 50
     report(

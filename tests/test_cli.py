@@ -3,15 +3,18 @@ package names the benchmark calls."""
 
 from __future__ import annotations
 
+import hashlib
 import json
 import os
 import subprocess
 import sys
 
+import pytest
+
 import gbtc
 import swiatkowski_oracle
 from gbtc import discrete_config, free_groups, graph_core
-from gbtc.cli import main
+from gbtc.cli import _verify_lemma_rows, main
 from gbtc.corpus import BUNDLED, load_bundled
 
 DATA = os.path.join(os.path.dirname(__file__), "..", "src", "gbtc", "data")
@@ -67,6 +70,16 @@ def test_bad_json_exits_one(capsys, tmp_path):
     bad.write_text("not json at all")
     code, _ = run(capsys, "classify", str(bad))
     assert code == 1
+
+
+def test_deeply_nested_json_exits_one_without_traceback(capsys, tmp_path):
+    # 10 KB of nested arrays overflow the json decoder's recursion limit
+    deep = tmp_path / "deep.json"
+    deep.write_text("[" * 5000 + "]" * 5000)
+    code = main(["classify", str(deep)])
+    cap = capsys.readouterr()
+    assert code == 1 and cap.out == ""
+    assert cap.err.splitlines() == ["error: graph JSON is nested too deeply"]
 
 
 def test_bound_theta(capsys):
@@ -274,6 +287,42 @@ def test_verify_lemmas_passes(capsys):
     assert code == 0
     rows = json.loads(out)
     assert rows and all(r["ok"] for r in rows)
+
+
+@pytest.mark.parametrize(
+    "n, digest",
+    [
+        ("4", "e78f5df85a6cb720819b40ca1512129c77b6e485d863f5f0d1790b95cf19b9aa"),
+        ("6", "dd4ae847d7d950d81720493edf8ccff34070bd1f65eb8d4b5f8ce97dcd6aef7f"),
+        ("12", "8f96f040181c55e7e8ddad4db69a48d29bb67a36e417f6665a8221d9eb0ad521"),
+        ("64", "17768af7ea31c61fdf2d50ad97c5bd269083ec2fc11d529bda422d7858e94136"),
+    ],
+)
+def test_verify_lemmas_stdout_is_pinned(capsys, n, digest):
+    # SHA-256 of the stdout bytes from before the free-group checks took
+    # cores; how the rows fold their subgroups must not change what they say
+    code, out = run(capsys, "verify-lemmas", "--n", n)
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
+def test_verify_lemmas_stallings_core_calls(monkeypatch):
+    # per row at n=6: the three star rows fold 4 each (two cores, plus the
+    # source and image cores of restriction_injective), the trivalent row 6,
+    # the 60 kernel samples 4 each, the 12 split models 2 each and the 20
+    # isomorphisms 1 each; it was 348 when the oracle and the disjointness
+    # check refolded cores the rows had built
+    calls = []
+    fold = free_groups.stallings_core
+
+    def counted(rank, gens):
+        calls.append(rank)
+        return fold(rank, gens)
+
+    monkeypatch.setattr(free_groups, "stallings_core", counted)
+    rows = _verify_lemma_rows(6)
+    assert all(r["ok"] for r in rows)
+    assert len(calls) == 3 * 4 + 6 + 60 * 4 + 12 * 2 + 20 * 1 == 302
 
 
 def test_verify_lemmas_refuses_n_over_the_limit(capsys):

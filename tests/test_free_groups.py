@@ -8,7 +8,7 @@ from collections import Counter
 
 import pytest
 
-from conftest import identity_hom
+from conftest import cores_disjoint, identity_hom
 from conjugator_oracle import disjoint_conjugates_bruteforce as reference_bruteforce
 from stallings_oracle import stallings_core as reference_core
 from gbtc.free_groups import (
@@ -19,7 +19,6 @@ from gbtc.free_groups import (
     commutator,
     concat,
     contains,
-    disjoint_conjugates,
     disjoint_conjugates_bruteforce,
     generator,
     identity,
@@ -616,16 +615,20 @@ def test_is_forest_with_a_trivial_side():
 def test_disjoint_conjugates_of_paper_pairs():
     c12 = commutator(generator(3, 1), generator(3, 2))
     c23 = commutator(generator(3, 2), generator(3, 3))
-    assert disjoint_conjugates([c12], [c23], 3) is True
-    assert disjoint_conjugates([w(3, 1, 3)], [w(3, 2, 3)], 3) is True
+    a, b = stallings_core(3, [c12]), stallings_core(3, [c23])
+    assert is_forest(pullback(a, b)) is True
+    a, b = stallings_core(3, [w(3, 1, 3)]), stallings_core(3, [w(3, 2, 3)])
+    assert is_forest(pullback(a, b)) is True
 
 
 def test_disjoint_conjugates_same_cyclic_subgroup():
-    assert disjoint_conjugates([generator(2, 1)], [generator(2, 1)], 2) is False
+    a = stallings_core(2, [generator(2, 1)])
+    assert is_forest(pullback(a, a)) is False
 
 
 def test_disjoint_conjugates_conjugate_subgroups():
-    assert disjoint_conjugates([w(2, 1, 2, -1)], [generator(2, 2)], 2) is False
+    a, b = stallings_core(2, [w(2, 1, 2, -1)]), stallings_core(2, [generator(2, 2)])
+    assert is_forest(pullback(a, b)) is False
 
 
 def test_disjoint_conjugates_symmetric():
@@ -634,29 +637,39 @@ def test_disjoint_conjugates_symmetric():
         rank = rng.choice((2, 3))
         h0 = [random_reduced(rng, rank, 4) for _ in range(rng.randrange(1, 3))]
         h1 = [random_reduced(rng, rank, 4) for _ in range(rng.randrange(1, 3))]
-        assert disjoint_conjugates(h0, h1, rank) == disjoint_conjugates(h1, h0, rank)
+        a, b = stallings_core(rank, h0), stallings_core(rank, h1)
+        assert is_forest(pullback(a, b)) == is_forest(pullback(b, a))
 
 
 def test_disjoint_conjugates_trivial_side_is_vacuous():
-    assert disjoint_conjugates([], [generator(2, 1)], 2) is True
-    assert disjoint_conjugates([generator(2, 1)], [], 2) is True
+    trivial, a = stallings_core(2, []), stallings_core(2, [generator(2, 1)])
+    assert is_forest(pullback(trivial, a)) is True
+    assert is_forest(pullback(a, trivial)) is True
 
 
 # -- brute force oracle -------------------------------------------------------
 
 
 def test_bruteforce_finds_identity_conjugator():
-    res = disjoint_conjugates_bruteforce([generator(2, 1)], [generator(2, 1)], 2, 2)
+    a = stallings_core(2, [generator(2, 1)])
+    res = disjoint_conjugates_bruteforce(a, a, 2)
     assert res.found_violation
     g, h = res.violation
     assert g.is_identity and h == generator(2, 1)
 
 
 def test_bruteforce_finds_conjugator():
-    res = disjoint_conjugates_bruteforce([w(2, 1, 2, -1)], [generator(2, 2)], 2, 3)
+    a, b = stallings_core(2, [w(2, 1, 2, -1)]), stallings_core(2, [generator(2, 2)])
+    res = disjoint_conjugates_bruteforce(a, b, 3)
     assert res.found_violation
     g, h = res.violation
     assert g == w(2, -1)
+
+
+def test_bruteforce_rejects_cores_of_different_rank():
+    a, b = stallings_core(2, [generator(2, 1)]), stallings_core(3, [generator(3, 1)])
+    with pytest.raises(ValueError, match="rank"):
+        disjoint_conjugates_bruteforce(a, b, 2)
 
 
 def test_bruteforce_matches_reference_enumeration():
@@ -676,8 +689,10 @@ def test_bruteforce_matches_reference_enumeration():
         h0, h1 = star_commutator_subgroups(n, 0), star_commutator_subgroups(n, 1)
         cases += [(h0, h1, n - 1, 4), (h0, h0, n - 1, 4)]
     long_witnesses = 0
+    assert len(cases) == 306
     for h0, h1, rank, max_len in cases:
-        res = disjoint_conjugates_bruteforce(h0, h1, rank, max_len)
+        a, b = stallings_core(rank, h0), stallings_core(rank, h1)
+        res = disjoint_conjugates_bruteforce(a, b, max_len)
         assert res == reference_bruteforce(h0, h1, rank, max_len)
         long_witnesses += res.found_violation and len(res.violation[0]) >= 2
     assert long_witnesses >= 20
@@ -686,7 +701,7 @@ def test_bruteforce_matches_reference_enumeration():
 def test_bruteforce_no_violation_for_commutators():
     c12 = commutator(generator(3, 1), generator(3, 2))
     c23 = commutator(generator(3, 2), generator(3, 3))
-    res = disjoint_conjugates_bruteforce([c12], [c23], 3, 6)
+    res = disjoint_conjugates_bruteforce(stallings_core(3, [c12]), stallings_core(3, [c23]), 6)
     assert not res.found_violation
 
 
@@ -696,13 +711,14 @@ def test_bruteforce_witnesses_are_genuine():
         rank = rng.choice((2, 3))
         h0 = [random_reduced(rng, rank, 3)]
         h1 = [random_reduced(rng, rank, 3)]
-        res = disjoint_conjugates_bruteforce(h0, h1, rank, 4)
+        a, b = stallings_core(rank, h0), stallings_core(rank, h1)
+        res = disjoint_conjugates_bruteforce(a, b, 4)
         if res.found_violation:
             g, h = res.violation
             assert not h.is_identity
-            assert contains(stallings_core(rank, h0), h)
-            assert contains(stallings_core(rank, h1), concat(g, h, inverse(g)))
-            assert disjoint_conjugates(h0, h1, rank) is False
+            assert contains(a, h)
+            assert contains(b, concat(g, h, inverse(g)))
+            assert is_forest(pullback(a, b)) is False
 
 
 def test_pullback_true_never_contradicted_by_oracle():
@@ -711,8 +727,9 @@ def test_pullback_true_never_contradicted_by_oracle():
         rank = 2
         h0 = [random_reduced(rng, rank, 4)]
         h1 = [random_reduced(rng, rank, 4)]
-        if disjoint_conjugates(h0, h1, rank):
-            res = disjoint_conjugates_bruteforce(h0, h1, rank, 4)
+        a, b = stallings_core(rank, h0), stallings_core(rank, h1)
+        if is_forest(pullback(a, b)):
+            res = disjoint_conjugates_bruteforce(a, b, 4)
             assert not res.found_violation
 
 
@@ -734,9 +751,9 @@ def test_injective_image_disjointness_pulls_back():
             continue
         im0 = [apply_hom(psi, x) for x in h0]
         im1 = [apply_hom(psi, x) for x in h1]
-        if disjoint_conjugates(im0, im1, 3):
+        if cores_disjoint(im0, im1, 3):
             checked += 1
-            assert disjoint_conjugates(h0, h1, rank) is True
+            assert cores_disjoint(h0, h1, rank) is True
     assert checked > 10
 
 
@@ -751,11 +768,11 @@ def test_split_injection_preserves_disjointness():
         incl = FreeHom(m, n, tuple(generator(n, i + 1) for i in range(m)))
         h0 = [random_reduced(rng, m, 4)]
         h1 = [random_reduced(rng, m, 4)]
-        if disjoint_conjugates(h0, h1, m):
+        if cores_disjoint(h0, h1, m):
             checked += 1
             im0 = [apply_hom(incl, x) for x in h0]
             im1 = [apply_hom(incl, x) for x in h1]
-            assert disjoint_conjugates(im0, im1, n) is True
+            assert cores_disjoint(im0, im1, n) is True
     assert checked > 10
 
 
@@ -778,7 +795,7 @@ def test_kernel_criterion_implies_pullback_disjointness():
         if not all(apply_hom(psi, x).is_identity for x in h1):
             continue
         checked += 1
-        assert disjoint_conjugates(h0, h1, rank) is True
+        assert cores_disjoint(h0, h1, rank) is True
     assert checked > 50
 
 

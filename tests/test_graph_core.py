@@ -92,6 +92,17 @@ def test_graph_rejects_bad_sink():
         Graph(("a",), (), sinks=("b",))
 
 
+def test_graph_rejects_duplicate_vertex():
+    with pytest.raises(GraphFormatError, match="duplicate vertex id 'a'"):
+        Graph(("a", "a"), ())
+
+
+def test_graph_rejects_duplicate_sink():
+    # rejected rather than read as one sink, as duplicate vertices are
+    with pytest.raises(GraphFormatError, match="duplicate sink id 'a'"):
+        Graph(("a", "b"), (("a", "b"),), sinks=("a", "b", "a"))
+
+
 def test_normalize_theta():
     g = normalize(theta())
     assert g.n_vertices == 5

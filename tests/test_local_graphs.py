@@ -8,6 +8,7 @@ import pytest
 
 from abrams_oracle import normalize
 from conftest import (
+    cores_disjoint,
     gamma_loop_words,
     gamma_to_tree_hom,
     hgraph,
@@ -20,10 +21,11 @@ from gbtc.free_groups import (
     apply_hom,
     commutator,
     concat,
-    disjoint_conjugates,
     disjoint_conjugates_bruteforce,
     generator,
+    is_forest,
     is_isomorphism,
+    pullback,
     restriction_injective,
     stallings_core,
     subgroup_rank,
@@ -313,10 +315,10 @@ def test_star_commutator_subgroups_disjoint_and_cyclic():
     for n in (4, 5, 6):
         h0 = star_commutator_subgroups(n, 0)
         h1 = star_commutator_subgroups(n, 1)
-        rank = n - 1
-        assert disjoint_conjugates(h0, h1, rank)
-        assert subgroup_rank(stallings_core(rank, h0)) == 1
-        assert subgroup_rank(stallings_core(rank, h1)) == 1
+        a, b = stallings_core(n - 1, h0), stallings_core(n - 1, h1)
+        assert is_forest(pullback(a, b))
+        assert subgroup_rank(a) == 1
+        assert subgroup_rank(b) == 1
 
 
 def test_star_projection_certifies_disjointness():
@@ -335,7 +337,7 @@ def test_star_commutators_in_tree_basis_still_disjoint():
         hom = gamma_to_tree_hom(n)
         h0 = [apply_hom(hom, x) for x in star_commutator_subgroups(n, 0)]
         h1 = [apply_hom(hom, x) for x in star_commutator_subgroups(n, 1)]
-        assert disjoint_conjugates(h0, h1, n - 1)
+        assert cores_disjoint(h0, h1, n - 1)
 
 
 def test_trivalent_product_subgroups_shape():
@@ -348,8 +350,9 @@ def test_trivalent_product_subgroups_shape():
 def test_trivalent_product_subgroups_disjoint():
     h0 = trivalent_product_subgroups(0)
     h1 = trivalent_product_subgroups(1)
-    assert disjoint_conjugates(h0, h1, 3)
-    assert not disjoint_conjugates_bruteforce(h0, h1, 3, 5).found_violation
+    a, b = stallings_core(3, h0), stallings_core(3, h1)
+    assert is_forest(pullback(a, b))
+    assert not disjoint_conjugates_bruteforce(a, b, 5).found_violation
 
 
 def test_trivalent_collapse_homs_certify_both_sides():
@@ -366,7 +369,7 @@ def test_trivalent_disjointness_stable_under_label_permutations():
     for perm in itertools.permutations((1, 2, 3)):
         h0 = [concat(generator(3, perm[0]), generator(3, perm[2]))]
         h1 = [concat(generator(3, perm[1]), generator(3, perm[2]))]
-        assert disjoint_conjugates(h0, h1, 3)
+        assert cores_disjoint(h0, h1, 3)
 
 
 def test_trivalent_model_has_rank_three():
