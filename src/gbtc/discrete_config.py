@@ -43,7 +43,7 @@ import itertools
 from collections.abc import Iterable, Sequence, Set
 from math import comb, gcd
 
-from .graph_core import Graph, HypothesisError, Record, _connected, half_edges
+from .graph_core import Graph, HypothesisError, Record, is_connected
 
 DEFAULT_CELL_BUDGET = 1_000_000
 
@@ -52,9 +52,9 @@ class CellBudgetError(RuntimeError):
     """The complex would exceed the configured generator budget."""
 
 
-def _smooth(g: Graph, at: dict[str, list[int]]) -> tuple[list[list[int]], int]:
-    """Half-edges of g, given as ``at`` by :func:`half_edges`, with the
-    bivalent vertices smoothed away; ``at`` is left as it was.
+def _smooth(g: Graph) -> tuple[list[list[int]], int]:
+    """``g.half_edges`` with the bivalent vertices smoothed away; the
+    graph's own table is left as it was.
 
     Returns one list per remaining vertex, in input order, of the edge index
     of each half-edge there (a self-loop is listed twice), and the number of
@@ -62,7 +62,7 @@ def _smooth(g: Graph, at: dict[str, list[int]]) -> tuple[list[list[int]], int]:
     """
     vid = {v: i for i, v in enumerate(g.vertices)}
     ends = [[vid[u], vid[w]] for u, w in g.edges]
-    at = [list(hs) for hs in at.values()]  # a copy, rewritten below
+    at = [list(hs) for hs in g.half_edges.values()]  # a copy, rewritten below
     alive = [True] * len(ends)
     for v, hs in enumerate(at):
         if len(hs) != 2 or hs[0] == hs[1]:
@@ -222,11 +222,9 @@ class ChainComplex(Record):
     list for d = 0): ``boundaries[d][j]`` is the column of generator j of
     degree d, a fresh ``{row: coefficient}`` dict over the generators of
     degree d - 1.  Boundary of boundary vanishing is checked at build.
-    Unlike the other records it is mutable, and so unhashable."""
+    Its fields hold lists, so it is unhashable."""
 
     __slots__ = ("graph", "k", "cells", "boundaries")
-    __setattr__ = object.__setattr__
-    __delattr__ = object.__delattr__
     __hash__ = None
 
     def __init__(
@@ -259,10 +257,9 @@ def build_complex(g: Graph, k: int, budget: int = DEFAULT_CELL_BUDGET) -> ChainC
     """
     if k < 1:
         raise ValueError("particle count k must be at least 1")
-    at = half_edges(g)
-    if not _connected(g, at):
+    if not is_connected(g):
         raise HypothesisError("connected graph required")
-    half, n_edges = _smooth(g, at)
+    half, n_edges = _smooth(g)
     if not n_edges:
         # a point holds one particle; the reduction needs a half-edge per vertex
         return ChainComplex(g, k, [GeneratorLayer(((),) if k == 1 else (), ((),))], [[]])
@@ -515,10 +512,9 @@ def nonvanishing_check(
     """
     if g.sinks:
         raise HypothesisError("homology is computed for sink-free graphs only")
-    at = half_edges(g)
-    if not _connected(g, at):
+    if not is_connected(g):
         raise HypothesisError("connected graph required")
-    valences = [len(hs) for hs in at.values()]
+    valences = [len(hs) for hs in g.half_edges.values()]
     m = sum(val >= 3 for val in valences)  # the essential vertices
     degree = min(k // 2, m)
     try:

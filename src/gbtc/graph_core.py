@@ -3,7 +3,7 @@
 Vertices are opaque string ids.  Edges form a multiset of unordered pairs;
 self-loops and parallel edges are legal and every operation works on the
 graph as given.  The order of the edge list fixes the order of the half-edges
-at each vertex (:func:`half_edges`), and the pair order of an edge fixes its
+at each vertex (``Graph.half_edges``), and the pair order of an edge fixes its
 parametrization (tail, head).
 
 The classification of essential vertices (valence >= 4 / separating trivalent
@@ -80,8 +80,21 @@ class HypothesisError(ValueError):
     """The mathematical hypotheses of an operation are not met."""
 
 
+def _short(value) -> str:
+    """repr(value) for an error message, cut after 60 characters and marked
+    with '...' there, so a huge input cannot flood stderr."""
+    text = repr(value)
+    return text if len(text) <= 60 else text[:60] + "..."
+
+
 class Graph(Record):
-    __slots__ = ("vertices", "edges", "sinks")
+    """A validated graph.  ``half_edges`` maps each vertex id to the edge
+    indices of its half-edges, in edge-file order, a self-loop listed
+    twice; it is built here once, takes no part in equality, hashing or
+    repr, and is shared by every reader, so it must not be modified."""
+
+    __slots__ = ("vertices", "edges", "sinks", "half_edges")
+    _fields = __slots__[:-1]
 
     def __init__(
         self,
@@ -90,24 +103,26 @@ class Graph(Record):
         sinks: tuple[str, ...] = (),
     ):
         super().__init__(vertices, edges, sinks)
-        seen = set()
+        at: dict[str, list[int]] = {}
         for v in self.vertices:
-            if v in seen:
-                raise GraphFormatError(f"duplicate vertex id {v!r}")
-            seen.add(v)
-        for e in self.edges:
+            if v in at:
+                raise GraphFormatError(f"duplicate vertex id {_short(v)}")
+            at[v] = []
+        for ei, e in enumerate(self.edges):
             if len(e) != 2:
-                raise GraphFormatError(f"edge {e!r} is not a pair")
+                raise GraphFormatError(f"edge {_short(e)} is not a pair")
             for x in e:
-                if x not in seen:
-                    raise GraphFormatError(f"edge endpoint {x!r} is not a declared vertex")
+                if x not in at:
+                    raise GraphFormatError(f"edge endpoint {_short(x)} is not a declared vertex")
+                at[x].append(ei)
         sinks = set()
         for s in self.sinks:
-            if s not in seen:
-                raise GraphFormatError(f"sink {s!r} is not a declared vertex")
+            if s not in at:
+                raise GraphFormatError(f"sink {_short(s)} is not a declared vertex")
             if s in sinks:
-                raise GraphFormatError(f"duplicate sink id {s!r}")
+                raise GraphFormatError(f"duplicate sink id {_short(s)}")
             sinks.add(s)
+        object.__setattr__(self, "half_edges", {v: tuple(hs) for v, hs in at.items()})
 
     @property
     def n_vertices(self) -> int:
@@ -120,10 +135,10 @@ class Graph(Record):
 
 def _id_array(value, what: str) -> tuple[str, ...]:
     if not isinstance(value, (list, tuple)):
-        raise GraphFormatError(f"{what} must be an array, got {value!r}")
+        raise GraphFormatError(f"{what} must be an array, got {_short(value)}")
     for x in value:
         if not isinstance(x, str):
-            raise GraphFormatError(f"{what} holds {x!r}, not a string id")
+            raise GraphFormatError(f"{what} holds {_short(x)}, not a string id")
     return tuple(value)
 
 
@@ -139,11 +154,11 @@ def graph_from_data(data: dict) -> Graph:
         raise GraphFormatError("graph data needs 'vertices' and 'edges'")
     vertices = _id_array(data["vertices"], "vertices")
     if not isinstance(data["edges"], (list, tuple)):
-        raise GraphFormatError(f"edges must be an array, got {data['edges']!r}")
+        raise GraphFormatError(f"edges must be an array, got {_short(data['edges'])}")
     edges = tuple(_id_array(e, "an edge") for e in data["edges"])
     for e in edges:
         if len(e) != 2:
-            raise GraphFormatError(f"edge {list(e)!r} does not have exactly two endpoints")
+            raise GraphFormatError(f"edge {_short(list(e))} does not have exactly two endpoints")
     sinks = _id_array(data.get("sinks", []), "sinks")
     return Graph(vertices, edges, sinks)
 
@@ -157,32 +172,21 @@ def load_graph(path: str) -> Graph:
     return graph_from_data(data)
 
 
-def half_edges(g: Graph) -> dict[str, list[int]]:
-    """The edge index of each half-edge at each vertex, in edge-file order.
-
-    A self-loop gives its vertex two consecutive entries.
-    """
-    at: dict[str, list[int]] = {v: [] for v in g.vertices}
-    for ei, (u, w) in enumerate(g.edges):
-        at[u].append(ei)
-        at[w].append(ei)
-    return at
-
-
 def valence(g: Graph, v: str) -> int:
     """Number of local branches at v; a self-loop contributes 2."""
-    if v not in g.vertices:
-        raise GraphFormatError(f"unknown vertex id {v!r}")
-    return len(half_edges(g)[v])
+    hs = g.half_edges.get(v)
+    if hs is None:
+        raise GraphFormatError(f"unknown vertex id {_short(v)}")
+    return len(hs)
 
 
-def _fill(g: Graph, at: dict[str, list[int]], start: str, label: dict[str, int]) -> None:
+def _fill(g: Graph, start: str, label: dict[str, int]) -> None:
     """Give every vertex reachable from start without passing a labelled
     vertex the label of start."""
     stack = [start]
     while stack:
         x = stack.pop()
-        for ei in at[x]:
+        for ei in g.half_edges[x]:
             u, w = g.edges[ei]
             y = w if u == x else u
             if y not in label:
@@ -192,28 +196,24 @@ def _fill(g: Graph, at: dict[str, list[int]], start: str, label: dict[str, int])
 
 def is_connected(g: Graph) -> bool:
     """Exactly one component: the empty graph is not connected."""
-    return _connected(g, half_edges(g))
-
-
-def _connected(g: Graph, at: dict[str, list[int]]) -> bool:
-    """:func:`is_connected`, given the half-edges of g."""
     if not g.vertices:
         return False
     label = {g.vertices[0]: 0}
-    _fill(g, at, g.vertices[0], label)
+    _fill(g, g.vertices[0], label)
     return len(label) == g.n_vertices
 
 
-def _blocks(g: Graph, at: dict[str, list[int]], v: str) -> tuple[tuple[int, ...], ...]:
+def _blocks(g: Graph, v: str) -> tuple[tuple[int, ...], ...]:
     """Positions 0..d-1 of the half-edges at v, grouped by the component of
     g minus v at their far end; the two half-edges of a self-loop form a block
     of their own.  Blocks come out sorted by smallest member."""
+    at = g.half_edges[v]
     label: dict[str, int] = {v: -1}
     blocks: list[list[int]] = []
-    for pos, ei in enumerate(at[v]):
+    for pos, ei in enumerate(at):
         u, w = g.edges[ei]
         if u == w:
-            if pos and at[v][pos - 1] == ei:
+            if pos and at[pos - 1] == ei:
                 blocks[-1].append(pos)
             else:
                 blocks.append([pos])
@@ -222,7 +222,7 @@ def _blocks(g: Graph, at: dict[str, list[int]], v: str) -> tuple[tuple[int, ...]
         if far not in label:
             label[far] = len(blocks)
             blocks.append([])
-            _fill(g, at, far, label)
+            _fill(g, far, label)
         blocks[label[far]].append(pos)
     return tuple(tuple(b) for b in blocks)
 
@@ -264,13 +264,12 @@ def classify(g: Graph) -> VertexClassification:
     half-edges of the graph as given."""
     if not is_connected(g):
         raise HypothesisError("connected graph required")
-    at = half_edges(g)
     n0 = n1 = n2 = 0
-    for v, hs in at.items():
+    for v, hs in g.half_edges.items():
         if len(hs) >= 4:
             n0 += 1
         elif len(hs) == 3:
-            if len(_blocks(g, at, v)) > 1:
+            if len(_blocks(g, v)) > 1:
                 n1 += 1
             else:
                 n2 += 1
@@ -282,9 +281,9 @@ def components_without(g: Graph, v: str) -> tuple[tuple[int, ...], ...]:
     equivalent iff their far sides lie in the same component of the graph
     minus v, and the two ends of a self-loop form a block of their own.
 
-    Ground set is positions 0..d-1 into ``half_edges(g)[v]``; blocks are
+    Ground set is positions 0..d-1 into ``g.half_edges[v]``; blocks are
     sorted by smallest member.
     """
     if valence(g, v) < 3:
         raise HypothesisError("local relations are formed at essential vertices only")
-    return _blocks(g, half_edges(g), v)
+    return _blocks(g, v)

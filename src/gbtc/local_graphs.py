@@ -210,17 +210,16 @@ class FreeBasis(Record):
     the move sending the center particle to the sink.
     """
 
-    __slots__ = ("lam", "basepoint", "parent", "tree_edges", "gens")
+    __slots__ = ("lam", "basepoint", "parent", "gens")
 
     def __init__(
         self,
         lam: LambdaGraph,
         basepoint: int,
         parent: tuple[tuple[int, int] | None, ...],  # per vertex: (parent vertex, edge idx)
-        tree_edges: frozenset[int],
         gens: tuple[int, ...],  # non-tree edge indices, ascending
     ):
-        super().__init__(lam, basepoint, parent, tree_edges, gens)
+        super().__init__(lam, basepoint, parent, gens)
 
     @property
     def rank(self) -> int:
@@ -254,7 +253,7 @@ def free_basis(lam: LambdaGraph, basepoint: int = 0) -> FreeBasis:
                 tree.add(ei)
                 queue.append(other)
     gens = tuple(ei for ei in range(lam.n_edges) if ei not in tree)
-    return FreeBasis(lam, basepoint, tuple(parent), frozenset(tree), gens)
+    return FreeBasis(lam, basepoint, tuple(parent), gens)
 
 
 def tree_path(basis: FreeBasis, v: int) -> list[tuple[int, int]]:

@@ -24,7 +24,7 @@ from gbtc.discrete_config import (
     _graded_terms,
     _smooth,
 )
-from gbtc.graph_core import Graph, HypothesisError, half_edges, is_connected
+from gbtc.graph_core import Graph, HypothesisError, is_connected
 
 
 def build_complex(g: Graph, k: int, budget: int = DEFAULT_CELL_BUDGET) -> ChainComplex:
@@ -38,7 +38,7 @@ def build_complex(g: Graph, k: int, budget: int = DEFAULT_CELL_BUDGET) -> ChainC
         raise ValueError("particle count k must be at least 1")
     if not is_connected(g):
         raise HypothesisError("connected graph required")
-    half, n_edges = _smooth(g, half_edges(g))
+    half, n_edges = _smooth(g)
     if not n_edges:
         # a point holds one particle; the reduction needs a half-edge per vertex
         return ChainComplex(g, k, [[((), ())] if k == 1 else []], [[]])

@@ -82,6 +82,26 @@ def test_deeply_nested_json_exits_one_without_traceback(capsys, tmp_path):
     assert cap.err.splitlines() == ["error: graph JSON is nested too deeply"]
 
 
+@pytest.mark.parametrize(
+    "data",
+    [
+        {"vertices": [list(range(200_000))], "edges": []},
+        {"vertices": ["a"], "edges": [["a", "x" * 1_000_000]]},
+        {"vertices": ["a"], "edges": {"ids": list(range(100_000))}},
+    ],
+    ids=["wide-id", "long-endpoint", "edges-object"],
+)
+def test_malformed_value_is_quoted_short(capsys, tmp_path, data):
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(data))
+    code = main(["classify", str(bad)])
+    cap = capsys.readouterr()
+    assert code == 1 and cap.out == ""
+    lines = cap.err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error:")
+    assert len(cap.err.encode()) < 200, cap.err
+
+
 def test_bound_theta(capsys):
     code, out = run(capsys, "bound", datafile("theta"), "--r", "3", "--k", "4")
     assert code == 0

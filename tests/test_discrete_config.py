@@ -33,7 +33,7 @@ from gbtc.discrete_config import (
     _rank_by_union_find,
     _smooth,
 )
-from gbtc.graph_core import Graph, HypothesisError, half_edges, is_connected
+from gbtc.graph_core import Graph, HypothesisError, is_connected
 
 LOOPS_AND_MULTI_EDGES = (
     Graph(("c", "a", "b"), (("c", "c"), ("c", "a"), ("c", "b"))),
@@ -91,16 +91,18 @@ def test_sufficient_subdivision_requires_connected():
 
 def test_smoothing_keeps_loops_and_parallel_edges():
     # a bare circle becomes one vertex with a loop
-    assert _smooth(cycle_graph(5), half_edges(cycle_graph(5))) == ([[0, 0]], 1)
+    assert _smooth(cycle_graph(5)) == ([[0, 0]], 1)
     # a path becomes one edge between two leaves
-    assert _smooth(path_graph(4), half_edges(path_graph(4))) == ([[0], [0]], 1)
+    assert _smooth(path_graph(4)) == ([[0], [0]], 1)
     # theta has no bivalent vertex: three parallel edges stay
-    assert _smooth(theta(), half_edges(theta())) == ([[0, 1, 2], [0, 1, 2]], 3)
+    assert _smooth(theta()) == ([[0, 1, 2], [0, 1, 2]], 3)
     # a bivalent vertex on a double edge turns it into a loop
     g = Graph(("c", "m", "l"), (("c", "m"), ("m", "c"), ("c", "l")))
-    at = half_edges(g)
-    assert _smooth(g, at) == ([[0, 0, 1], [1]], 2)
-    assert at == half_edges(g)  # the half-edges handed in are left alone
+    table = {"c": (0, 1, 2), "m": (0, 1), "l": (2,)}
+    assert _smooth(g) == ([[0, 0, 1], [1]], 2)
+    assert g.half_edges == table  # the graph's own table is left alone
+    nonvanishing_check(g, 3)
+    assert g.half_edges == table
 
 
 def test_interval_configurations_contractible():
@@ -146,7 +148,7 @@ def test_generator_count_closed_form_matches_enumeration():
     for name in BUNDLED:
         g = load_bundled(name)
         for k in (1, 2, 3, 4):
-            half, n_edges = _smooth(g, half_edges(g))
+            half, n_edges = _smooth(g)
             counts = _graded_terms([len(hs) - 1 for hs in half], n_edges, k)
             got = model(g, k).cell_counts()
             assert counts + [0] * (k + 1 - len(counts)) == got + [0] * (k + 1 - len(got)), (name, k)
@@ -634,7 +636,7 @@ def test_euler_characteristic_matches_gal_on_bundled_graphs():
             rep = nonvanishing_check(g, k)
             chi = sum((-1) ** d * b for d, b in enumerate(rep.betti.betti))
             assert rep.status == "verified"
-            valences = [len(hs) for hs in half_edges(g).values()]
+            valences = [len(hs) for hs in g.half_edges.values()]
             assert chi == _gal_euler_characteristic(valences, g.n_edges, k), (name, k)
 
 
