@@ -337,7 +337,7 @@ def build_parser() -> argparse.ArgumentParser:
         "verdict on nonvanishing in degree min(floor(k/2), m).",
     )
     p.add_argument("graph")
-    p.add_argument("--k", type=int, required=True, help="particle count, k >= 1")
+    p.add_argument("--k", type=int, required=True, help="particle count, k >= 0")
     p.add_argument(
         "--dump-boundaries",
         metavar="PATH",

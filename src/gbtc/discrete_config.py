@@ -21,12 +21,12 @@ is stored factored the same way (:class:`Boundary`): every column of one
 vertex state has the same terms (the state with one vertex emptied, the edge
 its particle moves onto, a sign), and a row is plain arithmetic on the index
 of that lower state and the rank of the monomial times the edge.  No
-generator is hashed and nothing is stored per generator: a generator's tuple
-is spelled out when ``ChainComplex.cells`` is read, a column when
-``ChainComplex.boundaries`` is.
+generator is hashed and nothing is stored per generator: the one column
+reader, :meth:`Boundary.columns`, builds each column as it yields it, for
+the elimination and for the boundary dump.
 
-Boundary of boundary is checked on the factors, once per vertex state for
-all monomials at once (:func:`_check_squares_to_zero`).  Exactness is
+Boundary of boundary is checked on the factors alone, once per vertex state
+for all monomials at once (:func:`_check_squares_to_zero`).  Exactness is
 non-negotiable: ranks are computed over the integers, never in floating
 point.  Degrees 2 and up are reduced fraction-free, each column pivoting on
 its largest row, which on this complex creates far less fill than pivoting
@@ -40,7 +40,7 @@ components, counted by union-find straight from the factors.
 from __future__ import annotations
 
 import itertools
-from collections.abc import Iterable, Sequence, Set
+from collections.abc import Iterable, Set
 from math import comb, gcd
 
 from .graph_core import Graph, HypothesisError, Record, is_connected
@@ -98,17 +98,13 @@ def _gal_euler_characteristic(valences: Iterable[int], n_edges: int, k: int) -> 
     return sum(_graded_terms([1 - val for val in valences], n_edges, k))
 
 
-# (occupied vertices as (vertex, half-edge position) pairs, edge monomial)
-Cell = tuple[tuple[tuple[int, int], ...], tuple[int, ...]]
-
-
 class GeneratorLayer(Record):
     """The generators of one degree, in order, without spelling them out.
 
-    Generator j is ``(states[j // M], monos[j % M])`` with ``M =
-    len(monos)``: every vertex state times every edge monomial, the
-    monomial varying fastest.  Supports ``len``, indexing and iteration;
-    a generator's tuple is built only when it is read.
+    Generator j is vertex state ``states[j // M]`` times edge monomial
+    ``monos[j % M]``, with ``M = len(monos)``: every vertex state times
+    every edge monomial, the monomial varying fastest.  ``len`` counts
+    them; nothing is stored per generator.
     """
 
     __slots__ = ("states", "monos")
@@ -123,19 +119,6 @@ class GeneratorLayer(Record):
     def __len__(self) -> int:
         return len(self.states) * len(self.monos)
 
-    def __getitem__(self, j: int) -> Cell:
-        if j < 0:
-            j += len(self)
-        if not 0 <= j < len(self):
-            raise IndexError("generator index out of range")
-        q, r = divmod(j, len(self.monos))
-        return self.states[q], self.monos[r]
-
-    def __iter__(self):
-        for s in self.states:
-            for m in self.monos:
-                yield s, m
-
 
 class Boundary(Record):
     """The boundary map of one degree d >= 1, stored once per vertex state.
@@ -147,9 +130,8 @@ class Boundary(Record):
     ``stride`` the number of lower monomials.  Column j = s * M + r, with
     M = len(up[e]), holds each sign at row q * stride + up[e][r].
 
-    Supports ``len``, indexing and iteration like a list of columns; each
-    column read is a fresh ``{row: coefficient}`` dict, so nothing is kept
-    per generator.
+    :meth:`columns` is the one column reader; iterating a boundary yields
+    every column through it.
     """
 
     __slots__ = ("terms", "up", "stride")
@@ -163,27 +145,24 @@ class Boundary(Record):
     ):
         super().__init__(terms, up, stride)
 
-    def __len__(self) -> int:
-        return len(self.terms) * len(self.up[0])
-
-    def __getitem__(self, j: int) -> dict[int, int]:
-        if j < 0:
-            j += len(self)
-        if not 0 <= j < len(self):
-            raise IndexError("column index out of range")
-        s, r = divmod(j, len(self.up[0]))
-        terms = self.terms[s]
-        rows = [q * self.stride + self.up[e][r] for q, e, _ in terms]
-        return _column(rows, [sign for _, _, sign in terms])
-
     def __iter__(self):
         return self.columns()
 
     def columns(self, skip: Set[int] = frozenset()):
-        """Yield column j as a fresh dict, in order, for each j not in skip.
+        """Yield column j as a fresh ``{row: sign}`` dict, in order, for
+        each j not in skip.
 
         Each row number is one int object, shared by every column that
         holds it, so dict lookups between columns match keys by identity.
+
+        Raises :class:`AssertionError` if two terms of a state land on one
+        row of a column, which no built complex does.  Within a state the
+        (q, e) pairs of the terms are distinct: emptying different occupied
+        vertices leaves different lower states, and one vertex gives the two
+        terms e != e0 (a loop's e == e0 gives none).  Terms with different q
+        fall in different blocks of ``stride`` rows, and for a fixed r,
+        distinct edges give distinct ranks ``up[e][r]``, because m * e =
+        m * e' forces e = e'.
         """
         width, stride = len(self.up[0]), self.stride
         below: dict[int, list[int]] = {}  # below[q]: the rows of lower state q
@@ -197,32 +176,22 @@ class Boundary(Record):
             signs = [sign for _, _, sign in terms]
             for j, col in enumerate(zip(*rows) if rows else [()] * width, s * width):
                 if j not in skip:
-                    yield _column(col, signs)
-
-
-def _column(rows: Sequence[int], signs: Sequence[int]) -> dict[int, int]:
-    """The sum of signs[i] at rows[i], as a ``{row: coefficient}`` dict."""
-    col = dict(zip(rows, signs))
-    if len(col) < len(signs):
-        # two terms on one row, which no built complex has: add them up
-        col = {}
-        for row, sign in zip(rows, signs):
-            col[row] = col.get(row, 0) + sign
-        col = {row: c for row, c in col.items() if c}
-    return col
+                    column = dict(zip(col, signs))
+                    if len(column) < len(signs):
+                        raise AssertionError(f"two terms of column {j} share a row")
+                    yield column
 
 
 class ChainComplex(Record):
     """Generators graded by degree, with integer boundary maps.
 
-    ``cells[d]`` is a sequence of the degree-d generators; the builder
-    gives a :class:`GeneratorLayer`, which holds the vertex states and edge
-    monomials of that degree and spells out a generator only when it is
-    read.  ``boundaries[d]`` is a :class:`Boundary` for d >= 1 (and an empty
-    list for d = 0): ``boundaries[d][j]`` is the column of generator j of
-    degree d, a fresh ``{row: coefficient}`` dict over the generators of
-    degree d - 1.  Boundary of boundary vanishing is checked at build.
-    Its fields hold lists, so it is unhashable."""
+    ``cells[d]`` is the :class:`GeneratorLayer` of degree d, the vertex
+    states and edge monomials whose products are its generators.
+    ``boundaries[d]`` is a :class:`Boundary` for d >= 1 (and an empty list
+    for d = 0), stored factored per vertex state; its columns, read with
+    :meth:`Boundary.columns`, are ``{row: coefficient}`` dicts over the
+    generators of degree d - 1.  Boundary of boundary vanishing is checked
+    at build.  Its fields hold lists, so it is unhashable."""
 
     __slots__ = ("graph", "k", "cells", "boundaries")
     __hash__ = None
@@ -231,8 +200,8 @@ class ChainComplex(Record):
         self,
         graph: Graph,
         k: int,
-        cells: list[Sequence[Cell]],
-        boundaries: list,  # boundaries[d][j]: column of generator j in degree d
+        cells: list[GeneratorLayer],
+        boundaries: list,  # [] for degree 0, then a Boundary per degree
     ):
         super().__init__(graph, k, cells, boundaries)
 
@@ -255,14 +224,14 @@ def build_complex(g: Graph, k: int, budget: int = DEFAULT_CELL_BUDGET) -> ChainC
     each vertex state, found by hashing the states once each, and the rank
     of every monomial times every edge.  No column is built.
     """
-    if k < 1:
-        raise ValueError("particle count k must be at least 1")
     if not is_connected(g):
         raise HypothesisError("connected graph required")
+    if k < 0:
+        raise ValueError("particle count k must be nonnegative")
     half, n_edges = _smooth(g)
     if not n_edges:
-        # a point holds one particle; the reduction needs a half-edge per vertex
-        return ChainComplex(g, k, [GeneratorLayer(((),) if k == 1 else (), ((),))], [[]])
+        # a point holds at most one particle; the reduction needs a half-edge per vertex
+        return ChainComplex(g, k, [GeneratorLayer(((),) if k <= 1 else (), ((),))], [[]])
 
     total = sum(_graded_terms([len(hs) - 1 for hs in half], n_edges, k))
     if total > budget:
@@ -309,47 +278,47 @@ def build_complex(g: Graph, k: int, budget: int = DEFAULT_CELL_BUDGET) -> ChainC
 
 
 def _check_squares_to_zero(boundaries: list) -> None:
-    """Raise unless d_(d-1) d_d vanishes on every column, for d >= 2.
+    """Raise unless d_(d-1) d_d vanishes, for d >= 2, reading only the
+    factors.
 
     Composing the two maps, column (s, r) goes to the sum over the terms
     (q, e, sign) of s and (q2, e2, sign2) of q of sign * sign2 at row
     q2 * stride' + up'[e2][up[e][r]], up' and stride' being the lower
-    map's.  When
-    up'[b][up[a][r]] == up'[a][up[b][r]] for every pair of edges (the two
-    products name one monomial), that row depends only on q2, the unordered
-    pair {e, e2} and r.  Summing the signs of each state's pairs by
-    (q2, {e, e2}) and finding every sum zero then proves all the state's
-    columns vanish, for every r at once.  A state whose sums do not all
-    vanish, or every state of a degree whose maps do not commute, is
-    checked column by column, so the check raises exactly when some column
-    composes to a nonzero vector.
+    map's.  The check raises unless up'[b][up[a][r]] == up'[a][up[b][r]]
+    for every pair of edges and every r (the two products name one
+    monomial), and then unless every state's signs, summed by
+    (q2, {e, e2}), are all zero.
+
+    If it passes, every column composes to zero: with commuting maps the
+    row of a pair of terms depends only on q2, the unordered pair {e, e2}
+    and r, so each row's entry is a sum of key sums, all zero.  Conversely,
+    where the maps commute and distinct keys reach distinct rows, a nonzero
+    key sum is a nonzero entry of every column of its state, so the check
+    raises only where d^2 != 0.  A built complex is such a case: up[e][r]
+    is the rank of monomial r times e, so its maps commute; q2 picks the
+    block of rows; and m * e * e2 = m * f * f2 forces {e, e2} = {f, f2}.
+    Factors no builder makes, with maps that do not commute or two keys on
+    one row, may be rejected although their columns compose to zero.
     """
     for d in range(2, len(boundaries)):
         hi, lo = boundaries[d], boundaries[d - 1]
         n_edges = len(hi.up)
-        commute = all(
+        if not all(
             list(map(lo.up[b].__getitem__, hi.up[a])) == list(map(lo.up[a].__getitem__, hi.up[b]))
             for a in range(n_edges)
             for b in range(a)
-        )
-        width, lo_terms, pairs = len(hi.up[0]), lo.terms, n_edges * n_edges
-        for s, terms in enumerate(hi.terms):
-            if commute:
-                # keyed by q2 and the unordered pair {e, e2}, as one int
-                acc: dict[int, int] = {}
-                for q, e, sign in terms:
-                    for q2, e2, sign2 in lo_terms[q]:
-                        key = q2 * pairs + (e * n_edges + e2 if e < e2 else e2 * n_edges + e)
-                        acc[key] = acc.get(key, 0) + sign * sign2
-                if not any(acc.values()):
-                    continue
-            for j in range(s * width, s * width + width):
-                acc2: dict[int, int] = {}
-                for row, c in hi[j].items():
-                    for row2, c2 in lo[row].items():
-                        acc2[row2] = acc2.get(row2, 0) + c * c2
-                if any(acc2.values()):
-                    raise AssertionError("boundary of boundary is nonzero")
+        ):
+            raise AssertionError(f"boundary of boundary: degree {d}'s monomial maps do not commute")
+        lo_terms, pairs = lo.terms, n_edges * n_edges
+        for terms in hi.terms:
+            # keyed by q2 and the unordered pair {e, e2}, as one int
+            acc: dict[int, int] = {}
+            for q, e, sign in terms:
+                for q2, e2, sign2 in lo_terms[q]:
+                    key = q2 * pairs + (e * n_edges + e2 if e < e2 else e2 * n_edges + e)
+                    acc[key] = acc.get(key, 0) + sign * sign2
+            if any(acc.values()):
+                raise AssertionError("boundary of boundary is nonzero")
 
 
 def _eliminate(columns: Iterable[dict[int, int]]) -> tuple[int, set[int]]:
@@ -512,8 +481,6 @@ def nonvanishing_check(
     """
     if g.sinks:
         raise HypothesisError("homology is computed for sink-free graphs only")
-    if not is_connected(g):
-        raise HypothesisError("connected graph required")
     valences = [len(hs) for hs in g.half_edges.values()]
     m = sum(val >= 3 for val in valences)  # the essential vertices
     degree = min(k // 2, m)

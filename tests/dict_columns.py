@@ -4,8 +4,11 @@ stored each boundary factored per vertex state.
 
 The oracle complexes (``abrams_oracle``, ``swiatkowski_oracle``) hold their
 boundaries this way, and their Betti numbers come from :func:`betti` here,
-so the cross-checks share no rank code with the library.  Every function
-also reads a library complex, whose boundaries iterate as the same dicts.
+so the cross-checks share no rank code with the library.  The rank
+functions also read a library complex, whose boundaries iterate as the same
+dicts; the d²=0 check indexes lower columns, so it takes lists, which
+:func:`columns` spells out from a library boundary's factors by itself,
+sharing no code with ``Boundary.columns``.
 """
 
 from __future__ import annotations
@@ -13,6 +16,22 @@ from __future__ import annotations
 from math import gcd
 
 from gbtc.discrete_config import BettiVector, ChainComplex
+
+
+def columns(bd) -> list[dict[int, int]]:
+    """Every column of a factored ``Boundary``, in order: column
+    s * M + r, M = len(bd.up[0]), is the sum of sign at row
+    q * bd.stride + bd.up[e][r] over the terms (q, e, sign) of state s.
+    Terms on one row are added up, and zero entries dropped."""
+    cols = []
+    for terms in bd.terms:
+        for r in range(len(bd.up[0])):
+            col: dict[int, int] = {}
+            for q, e, sign in terms:
+                row = q * bd.stride + bd.up[e][r]
+                col[row] = col.get(row, 0) + sign
+            cols.append({row: c for row, c in col.items() if c})
+    return cols
 
 
 def _check_boundary_squares_to_zero(boundaries: list[list[dict[int, int]]]) -> None:

@@ -18,13 +18,15 @@ import itertools
 from dict_columns import _check_boundary_squares_to_zero
 from gbtc.discrete_config import (
     DEFAULT_CELL_BUDGET,
-    Cell,
     CellBudgetError,
     ChainComplex,
     _graded_terms,
     _smooth,
 )
 from gbtc.graph_core import Graph, HypothesisError, is_connected
+
+# (occupied vertices as (vertex, half-edge position) pairs, edge monomial)
+Cell = tuple[tuple[tuple[int, int], ...], tuple[int, ...]]
 
 
 def build_complex(g: Graph, k: int, budget: int = DEFAULT_CELL_BUDGET) -> ChainComplex:
@@ -34,14 +36,14 @@ def build_complex(g: Graph, k: int, budget: int = DEFAULT_CELL_BUDGET) -> ChainC
     Raises :class:`CellBudgetError` before enumerating anything when the
     generator count exceeds ``budget``.  Verifies boundary-of-boundary.
     """
-    if k < 1:
-        raise ValueError("particle count k must be at least 1")
     if not is_connected(g):
         raise HypothesisError("connected graph required")
+    if k < 0:
+        raise ValueError("particle count k must be nonnegative")
     half, n_edges = _smooth(g)
     if not n_edges:
-        # a point holds one particle; the reduction needs a half-edge per vertex
-        return ChainComplex(g, k, [[((), ())] if k == 1 else []], [[]])
+        # a point holds at most one particle; the reduction needs a half-edge per vertex
+        return ChainComplex(g, k, [[((), ())] if k <= 1 else []], [[]])
 
     total = sum(_graded_terms([len(hs) - 1 for hs in half], n_edges, k))
     if total > budget:

@@ -13,7 +13,7 @@ import pytest
 
 import gbtc
 import swiatkowski_oracle
-from gbtc import discrete_config, free_groups, graph_core
+from gbtc import discrete_config, free_groups, graph_core, local_graphs
 from gbtc.cli import _verify_lemma_rows, main
 from gbtc.corpus import BUNDLED, load_bundled
 
@@ -272,6 +272,30 @@ def test_homology_dump_boundaries_match_the_dict_column_oracle(capsys, tmp_path)
             assert path.read_bytes() == "".join(want).encode(), (name, k)
 
 
+def test_zero_particles_is_one_point(capsys, tmp_path):
+    # UConf_0 is one point: bound accepts k = 0, so its homology check does
+    code, out = run(capsys, "homology", datafile("hgraph"), "--k", "0")
+    assert code == 0
+    rep = json.loads(out)
+    assert rep["betti"] == [1] and rep["cell_counts"] == [1]
+    assert rep["nonzero"] is True and rep["status"] == "verified"
+    code, out = run(capsys, "bound", datafile("hgraph"), "--r", "3", "--k", "0", "--check-homology")
+    assert code == 0 and json.loads(out)["homology_status"] == "verified"
+    point = tmp_path / "point.json"
+    point.write_text(json.dumps({"vertices": ["a"], "edges": []}))
+    code, out = run(capsys, "homology", str(point), "--k", "0")
+    assert code == 0 and json.loads(out)["betti"] == [1]
+    for argv in (
+        ["homology", datafile("hgraph"), "--k", "-1"],
+        ["homology", str(point), "--k", "-1"],
+        ["bound", datafile("hgraph"), "--r", "3", "--k", "-1", "--check-homology"],
+    ):
+        code = main(argv)
+        cap = capsys.readouterr()
+        assert code == 1 and cap.out == "", argv
+        assert cap.err.startswith("error:") and "Traceback" not in cap.err
+
+
 def test_homology_dump_boundaries_budget_exceeded(capsys, tmp_path, monkeypatch):
     monkeypatch.setenv("GBTC_CELL_BUDGET", "10")
     path = tmp_path / "triplets.txt"
@@ -428,3 +452,40 @@ def test_names_the_benchmark_calls_stay_public():
     for module, attrs in names.items():
         for attr in attrs:
             assert callable(getattr(module, attr, None)), (module.__name__, attr)
+
+
+def test_tracer_complex_counts_have_closed_forms():
+    # perfbench/tracing.py counts generators with len() of each layer and
+    # nonzeros by iterating every boundary; both have closed forms on the
+    # factors, which is what the tracer could read instead
+    for name in BUNDLED:
+        for k in range(1, 6):
+            c = discrete_config.build_complex(load_bundled(name), k)
+            assert sum(len(layer) for layer in c.cells) == sum(c.cell_counts())
+            nnz = sum(
+                len(terms) * len(bd.up[0]) for bd in c.boundaries[1:] for terms in bd.terms
+            )
+            assert sum(len(col) for bd in c.boundaries for col in bd) == nnz, (name, k)
+
+
+def test_tracer_pullback_counts_have_closed_forms():
+    # the tracer reads len(p.nodes) and len(p.edges) of each pullback
+    cores = []
+    for n in range(4, 9):
+        for side in (0, 1):
+            cores.append(
+                free_groups.stallings_core(n - 1, local_graphs.star_commutator_subgroups(n, side))
+            )
+    cores += [
+        free_groups.stallings_core(3, local_graphs.trivalent_product_subgroups(side))
+        for side in (0, 1)
+    ]
+    pairs = [(a, b) for a in cores for b in cores if a.rank == b.rank]
+    assert len(pairs) > len(cores)
+    for a, b in pairs:
+        p = free_groups.pullback(a, b)
+        assert len(p.nodes) == a.n_states * b.n_states
+        labels = range(1, a.rank + 1)
+        arcs_a = [sum(l == x for _, x, _ in a.arcs) for l in labels]
+        arcs_b = [sum(l == x for _, x, _ in b.arcs) for l in labels]
+        assert len(p.edges) == sum(x * y for x, y in zip(arcs_a, arcs_b))

@@ -4,6 +4,7 @@ Euler characteristic."""
 
 from __future__ import annotations
 
+import itertools
 import random
 from math import comb
 
@@ -19,6 +20,7 @@ from dict_columns import (
     _rank_of_incidence_columns,
 )
 from dict_columns import betti as dict_betti
+from dict_columns import columns as dict_columns
 from gbtc import discrete_config
 from gbtc.corpus import BUNDLED, load_bundled
 from gbtc.discrete_config import (
@@ -189,7 +191,9 @@ def seeded_multigraphs() -> list[Graph]:
 def assert_same_complex(g: Graph, k: int) -> None:
     got, want = build_complex(g, k), swiatkowski_oracle.build_complex(g, k)
     assert got.cell_counts() == want.cell_counts()
-    assert [list(layer) for layer in got.cells] == [list(layer) for layer in want.cells]
+    assert [list(itertools.product(layer.states, layer.monos)) for layer in got.cells] == [
+        list(layer) for layer in want.cells
+    ]
     # same columns, with their rows in the same order
     assert [[list(col.items()) for col in cols] for cols in got.boundaries] == [
         [list(col.items()) for col in cols] for cols in want.boundaries
@@ -213,15 +217,17 @@ def test_arithmetic_indexing_matches_tuple_keyed_reference():
     assert loops and parallels
 
 
-def test_generator_layer_is_a_lazy_sequence():
+def test_generator_layer_counts_states_times_monomials():
+    # hgraph k=3, degree 1: two essential vertices with two picks each,
+    # times the 15 degree-2 monomials in its 5 edges; no generator is
+    # spelled out, so the layer is neither indexed nor iterated
     layer = build_complex(hgraph(), 3).cells[1]
-    cells = list(layer)
-    assert len(layer) == len(cells) == 2 * 2 * 15
-    assert [layer[j] for j in range(len(layer))] == cells
-    assert layer[-1] == cells[-1]
-    with pytest.raises(IndexError):
-        layer[len(layer)]
-    assert cells[0] in layer
+    assert len(layer.states) == 2 * 2 and len(layer.monos) == 15
+    assert len(layer) == 2 * 2 * 15
+    with pytest.raises(TypeError):
+        layer[0]
+    with pytest.raises(TypeError):
+        iter(layer)
 
 
 def test_boundary_squares_to_zero_spot():
@@ -229,10 +235,11 @@ def test_boundary_squares_to_zero_spot():
     c = model(theta(), 2)
     assert c.dimension == 2
     for d in range(2, c.dimension + 1):
+        lower = list(c.boundaries[d - 1])
         for col in c.boundaries[d]:
             acc = {}
             for row, v in col.items():
-                for row2, v2 in c.boundaries[d - 1][row].items():
+                for row2, v2 in lower[row].items():
                     acc[row2] = acc.get(row2, 0) + v * v2
             assert not any(acc.values())
 
@@ -359,10 +366,12 @@ def squares_to_zero(check, boundaries) -> bool:
 
 def verdicts(c) -> tuple[bool, bool]:
     """The factored check's verdict on c, and the dict-column oracle's on
-    the columns c's boundaries read as."""
+    the columns spelled out from c's factors."""
     return (
         squares_to_zero(_check_squares_to_zero, c.boundaries),
-        squares_to_zero(_check_boundary_squares_to_zero, [list(bd) for bd in c.boundaries]),
+        squares_to_zero(
+            _check_boundary_squares_to_zero, [[]] + [dict_columns(bd) for bd in c.boundaries[1:]]
+        ),
     )
 
 
@@ -376,27 +385,27 @@ def test_factored_square_check_matches_dict_columns(monkeypatch):
         assert verdicts(c) == (True, True), (g, k)
         checked += c.dimension >= 2
     assert checked > 100
-    # on a built complex every state's signs cancel, so the check reads
-    # no column at all
-    def no_columns(self, j):
+    # the check reads no column at all
+    def no_columns(self, skip=frozenset()):
         raise AssertionError("a column was read")
 
-    monkeypatch.setattr(discrete_config.Boundary, "__getitem__", no_columns)
+    monkeypatch.setattr(discrete_config.Boundary, "columns", no_columns)
     for g, k in cases:
         build_complex(g, k)
 
 
-def test_factored_square_check_reads_columns_where_signs_do_not_cancel():
+def test_factored_square_check_rejects_keys_on_one_row():
     # Factors no builder makes, with every monomial product landing on one
     # rank: the composed maps commute, and the signs of the one upper state
     # fall on two keys, (0, {0, 2}) and (0, {1, 2}), that do not cancel.
-    # Both keys reach the same row, so every column still composes to zero,
-    # and the check must pass, as the dict-column check does.
+    # Both keys reach the same row, so every column composes to zero, as
+    # the dict-column check finds; the factored check, which reads no
+    # column, rejects the pair.
     lo = discrete_config.Boundary([((0, 2, 1),)], [[0, 0, 0]] * 3, 1)
     hi = discrete_config.Boundary([((0, 0, 1), (0, 1, -1))], [[0], [1], [2]], 3)
     assert list(hi) == [{0: 1, 1: -1}] and list(lo) == [{0: 1}] * 3
     assert squares_to_zero(_check_boundary_squares_to_zero, [[], list(lo), list(hi)])
-    assert squares_to_zero(_check_squares_to_zero, [[], lo, hi])
+    assert not squares_to_zero(_check_squares_to_zero, [[], lo, hi])
     # with the second term's edge moved to a monomial whose column is zero,
     # the column composes to a nonzero vector
     lo = discrete_config.Boundary([((0, 2, 1),), ()], [[0, 0, 0]] * 3, 1)
@@ -405,12 +414,17 @@ def test_factored_square_check_reads_columns_where_signs_do_not_cancel():
     assert not squares_to_zero(_check_squares_to_zero, [[], lo, hi])
 
 
-def test_boundary_columns_add_terms_on_one_row():
-    # no built complex puts two terms of a state on one row; a column read
-    # through the view is the sum of its terms all the same
+def test_boundary_columns_reject_terms_on_one_row():
+    # no built complex puts two terms of a state on one row, so the column
+    # reader raises instead of adding them up; the dict-column oracle adds
     bd = discrete_config.Boundary([((0, 0, 1), (0, 1, -1), (0, 0, 1), (0, 1, 1))], [[0], [1]], 2)
-    assert bd[0] == {0: 2}
-    assert list(bd) == [{0: 2}]
+    assert dict_columns(bd) == [{0: 2}]
+    with pytest.raises(AssertionError, match="share a row"):
+        list(bd)
+    with pytest.raises(AssertionError, match="share a row"):
+        list(bd.columns())
+    # a skipped column is not read
+    assert list(bd.columns({0})) == []
 
 
 def top_state(c, d: int) -> int:
@@ -474,7 +488,8 @@ def test_factored_square_check_rejects_mutants():
 
 def test_factored_square_check_matches_dict_columns_on_random_mutants():
     # the factored check raises exactly when the dict-column check on the
-    # columns read through the view does, also on factors no builder makes
+    # columns spelled out from the factors does, also on factors no builder
+    # makes
     rng = random.Random(20261019)
     outcomes = set()
     for _ in range(400):
@@ -620,6 +635,34 @@ def test_nonvanishing_rejects_disconnected():
     for k, budget in ((0, 10**6), (2, 10**6), (2, 1)):
         with pytest.raises(HypothesisError, match="connected"):
             nonvanishing_check(g, k, budget)
+
+
+def test_nonvanishing_checks_connectivity_once(monkeypatch):
+    calls = []
+    real = discrete_config.is_connected
+
+    def counting(g):
+        calls.append(g)
+        return real(g)
+
+    monkeypatch.setattr(discrete_config, "is_connected", counting)
+    for g, k in ((theta(), 3), (hgraph(), 4), (star(3), 0), (Graph(("p",), ()), 1)):
+        calls.clear()
+        nonvanishing_check(g, k)
+        assert calls == [g], (g, k)
+
+
+def test_zero_particles_is_one_point():
+    point = Graph(("p",), ())
+    for g in (hgraph(), point, theta(), cycle_graph(3), *LOOPS_AND_MULTI_EDGES):
+        rep = nonvanishing_check(g, 0)
+        assert rep.betti.betti == (1,) and rep.cell_counts == (1,)
+        assert rep.degree == 0 and rep.nonzero is True and rep.status == "verified"
+        valences = [len(hs) for hs in g.half_edges.values()]
+        assert _gal_euler_characteristic(valences, g.n_edges, 0) == 1
+        assert_same_complex(g, 0)
+        with pytest.raises(ValueError, match="nonnegative"):
+            build_complex(g, -1)
 
 
 def test_nonvanishing_rejects_sinks():
