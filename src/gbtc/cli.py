@@ -62,12 +62,15 @@ def _cmd_bound(args) -> int:
     g = load_graph(args.graph)
     q = tc_bounds.BoundQuery(g, args.r, args.k)
     status = "assumed"
+    # checks the bound's hypotheses before any complex is built
+    bound = tc_bounds.lower_bound(q, homology_status=status)
     if args.check_homology:
         report = discrete_config.nonvanishing_check(g, args.k, _cell_budget())
         status = report.status
         if status == "verified" and not report.nonzero:
             status = "contradicted"
-    _emit(tc_bounds.lower_bound(q, homology_status=status).as_dict(), args.pretty)
+        bound = tc_bounds.lower_bound(q, homology_status=status)
+    _emit(bound.as_dict(), args.pretty)
     if status == "contradicted":
         sys.stderr.write(
             f"contradicted: homology vanishes in degree {report.degree} at k={args.k}\n"

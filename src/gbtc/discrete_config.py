@@ -28,9 +28,13 @@ the elimination and for the boundary dump.
 Boundary of boundary is checked on the factors alone, once per vertex state
 for all monomials at once (:func:`_check_squares_to_zero`).  Exactness is
 non-negotiable: ranks are computed over the integers, never in floating
-point.  Degrees 2 and up are reduced fraction-free, each column pivoting on
-its largest row, which on this complex creates far less fill than pivoting
-on the smallest; a column is built only when the clearing does not skip it.
+point.  Degrees 2 and up are reduced by columns, each pivoting on its
+largest row, which on this complex creates far less fill than pivoting on
+the smallest; a column is built only when the clearing does not skip it.
+Pivots keep their sign.  A ±1 pivot, the only kind this complex has shown,
+reduces a column without rescaling it, since 1/a = a; any other pivot is
+combined fraction-free, and content is divided out only of a column that
+registers with a pivot entry other than ±1.
 Degree 1 needs no elimination: every column of d_1 is zero or
 e(h) - e(h0) on two monomials, so d_1 is the incidence matrix of a graph on
 the degree-0 generators, and its rank is their number less the number of
@@ -152,8 +156,11 @@ class Boundary(Record):
         """Yield column j as a fresh ``{row: sign}`` dict, in order, for
         each j not in skip.
 
-        Each row number is one int object, shared by every column that
-        holds it, so dict lookups between columns match keys by identity.
+        A state's terms are read once, into (rows of q, up[e], sign) parts;
+        column s * M + r then maps row ``rows[up[e][r]]`` to sign for each
+        part, in term order.  Each row number is one int object, shared by
+        every column that holds it, so dict lookups between columns match
+        keys by identity.
 
         Raises :class:`AssertionError` if two terms of a state land on one
         row of a column, which no built complex does.  Within a state the
@@ -164,20 +171,19 @@ class Boundary(Record):
         distinct edges give distinct ranks ``up[e][r]``, because m * e =
         m * e' forces e = e'.
         """
-        width, stride = len(self.up[0]), self.stride
+        width, stride, up = len(self.up[0]), self.stride, self.up
         below: dict[int, list[int]] = {}  # below[q]: the rows of lower state q
         for s, terms in enumerate(self.terms):
-            rows = []
-            for q, e, _ in terms:
+            parts = []  # (rows of q, up[e], sign) per term
+            for q, e, sign in terms:
                 at = below.get(q)
                 if at is None:
                     at = below[q] = list(range(q * stride, q * stride + stride))
-                rows.append(list(map(at.__getitem__, self.up[e])))
-            signs = [sign for _, _, sign in terms]
-            for j, col in enumerate(zip(*rows) if rows else [()] * width, s * width):
+                parts.append((at, up[e], sign))
+            for r, j in enumerate(range(s * width, s * width + width)):
                 if j not in skip:
-                    column = dict(zip(col, signs))
-                    if len(column) < len(signs):
+                    column = {at[u[r]]: sign for at, u, sign in parts}
+                    if len(column) < len(parts):
                         raise AssertionError(f"two terms of column {j} share a row")
                     yield column
 
@@ -322,12 +328,17 @@ def _check_squares_to_zero(boundaries: list) -> None:
 
 
 def _eliminate(columns: Iterable[dict[int, int]]) -> tuple[int, set[int]]:
-    """Rank of an integer matrix given by fresh columns, which it consumes,
-    with the set of pivot rows.
+    """Rank of an integer matrix given by fresh columns of nonzero
+    entries, which it consumes, with the set of pivot rows.
 
-    Column reduction against the largest-row pivot, fraction-free: combining
-    a*col - b*pivot keeps everything integral; columns are divided by their
-    content when registered so pivots stay small.  Each registered column
+    Column reduction against the largest-row pivot.  With a the pivot
+    column's entry at that row and b the column's, a = ±1 gives
+    col - (b*a)*pivot, as 1/a = a, without rescaling the column; any other
+    a, negative ones included, gives a*col - b*pivot, fraction-free.  A
+    column registers with its sign as it is, divided by its content only
+    when its pivot entry is not ±1 (else the content is 1), so pivots stay
+    small.  Scaling a column moves none of the pivot rows, so neither
+    choice changes the rank or the pivot-row set.  Each registered column
     has its pivot as its largest row.
     """
     pivots: dict[int, dict[int, int]] = {}
@@ -336,31 +347,31 @@ def _eliminate(columns: Iterable[dict[int, int]]) -> tuple[int, set[int]]:
             r = max(col)
             piv = pivots.get(r)
             if piv is None:
-                g = 0
-                for v in col.values():
-                    g = gcd(g, v)
-                    if g == 1:
-                        break
-                if g > 1:
-                    for rr in col:
-                        col[rr] //= g
-                if col[r] < 0:
-                    for rr in col:
-                        col[rr] = -col[rr]
+                if col[r] not in (1, -1):  # else the content is 1
+                    g = 0
+                    for v in col.values():
+                        g = gcd(g, v)
+                        if g == 1:
+                            break
+                    if g > 1:
+                        for rr in col:
+                            col[rr] //= g
                 pivots[r] = col
                 break
             a = piv[r]
-            b = col.pop(r)
-            if a != 1:
+            b = col[r]
+            if a in (1, -1):
+                b *= a  # col - (b / a) * piv, as 1 / a == a
+            else:
                 for rr in col:
                     col[rr] *= a
+            # row r too, where the entry cancels; an entry only cancels
+            # where col has one, since b * vv != 0
             for rr, vv in piv.items():
-                if rr == r:
-                    continue
                 nv = col.get(rr, 0) - b * vv
                 if nv:
                     col[rr] = nv
-                elif rr in col:
+                else:
                     del col[rr]
     return len(pivots), set(pivots)
 

@@ -8,11 +8,14 @@ so the cross-checks share no rank code with the library.  The rank
 functions also read a library complex, whose boundaries iterate as the same
 dicts; the d²=0 check indexes lower columns, so it takes lists, which
 :func:`columns` spells out from a library boundary's factors by itself,
-sharing no code with ``Boundary.columns``.
+sharing no code with ``Boundary.columns``.  :func:`_rank_over_fractions`
+runs the same largest-row reduction over the rationals, to check the pivot
+rows of the integer ones.
 """
 
 from __future__ import annotations
 
+from fractions import Fraction
 from math import gcd
 
 from gbtc.discrete_config import BettiVector, ChainComplex
@@ -89,6 +92,30 @@ def _rank_of_columns(
                     col[rr] = nv
                 elif rr in col:
                     del col[rr]
+    return len(pivots), set(pivots)
+
+
+def _rank_over_fractions(columns: list[dict[int, int]]) -> tuple[int, set[int]]:
+    """Rank and pivot rows of the same largest-row column reduction, over
+    the rationals: each pivot column is scaled to 1 at its pivot row, and a
+    column with entry b there subtracts b times it.  Zero entries are
+    ignored."""
+    pivots: dict[int, dict[int, Fraction]] = {}
+    for col0 in columns:
+        col = {row: Fraction(v) for row, v in col0.items() if v}
+        while col:
+            r = max(col)
+            b = col[r]
+            piv = pivots.get(r)
+            if piv is None:
+                pivots[r] = {row: v / b for row, v in col.items()}
+                break
+            for row, v in piv.items():
+                nv = col.get(row, 0) - b * v
+                if nv:
+                    col[row] = nv
+                else:
+                    col.pop(row, None)
     return len(pivots), set(pivots)
 
 

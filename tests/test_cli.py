@@ -197,6 +197,40 @@ def test_bound_check_homology_contradicted_exits_two(capsys, monkeypatch):
     assert cap.err.startswith("contradicted:")
 
 
+def test_bound_check_homology_checks_the_bound_first(capsys, tmp_path, monkeypatch):
+    # star5 has one essential vertex, so the bound is refused before any
+    # complex is built, with or without the homology check
+    built = []
+    real = discrete_config.build_complex
+
+    def counting(*args, **kwargs):
+        built.append(args)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(discrete_config, "build_complex", counting)
+    refused = ["inapplicable: connected graph with m >= 2 required (at least two essential vertices)"]
+    for extra in ([], ["--check-homology"]):
+        code = main(["bound", datafile("star5"), "--r", "3", "--k", "40", *extra])
+        cap = capsys.readouterr()
+        assert code == 2 and cap.out == "" and cap.err.splitlines() == refused
+    assert built == []
+    # a star with a sink fails both checks; the bound's message is the one given
+    star = tmp_path / "star_sink.json"
+    star.write_text(
+        json.dumps(
+            {"vertices": ["c", "a", "b", "d"], "edges": [["c", "a"], ["c", "b"], ["c", "d"]], "sinks": ["a"]}
+        )
+    )
+    code = main(["bound", str(star), "--r", "3", "--k", "4", "--check-homology"])
+    cap = capsys.readouterr()
+    assert code == 2 and cap.out == "" and cap.err.splitlines() == refused
+    code = main(["homology", str(star), "--k", "4"])
+    cap = capsys.readouterr()
+    assert code == 2 and cap.err.splitlines() == [
+        "inapplicable: homology is computed for sink-free graphs only"
+    ]
+
+
 def test_homology_star3(capsys):
     code, out = run(capsys, "homology", datafile("star3"), "--k", "2")
     assert code == 0

@@ -18,6 +18,7 @@ from dict_columns import (
     _check_boundary_squares_to_zero,
     _rank_of_columns,
     _rank_of_incidence_columns,
+    _rank_over_fractions,
 )
 from dict_columns import betti as dict_betti
 from dict_columns import columns as dict_columns
@@ -217,6 +218,28 @@ def test_arithmetic_indexing_matches_tuple_keyed_reference():
     assert loops and parallels
 
 
+def test_boundary_columns_skip_the_pivot_rows_of_the_degree_above():
+    # the columns the elimination reads: in each degree, those outside the
+    # pivot rows of the degree above, equal to the dict-column oracle's
+    # with their rows in the same order
+    graphs = [load_bundled(name) for name in BUNDLED]
+    graphs += [*LOOPS_AND_MULTI_EDGES, *seeded_multigraphs()]
+    skipped = 0
+    for g in graphs:
+        for k in range(1, 6):
+            c = build_complex(g, k)
+            skip: set[int] = set()
+            for d in range(c.dimension, 0, -1):
+                want = dict_columns(c.boundaries[d])
+                got = c.boundaries[d].columns(skip)
+                assert [list(col.items()) for col in got] == [
+                    list(col.items()) for j, col in enumerate(want) if j not in skip
+                ], (g, k, d)
+                skipped += len(skip)
+                skip = _rank_of_columns(want)[1]
+    assert skipped
+
+
 def test_generator_layer_counts_states_times_monomials():
     # hgraph k=3, degree 1: two essential vertices with two picks each,
     # times the 15 degree-2 monomials in its 5 edges; no generator is
@@ -296,6 +319,42 @@ def test_rank_of_columns_against_sympy_random():
         want = sympy.Matrix(dense).rank()
         assert _rank_of_columns(columns)[0] == want
         assert _eliminate(dict(col) for col in columns)[0] == want
+
+
+def test_eliminate_non_unit_pivots_against_sympy_and_fractions():
+    # the complex has only ±1 pivots, so random matrices reach the
+    # fraction-free branch: pivots of either sign, unit or not
+    rng = random.Random(17)
+    met = set()
+    for _ in range(500):
+        rows, cols = rng.randint(1, 8), rng.randint(1, 8)
+        dense = [[rng.randint(-3, 3) for _ in range(cols)] for _ in range(rows)]
+        columns = [{i: dense[i][j] for i in range(rows) if dense[i][j]} for j in range(cols)]
+        fresh = [dict(col) for col in columns]
+        rank, pivot_rows = _eliminate(fresh)
+        assert rank == sympy.Matrix(dense).rank()
+        assert (rank, pivot_rows) == _rank_over_fractions(columns)
+        # _eliminate registers the dicts it is given, so the nonempty ones
+        # left are the pivot columns; a later column whose largest row is a
+        # pivot's was reduced against it
+        registered = {max(col): (j, col[max(col)]) for j, col in enumerate(fresh) if col}
+        assert set(registered) == pivot_rows
+        for j, col in enumerate(columns):
+            if col and registered.get(max(col), (j,))[0] < j:
+                a = registered[max(col)][1]
+                met.add((a > 0, a in (1, -1)))
+    assert met == {(True, True), (False, True), (True, False), (False, False)}
+
+
+def test_eliminate_keeps_a_negative_non_unit_pivot():
+    # the only pivot is -2: its column registers as it is, with content 1
+    # and its sign kept, and the other two, multiples of it, reduce to zero
+    # as a*col - b*pivot
+    columns = [{0: 1, 1: -2}, {0: -2, 1: 4}, {0: 3, 1: -6}]
+    fresh = [dict(col) for col in columns]
+    assert _eliminate(fresh) == (1, {1})
+    assert fresh == [{0: 1, 1: -2}, {}, {}]
+    assert _rank_over_fractions(columns) == (1, {1})
 
 
 def test_incidence_rank_and_clearing_match_plain_elimination():
