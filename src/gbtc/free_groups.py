@@ -135,20 +135,31 @@ class FoldedAutomaton:
     so two runs of the construction produce identical objects.  Each state
     has a dense row of 2 * rank + 1 ints: ``row[l + rank]`` is the state
     that letter l leads to, or -1.
+
+    This constructor writes the rows from the arcs, after rejecting a state
+    or label out of range; :func:`stallings_core` hands over the rows it
+    has renumbered instead.  Either way :func:`_check_folded` then checks
+    the rows against the arcs.
     """
 
     def __init__(self, rank: int, n_states: int, arcs: tuple[tuple[int, int, int], ...]):
-        self.rank = rank
-        self.n_states = n_states
-        self.arcs = arcs
         rows = [[-1] * (2 * rank + 1) for _ in range(n_states)]
         for s, l, t in arcs:
-            row_s, row_t = rows[s], rows[t]
-            if row_s[rank + l] >= 0 or row_t[rank - l] >= 0:
-                raise ValueError("automaton is not folded")
-            row_s[rank + l] = t
-            row_t[rank - l] = s
-        self._rows = rows
+            if not (0 <= s < n_states and 0 <= t < n_states and 0 < l <= rank):
+                raise ValueError(f"arc {(s, l, t)} out of range: rank {rank}, {n_states} states")
+            rows[s][rank + l] = t
+            rows[t][rank - l] = s
+        _check_folded(rank, rows, arcs)
+        self.rank, self.n_states, self.arcs, self._rows = rank, n_states, arcs, rows
+
+    @classmethod
+    def _from_rows(cls, rank: int, rows: list[list[int]], arcs) -> FoldedAutomaton:
+        """The automaton of checked rows and arcs; it takes ``rows`` as its
+        own, so the caller must keep no other reference to them."""
+        _check_folded(rank, rows, arcs)
+        a = cls.__new__(cls)
+        a.rank, a.n_states, a.arcs, a._rows = rank, len(rows), arcs, rows
+        return a
 
     def step(self, state: int, letter: int) -> int | None:
         """The state that the letter leads to, or None."""
@@ -176,6 +187,26 @@ class FoldedAutomaton:
         return f"FoldedAutomaton(rank={self.rank}, states={self.n_states}, arcs={len(self.arcs)})"
 
 
+def _check_folded(rank: int, rows: list[list[int]], arcs) -> None:
+    """Raise ValueError unless the slot rows hold exactly the arcs.
+
+    Each arc (s, l, t), l positive, needs ``rows[s][rank + l] == t`` and
+    ``rows[t][rank - l] == s``.  Two distinct arcs that need one slot need
+    two values in it, so once every arc finds its two slots the arcs are
+    folded, and once exactly 2 * len(arcs) slots are filled no slot is
+    stray and no arc is repeated.  A repeated arc together with a stray
+    slot would pass, but neither constructor can make that pair: the public
+    one writes its rows from its arcs, and :func:`stallings_core` reads its
+    arcs off its rows.
+    """
+    for s, l, t in arcs:
+        if rows[s][rank + l] != t or rows[t][rank - l] != s:
+            raise ValueError("automaton is not folded")
+    empty = sum([row.count(-1) for row in rows])
+    if len(rows) * (2 * rank + 1) - empty != 2 * len(arcs):
+        raise ValueError("automaton is not folded")
+
+
 def stallings_core(rank: int, gens) -> FoldedAutomaton:
     """The folded core of the subgroup generated by ``gens``.
 
@@ -196,8 +227,11 @@ def stallings_core(rank: int, gens) -> FoldedAutomaton:
     path of a reduced word, which never backtracks in a folded graph, so no
     state but the basepoint has degree 1 and there is nothing to prune.
     States are numbered breadth-first from the basepoint in label order
-    1, -1, 2, -2, ..., and each state's positive arcs are emitted once it is
-    numbered, which lists the arcs sorted.
+    1, -1, 2, -2, ...  That pass rewrites each live state's row in place,
+    from old ids to canonical numbers, and emits the state's positive arcs
+    from the same slot loop, which lists the arcs sorted.  The renumbered
+    rows go to the automaton as they are, and one fold check,
+    :func:`_check_folded`, tests them against the arcs.
     """
     gens = list(gens)
     for w in gens:
@@ -270,27 +304,29 @@ def stallings_core(rank: int, gens) -> FoldedAutomaton:
             union(t, path[-2])
 
     # canonical breadth-first numbering from the basepoint, resolving
-    # stale targets on the way
-    slots = [rank + l for m in range(1, rank + 1) for l in (m, -m)]
+    # stale targets on the way; each slot of a numbered state is rewritten
+    # to the canonical number of its target.  The slots go in label order,
+    # each with its label if positive, else 0, which emits no arc
+    order = [(rank + l, max(l, 0)) for m in range(1, rank + 1) for l in (m, -m)]
     number = [-1] * len(rows)
     bfs = [find(0)]
     number[bfs[0]] = 0
     arcs = []
     for n_s, s in enumerate(bfs):
         row = rows[s]
-        for k in slots:
+        for k, l in order:
             t = row[k]
             if t >= 0:
                 if parent[t] != t:
-                    t = row[k] = find(t)
-                if number[t] < 0:
-                    number[t] = len(bfs)
+                    t = find(t)
+                n_t = number[t]
+                if n_t < 0:
+                    n_t = number[t] = len(bfs)
                     bfs.append(t)
-        for l in range(1, rank + 1):
-            t = row[rank + l]
-            if t >= 0:
-                arcs.append((n_s, l, number[t]))
-    return FoldedAutomaton(rank, len(bfs), tuple(arcs))
+                row[k] = n_t
+                if l:
+                    arcs.append((n_s, l, n_t))
+    return FoldedAutomaton._from_rows(rank, [rows[s] for s in bfs], tuple(arcs))
 
 
 def contains(a: FoldedAutomaton, w: FreeWord) -> bool:

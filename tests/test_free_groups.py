@@ -15,6 +15,7 @@ from gbtc.free_groups import (
     FoldedAutomaton,
     FreeHom,
     FreeWord,
+    _check_folded,
     apply_hom,
     commutator,
     concat,
@@ -262,6 +263,97 @@ def test_folded_automaton_rows_and_fold_check():
     for arcs in (((0, 1, 1), (0, 1, 0)), ((0, 1, 1), (1, 1, 1)), ((0, 2, 0), (0, 2, 0))):
         with pytest.raises(ValueError, match="not folded"):
             FoldedAutomaton(2, 2, arcs)
+
+
+@pytest.mark.parametrize(
+    "n_states, arcs",
+    [
+        (2, ((0, 1, -1),)),  # a negative target would index the last row
+        (2, ((0, 0, 1),)),  # label 0 would write the unused middle slot
+        (2, ((0, -1, 1),)),  # a negative label would read as a reversed arc
+        (1, ((0, 1, 5),)),  # a target past the last state
+        (2, ((0, 3, 1),)),  # a label past the rank
+    ],
+)
+def test_folded_automaton_rejects_arcs_out_of_range(n_states, arcs):
+    with pytest.raises(ValueError, match="out of range"):
+        FoldedAutomaton(2, n_states, arcs)
+
+
+def _fold_size_case(rng):
+    """Four or five rank-4 words of 90 letters or more, the size of the
+    words the benchmark's fold workload folds: either plain random words,
+    or images of random words under an automorphism, which share long
+    stretches and so fold into each other."""
+    rank = 4
+    count = rng.randint(4, 5)
+    if rng.random() < 0.5:
+        return rank, [random_reduced(rng, rank, 110, min_len=90) for _ in range(count)]
+    phi = nielsen_automorphism(rng, rank, 2 * rank)
+    gens = []
+    for _ in range(count):
+        word = identity(rank)
+        while len(image := apply_hom(phi, word)) < 90:
+            word = concat(word, random_reduced(rng, rank, 1))
+        gens.append(image)
+    return rank, gens
+
+
+def test_core_rows_are_the_rows_of_its_arcs():
+    # the core's own renumbered rows, not rows rebuilt from its arcs
+    rng = random.Random(20261019)
+    cases = [_reference_case(rng)[:2] for _ in range(600)]
+    cases += [_fold_size_case(rng) for _ in range(24)]
+    largest = 0
+    for rank, gens in cases:
+        a = stallings_core(rank, gens)
+        table = a.transition_table()
+        assert table == FoldedAutomaton(a.rank, a.n_states, a.arcs).transition_table()
+        assert a == reference_core(rank, gens), (rank, gens)
+        shuffled = gens[:]
+        rng.shuffle(shuffled)
+        b = stallings_core(rank, shuffled)
+        assert b == a and b.transition_table() == table
+        largest = max(largest, a.n_states)
+    assert largest >= 300
+
+
+def test_fold_check_rejects_tampered_rows():
+    rank, gens = _fold_size_case(random.Random(3))
+    a = stallings_core(rank, gens)
+    arcs, n = a.arcs, a.n_states
+    _check_folded(rank, a.transition_table(), arcs)
+    s, l, t = arcs[len(arcs) // 2]
+    empty = next(
+        (q, k)
+        for q, row in enumerate(a.transition_table())
+        for k in range(2 * rank + 1)
+        if k != rank and row[k] < 0
+    )
+    tampered = []
+    for q, k, value in (
+        (t, rank - l, (s + 1) % n),  # one reverse slot changed
+        (s, rank + l, (t + 1) % n),  # one forward slot changed
+        (s, rank + l, -1),  # one slot cleared
+        (*empty, 0),  # one stray filled slot
+        (0, rank, 0),  # a stray in the unused middle slot
+    ):
+        rows = a.transition_table()
+        rows[q][k] = value
+        tampered.append((rows, arcs))
+    tampered.append((a.transition_table(), arcs + (arcs[0],)))  # a duplicated arc
+    for rows, arcs in tampered:
+        with pytest.raises(ValueError, match="not folded"):
+            _check_folded(rank, rows, arcs)
+
+
+def test_cores_share_no_row_lists():
+    # a core owns the rows that stallings_core renumbered and handed over
+    rng = random.Random(29)
+    cases = [_reference_case(rng)[:2] for _ in range(100)]
+    cores = [stallings_core(rank, gens) for rank, gens in cases + cases]
+    rows = [row for a in cores for row in a._rows]
+    assert len({id(row) for row in rows}) == len(rows)
 
 
 def test_contains_powers():
