@@ -51,7 +51,6 @@ from .discrete_config import (
     nonvanishing_check,
 )
 from .tc_bounds import (
-    BoundQuery,
     BoundReport,
     lower_bound,
     stable_report,

@@ -60,16 +60,16 @@ def _cmd_classify(args) -> int:
 
 def _cmd_bound(args) -> int:
     g = load_graph(args.graph)
-    q = tc_bounds.BoundQuery(g, args.r, args.k)
+    cls = classify(g)
     status = "assumed"
     # checks the bound's hypotheses before any complex is built
-    bound = tc_bounds.lower_bound(q, homology_status=status)
+    bound = tc_bounds.lower_bound(cls, args.r, args.k, homology_status=status)
     if args.check_homology:
         report = discrete_config.nonvanishing_check(g, args.k, _cell_budget())
         status = report.status
         if status == "verified" and not report.nonzero:
             status = "contradicted"
-        bound = tc_bounds.lower_bound(q, homology_status=status)
+        bound = tc_bounds.lower_bound(cls, args.r, args.k, homology_status=status)
     _emit(bound.as_dict(), args.pretty)
     if status == "contradicted":
         sys.stderr.write(
@@ -80,8 +80,8 @@ def _cmd_bound(args) -> int:
 
 
 def _cmd_stable(args) -> int:
-    g = load_graph(args.graph)
-    _emit(tc_bounds.stable_report(g, args.r).as_dict(), args.pretty)
+    cls = classify(load_graph(args.graph))
+    _emit(tc_bounds.stable_report(cls, args.r).as_dict(), args.pretty)
     return 0
 
 
@@ -243,30 +243,27 @@ def _cmd_verify_lemmas(args) -> int:
 def _cmd_corpus(args) -> int:
     out = []
     for name in corpus.BUNDLED:
-        g = corpus.load_bundled(name)
-        cls = classify(g)
-        entry = {"name": name, "classification": cls.as_dict()}
+        cls = classify(corpus.load_bundled(name))
         stable = {}
         bounds = {}
-        for r in (2, 3):
-            rep = tc_bounds.stable_report(g, r) if cls.m >= 2 else None
-            if rep is not None:
-                stable[f"r{r}"] = {
-                    "stable_value": rep.stable_value,
-                    "k0": rep.k0,
-                    "caveats": list(rep.caveats),
-                }
-                k = rep.k0 if rep.k0 is not None else 2 * cls.m
-                b = tc_bounds.lower_bound(tc_bounds.BoundQuery(g, r, k))
-                bounds[f"r{r}"] = {
-                    "k": k,
-                    "lower": b.lower,
-                    "upper": b.upper,
-                    "choice": list(b.choice),
-                }
-        entry["stable"] = stable
-        entry["bounds"] = bounds
-        out.append(entry)
+        for r in (2, 3) if cls.m >= 2 else ():
+            rep = tc_bounds.stable_report(cls, r)
+            stable[f"r{r}"] = {
+                "stable_value": rep.stable_value,
+                "k0": rep.k0,
+                "caveats": list(rep.caveats),
+            }
+            k = rep.k0 if rep.k0 is not None else 2 * cls.m
+            b = tc_bounds.lower_bound(cls, r, k)
+            bounds[f"r{r}"] = {
+                "k": k,
+                "lower": b.lower,
+                "upper": b.upper,
+                "choice": list(b.choice),
+            }
+        out.append(
+            {"name": name, "classification": cls.as_dict(), "stable": stable, "bounds": bounds}
+        )
     _emit(out, args.pretty)
     return 0
 

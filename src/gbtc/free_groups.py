@@ -137,12 +137,15 @@ class FoldedAutomaton:
     that letter l leads to, or -1.
 
     This constructor writes the rows from the arcs, after rejecting a state
-    or label out of range; :func:`stallings_core` hands over the rows it
-    has renumbered instead.  Either way :func:`_check_folded` then checks
-    the rows against the arcs.
+    count below 1, which leaves no basepoint, and a state or label out of
+    range; :func:`stallings_core` hands over the rows it has renumbered
+    instead.  Either way :func:`_check_folded` then checks the rows against
+    the arcs.
     """
 
     def __init__(self, rank: int, n_states: int, arcs: tuple[tuple[int, int, int], ...]):
+        if n_states < 1:
+            raise ValueError(f"state count {n_states} out of range: the basepoint is state 0")
         rows = [[-1] * (2 * rank + 1) for _ in range(n_states)]
         for s, l, t in arcs:
             if not (0 <= s < n_states and 0 <= t < n_states and 0 < l <= rank):

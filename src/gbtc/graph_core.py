@@ -234,20 +234,20 @@ class VertexClassification(Record):
     m = n0 + n1 + n2 equals the number of essential vertices.
     """
 
-    __slots__ = ("n0", "n1", "n2", "m", "trivalent_total")
+    __slots__ = ("n0", "n1", "n2")
 
-    def __init__(self, n0: int, n1: int, n2: int, m: int, trivalent_total: int):
-        super().__init__(n0, n1, n2, m, trivalent_total)
+    def __init__(self, n0: int, n1: int, n2: int):
+        super().__init__(n0, n1, n2)
         if min(self.n0, self.n1, self.n2) < 0:
             raise ValueError("classification counts must be nonnegative")
-        if self.m != self.n0 + self.n1 + self.n2:
-            raise ValueError("m must equal n0 + n1 + n2")
-        if self.trivalent_total != self.n1 + self.n2:
-            raise ValueError("trivalent_total must equal n1 + n2")
 
-    @classmethod
-    def of_counts(cls, n0: int, n1: int, n2: int) -> "VertexClassification":
-        return cls(n0, n1, n2, n0 + n1 + n2, n1 + n2)
+    @property
+    def m(self) -> int:
+        return self.n0 + self.n1 + self.n2
+
+    @property
+    def trivalent_total(self) -> int:
+        return self.n1 + self.n2
 
     def as_dict(self) -> dict:
         return {
@@ -273,7 +273,7 @@ def classify(g: Graph) -> VertexClassification:
                 n1 += 1
             else:
                 n2 += 1
-    return VertexClassification.of_counts(n0, n1, n2)
+    return VertexClassification(n0, n1, n2)
 
 
 def components_without(g: Graph, v: str) -> tuple[tuple[int, ...], ...]:

@@ -11,27 +11,19 @@ and TC_r <= r * m holds for k >= 2 m.  When n2 = 0 the two meet: TC_r equals
 r * m for all k >= 2 m + n1.  The engine takes the greedy choice, which
 maximizes the certified bound (an exchange argument, at ``_best_choice``);
 the tests compare it with exhaustive search over all admissible triples.
+
+The bounds read only the counts (n0, n1, n2) and r, k: each function here
+takes a ``VertexClassification``, so a caller classifies its graph once.
 """
 
 from __future__ import annotations
 
-from .graph_core import Graph, HypothesisError, Record, VertexClassification, classify
+from .graph_core import HypothesisError, Record, VertexClassification
 
 # How the homology nonvanishing input of a bound was settled: not checked,
 # check abandoned at the generator budget, checked nonzero, checked zero
 # (which would contradict the paper).
 HOMOLOGY_STATUSES = ("assumed", "budget-exceeded", "verified", "contradicted")
-
-
-class BoundQuery(Record):
-    __slots__ = ("graph", "r", "k")
-
-    def __init__(self, graph: Graph, r: int, k: int):
-        super().__init__(graph, r, k)
-        if self.r < 1:
-            raise ValueError("the motion-planning order r must be at least 1")
-        if self.k < 0:
-            raise ValueError("the particle count k must be nonnegative")
 
 
 class BoundReport(Record):
@@ -101,7 +93,7 @@ def bound_value(r: int, k: int, m: int, choice: tuple[int, int, int]) -> int:
     return (r - 2) * min(k // 2, m) + 2 * (c0 + c1) + c2
 
 
-def _best_choice(cls: VertexClassification, r: int, k: int) -> tuple[int, int, int]:
+def _best_choice(cls: VertexClassification, k: int) -> tuple[int, int, int]:
     """The admissible choice with the largest bound at (r, k), ties broken to
     the lexicographically largest triple: the greedy one, c0 as large as k
     allows, then c1, then c2.
@@ -130,42 +122,44 @@ def _best_choice(cls: VertexClassification, r: int, k: int) -> tuple[int, int, i
     return (c0, c1, min(cls.n2, (rest - 3 * c1) // 2))
 
 
-def lower_bound(q: BoundQuery, homology_status: str = "assumed") -> BoundReport:
+def lower_bound(
+    cls: VertexClassification, r: int, k: int, homology_status: str = "assumed"
+) -> BoundReport:
     """Best certified lower bound at (r, k), maximized over admissible
     choices; ties break to the lexicographically largest triple.
     ``homology_status`` is one of HOMOLOGY_STATUSES, copied to the report."""
-    cls = classify(q.graph)
-    if q.r < 2:
+    if r < 1:
+        raise ValueError("the motion-planning order r must be at least 1")
+    if k < 0:
+        raise ValueError("the particle count k must be nonnegative")
+    if r < 2:
         raise HypothesisError("the lower bound requires r >= 2")
     _require_bound_hypotheses(cls)
 
-    best = _best_choice(cls, q.r, q.k)
-    lower = bound_value(q.r, q.k, cls.m, best)
-    upper = q.r * cls.m
+    best = _best_choice(cls, k)
     caveats = []
-    if q.k < 2 * cls.m:
+    if k < 2 * cls.m:
         caveats.append(
             f"upper bound reported outside its asserted range (k >= {2 * cls.m} needed)"
         )
     return BoundReport(
         classification=cls,
-        r=q.r,
-        k=q.k,
+        r=r,
+        k=k,
         choice=best,
-        lower=lower,
-        upper=upper,
+        lower=bound_value(r, k, cls.m, best),
+        upper=r * cls.m,
         caveats=tuple(caveats),
         homology_status=homology_status,
     )
 
 
-def stable_report(g: Graph, r: int) -> BoundReport:
+def stable_report(cls: VertexClassification, r: int) -> BoundReport:
     """Stable value r * m and stable range start k0 = 2m + (number of
     trivalent vertices), available exactly when there are no non-separating
     trivalent vertices."""
     if r < 1:
         raise ValueError("the motion-planning order r must be at least 1")
-    cls = classify(g)
     _require_bound_hypotheses(cls)
     if cls.n2 > 0:
         return BoundReport(
@@ -177,11 +171,9 @@ def stable_report(g: Graph, r: int) -> BoundReport:
                 "parallel edges)",
             ),
         )
-    k0 = 2 * cls.m + cls.trivalent_total
     return BoundReport(
         classification=cls,
         r=r,
         stable_value=r * cls.m,
-        k0=k0,
+        k0=2 * cls.m + cls.trivalent_total,
     )
-

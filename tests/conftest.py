@@ -12,9 +12,8 @@ import itertools
 from gbtc.corpus import BUNDLED, load_bundled
 from gbtc.discrete_config import BettiVector
 from gbtc.free_groups import FreeHom, FreeWord, generator, is_forest, pullback, stallings_core
-from gbtc.graph_core import Graph, VertexClassification, classify
+from gbtc.graph_core import Graph, VertexClassification
 from gbtc.local_graphs import EquivRelation, build_lambda, free_basis, word_of_path
-from gbtc.tc_bounds import BoundQuery
 
 
 def star(n: int) -> Graph:
@@ -182,10 +181,10 @@ def trimmed(bv: BettiVector) -> tuple[int, ...]:
     return tuple(b)
 
 
-def upper_bound(q: BoundQuery) -> int:
+def upper_bound(cls: VertexClassification, r: int) -> int:
     """r * m; asserted for k >= 2m, still reported (with a caveat at the
     reporting layer) below that range."""
-    return q.r * classify(q.graph).m
+    return r * (cls.n0 + cls.n1 + cls.n2)
 
 
 def identity_hom(rank: int) -> FreeHom:

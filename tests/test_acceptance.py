@@ -39,7 +39,7 @@ from gbtc.local_graphs import (
     trivalent_collapse_hom,
     trivalent_product_subgroups,
 )
-from gbtc.tc_bounds import BoundQuery, lower_bound, stable_report
+from gbtc.tc_bounds import lower_bound, stable_report
 
 
 def report(number: int, ok: bool, detail: str) -> None:
@@ -221,10 +221,10 @@ def test_criterion_6_stable_equality_on_corpus():
         k0 = 2 * cls.m + cls.trivalent_total
         for r in range(2, 7):
             for k in range(k0, k0 + 5):
-                rep = lower_bound(BoundQuery(g, r, k))
-                up = upper_bound(BoundQuery(g, r, k))
+                rep = lower_bound(cls, r, k)
+                up = upper_bound(cls, r)
                 ok = ok and rep.lower == up == r * cls.m
-            rep = stable_report(g, r)
+            rep = stable_report(cls, r)
             ok = ok and rep.k0 == k0 and rep.stable_value == r * cls.m
         checked.append(name)
     dt = time.perf_counter() - t0
@@ -233,11 +233,12 @@ def test_criterion_6_stable_equality_on_corpus():
 
 
 def test_criterion_7_theta_gap():
+    cls = classify(theta())
     ok = True
     for r in range(2, 7):
         for k in range(4, 13):
-            rep = lower_bound(BoundQuery(theta(), r, k))
-            up = upper_bound(BoundQuery(theta(), r, k))
+            rep = lower_bound(cls, r, k)
+            up = upper_bound(cls, r)
             ok = ok and rep.lower == (r - 2) * 2 + 2 and up == 2 * r
             ok = ok and rep.lower < up
     report(7, ok, "theta: lower = 2r-2 < upper = 2r for r in 2..6, k in 4..12")

@@ -131,6 +131,58 @@ def test_bad_r_exits_one(capsys):
     assert cap.err.startswith("inapplicable:")
 
 
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["bound", "--r", "0", "--k", "4"], "the motion-planning order r must be at least 1"),
+        (["bound", "--r", "3", "--k", "-1"], "the particle count k must be nonnegative"),
+        (["stable", "--r", "0"], "the motion-planning order r must be at least 1"),
+    ],
+)
+def test_bad_r_or_k_exit_codes_are_pinned(capsys, tmp_path, argv, message):
+    command, *options = argv
+    code = main([command, datafile("hgraph"), *options])
+    cap = capsys.readouterr()
+    assert (code, cap.out, cap.err) == (1, "", f"error: {message}\n")
+    # the graph is classified first, so a disconnected one is refused as such
+    # before its options are read
+    disc = tmp_path / "disc.json"
+    disc.write_text(
+        json.dumps({"vertices": ["a", "b", "c", "d"], "edges": [["a", "b"], ["c", "d"]]})
+    )
+    code = main([command, str(disc), *options])
+    cap = capsys.readouterr()
+    assert (code, cap.out, cap.err) == (2, "", "inapplicable: connected graph required\n")
+
+
+@pytest.mark.parametrize(
+    "argv, calls",
+    [
+        (["corpus"], 7),
+        (["bound", datafile("hgraph"), "--r", "3", "--k", "4"], 1),
+        (["bound", datafile("hgraph"), "--r", "3", "--k", "4", "--check-homology"], 1),
+        (["stable", datafile("hgraph"), "--r", "3"], 1),
+    ],
+    ids=["corpus", "bound", "bound-check-homology", "stable"],
+)
+def test_each_command_classifies_its_graphs_once(capsys, monkeypatch, argv, calls):
+    # every gbtc module that names classify gets the counting one, so a call
+    # made outside the CLI counts too
+    seen = []
+    real = graph_core.classify
+
+    def counting(g):
+        seen.append(g)
+        return real(g)
+
+    for name, module in list(sys.modules.items()):
+        if name.partition(".")[0] == "gbtc" and getattr(module, "classify", None) is real:
+            monkeypatch.setattr(module, "classify", counting)
+    assert main(argv) == 0
+    capsys.readouterr()
+    assert len(seen) == calls
+
+
 def test_stable_hgraph(capsys):
     code, out = run(capsys, "stable", datafile("hgraph"), "--r", "2")
     assert code == 0

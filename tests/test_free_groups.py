@@ -273,6 +273,8 @@ def test_folded_automaton_rows_and_fold_check():
         (2, ((0, -1, 1),)),  # a negative label would read as a reversed arc
         (1, ((0, 1, 5),)),  # a target past the last state
         (2, ((0, 3, 1),)),  # a label past the rank
+        (0, ()),  # no basepoint: would report rank 1 and contain the identity
+        (-3, ()),  # a negative count would report rank 4
     ],
 )
 def test_folded_automaton_rejects_arcs_out_of_range(n_states, arcs):

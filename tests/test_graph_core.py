@@ -60,7 +60,7 @@ from gbtc.local_graphs import (
     local_quotient,
     sink_stabilization,
 )
-from gbtc.tc_bounds import BoundQuery, BoundReport, lower_bound
+from gbtc.tc_bounds import BoundReport, lower_bound
 
 
 def test_valence_star_center():
@@ -208,6 +208,15 @@ def test_classify_cycle_has_no_essential_vertices():
     assert cls.m == 0
 
 
+def test_classification_stores_counts_and_derives_totals():
+    cls = VertexClassification(1, 2, 3)
+    assert VertexClassification.__slots__ == ("n0", "n1", "n2")
+    assert cls.as_dict() == {"n0": 1, "n1": 2, "n2": 3, "m": 6, "trivalent_total": 5}
+    for counts in ((-1, 0, 0), (0, -1, 0), (0, 0, -1)):
+        with pytest.raises(ValueError, match="nonnegative"):
+            VertexClassification(*counts)
+
+
 def test_components_without_star_center_is_discrete():
     g = normalize(star(3))
     assert components_without(g, "c") == ((0,), (1,), (2,))
@@ -337,7 +346,7 @@ PI = EquivRelation.from_blocks([(0,), (1, 2)])
 # one builder per record type; each call builds fresh, equal field values
 RECORDS = {
     Graph: lambda: Graph(("a", "b"), (("a", "b"), ("b", "b")), ("a",)),
-    VertexClassification: lambda: VertexClassification.of_counts(1, 2, 0),
+    VertexClassification: lambda: VertexClassification(1, 2, 0),
     FreeWord: lambda: FreeWord(2, (1, -2, 1)),
     FreeHom: lambda: FreeHom(2, 1, (FreeWord(1, (1,)), FreeWord(1, ()))),
     PullbackGraph: lambda: pullback(
@@ -351,8 +360,7 @@ RECORDS = {
     ChainComplex: lambda: build_complex(star(3), 2),
     BettiVector: lambda: BettiVector((1, 3, 0)),
     NonvanishingReport: lambda: nonvanishing_check(star(3), 2),
-    BoundQuery: lambda: BoundQuery(hgraph(), 2, 6),
-    BoundReport: lambda: lower_bound(BoundQuery(hgraph(), 2, 6)),
+    BoundReport: lambda: lower_bound(classify(hgraph()), 2, 6),
 }
 
 
