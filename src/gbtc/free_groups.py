@@ -14,7 +14,7 @@ is a forest.  Every cycle of the product passes a pair whose first state is
 a branch state of the first core, so that test walks the product from those
 pairs along the first core's unbranched segments and runs union-find over
 the walks that reach another such pair, never materializing the product.
-Its ``nodes`` and ``edges`` are views built on first access.
+Its ``nodes`` and ``edges`` are views built on each access.
 """
 
 from __future__ import annotations
@@ -110,23 +110,18 @@ class FreeHom(Record):
 def apply_hom(f: FreeHom, w: FreeWord) -> FreeWord:
     if w.rank != f.domain_rank:
         raise ValueError("word is not in the domain context")
-    stack: list[int] = []
+    letters: list[int] = []
     for x in w.letters:
         img = f.images[abs(x) - 1].letters
-        seq = img if x > 0 else tuple(-y for y in reversed(img))
-        for y in seq:
-            if stack and stack[-1] == -y:
-                stack.pop()
-            else:
-                stack.append(y)
-    return FreeWord(f.codomain_rank, tuple(stack))
+        letters.extend(img if x > 0 else [-y for y in reversed(img)])
+    return FreeWord(f.codomain_rank, _reduce_letters(letters))
 
 
 def _label_key(l: int) -> tuple[int, int]:
     return (abs(l), 0 if l > 0 else 1)
 
 
-class FoldedAutomaton:
+class FoldedAutomaton(Record):
     """Folded core automaton of a finitely generated subgroup.
 
     States are 0..n_states-1 with basepoint 0; arcs carry positive labels
@@ -140,8 +135,11 @@ class FoldedAutomaton:
     count below 1, which leaves no basepoint, and a state or label out of
     range; :func:`stallings_core` hands over the rows it has renumbered
     instead.  Either way :func:`_check_folded` then checks the rows against
-    the arcs.
+    the arcs.  The rows take no part in equality, hashing or ``repr``.
     """
+
+    __slots__ = ("rank", "n_states", "arcs", "_rows")
+    _fields = __slots__[:-1]
 
     def __init__(self, rank: int, n_states: int, arcs: tuple[tuple[int, int, int], ...]):
         if n_states < 1:
@@ -153,7 +151,7 @@ class FoldedAutomaton:
             rows[s][rank + l] = t
             rows[t][rank - l] = s
         _check_folded(rank, rows, arcs)
-        self.rank, self.n_states, self.arcs, self._rows = rank, n_states, arcs, rows
+        super().__init__(rank, n_states, arcs, rows)
 
     @classmethod
     def _from_rows(cls, rank: int, rows: list[list[int]], arcs) -> FoldedAutomaton:
@@ -161,7 +159,7 @@ class FoldedAutomaton:
         own, so the caller must keep no other reference to them."""
         _check_folded(rank, rows, arcs)
         a = cls.__new__(cls)
-        a.rank, a.n_states, a.arcs, a._rows = rank, len(rows), arcs, rows
+        Record.__init__(a, rank, len(rows), arcs, rows)
         return a
 
     def step(self, state: int, letter: int) -> int | None:
@@ -174,17 +172,6 @@ class FoldedAutomaton:
     def transition_table(self) -> list[list[int]]:
         """Dense table: table[state][letter + rank] -> state or -1 (a copy)."""
         return [row[:] for row in self._rows]
-
-    def __eq__(self, other):
-        return (
-            isinstance(other, FoldedAutomaton)
-            and self.rank == other.rank
-            and self.n_states == other.n_states
-            and self.arcs == other.arcs
-        )
-
-    def __hash__(self):
-        return hash((self.rank, self.n_states, self.arcs))
 
     def __repr__(self):
         return f"FoldedAutomaton(rank={self.rank}, states={self.n_states}, arcs={len(self.arcs)})"
@@ -406,37 +393,29 @@ class PullbackGraph(Record):
     folded, and a pair's degree is the number of signed slots its two
     states share.  Only the two cores are stored: :func:`is_forest` walks
     the product from the first core's branch states without building it,
-    and ``nodes`` and ``edges`` are read-only views of all pairs and all
-    edges, built on first access and cached in slots that take no part in
-    equality.
+    and ``nodes`` and ``edges`` list all pairs and all edges, built on each
+    access.
     """
 
-    __slots__ = ("a", "b", "_nodes", "_edges")
-    _fields = ("a", "b")
+    __slots__ = ("a", "b")
 
     def __init__(self, a: FoldedAutomaton, b: FoldedAutomaton):
-        super().__init__(a, b, None, None)
+        super().__init__(a, b)
 
     @property
     def nodes(self) -> tuple[tuple[int, int], ...]:
         """Every state pair (i, j), with i the first core's state, row-major."""
-        if self._nodes is None:
-            nb = self.b.n_states
-            nodes = tuple((i, j) for i in range(self.a.n_states) for j in range(nb))
-            object.__setattr__(self, "_nodes", nodes)
-        return self._nodes
+        nb = self.b.n_states
+        return tuple((i, j) for i in range(self.a.n_states) for j in range(nb))
 
     @property
     def edges(self) -> tuple[tuple[tuple[int, int], tuple[int, int], int], ...]:
         """One ((s, u), (t, v), l) per arc s -l-> t of the first core and
         u -l-> v of the second, in the order of the two arc lists."""
-        if self._edges is None:
-            steps, rank = _arcs_by_slot(self.b), self.a.rank
-            edges = tuple(
-                ((s, u), (t, v), l) for s, l, t in self.a.arcs for u, v in steps[rank + l]
-            )
-            object.__setattr__(self, "_edges", edges)
-        return self._edges
+        steps, rank = _arcs_by_slot(self.b), self.a.rank
+        return tuple(
+            ((s, u), (t, v), l) for s, l, t in self.a.arcs for u, v in steps[rank + l]
+        )
 
 
 def _arcs_by_slot(a: FoldedAutomaton) -> list[list[tuple[int, int]]]:

@@ -207,30 +207,28 @@ class FreeBasis(Record):
     One generator per non-tree edge; a loop's word is read off by recording
     the signed generator of each non-tree edge it crosses (tree edges
     contribute nothing).  Positive direction of an edge is lower -> upper,
-    the move sending the center particle to the sink.
+    the move sending the center particle to the sink.  The tree is rooted
+    at vertex 0, the first composition of k - 1.
     """
 
-    __slots__ = ("lam", "basepoint", "parent", "gens")
+    __slots__ = ("lam", "parent", "gens")
 
     def __init__(
         self,
         lam: LambdaGraph,
-        basepoint: int,
         parent: tuple[tuple[int, int] | None, ...],  # per vertex: (parent vertex, edge idx)
         gens: tuple[int, ...],  # non-tree edge indices, ascending
     ):
-        super().__init__(lam, basepoint, parent, gens)
+        super().__init__(lam, parent, gens)
 
     @property
     def rank(self) -> int:
         return len(self.gens)
 
 
-def free_basis(lam: LambdaGraph, basepoint: int = 0) -> FreeBasis:
-    """Breadth-first spanning tree from the basepoint, edges visited in
+def free_basis(lam: LambdaGraph) -> FreeBasis:
+    """Breadth-first spanning tree from vertex 0, edges visited in
     (ground label, edge index) order."""
-    if not 0 <= basepoint < lam.n_vertices:
-        raise ValueError("basepoint is not a vertex of the model")
     adj: dict[int, list[tuple[tuple[int, int], int, int]]] = {
         i: [] for i in range(lam.n_vertices)
     }
@@ -242,8 +240,8 @@ def free_basis(lam: LambdaGraph, basepoint: int = 0) -> FreeBasis:
 
     parent: list[tuple[int, int] | None] = [None] * lam.n_vertices
     tree: set[int] = set()
-    seen = {basepoint}
-    queue = [basepoint]
+    seen = {0}
+    queue = [0]
     while queue:
         x = queue.pop(0)
         for _, ei, other in adj[x]:
@@ -253,14 +251,14 @@ def free_basis(lam: LambdaGraph, basepoint: int = 0) -> FreeBasis:
                 tree.add(ei)
                 queue.append(other)
     gens = tuple(ei for ei in range(lam.n_edges) if ei not in tree)
-    return FreeBasis(lam, basepoint, tuple(parent), gens)
+    return FreeBasis(lam, tuple(parent), gens)
 
 
 def tree_path(basis: FreeBasis, v: int) -> list[tuple[int, int]]:
-    """Edge path from the basepoint to v through the tree, as
+    """Edge path from vertex 0 to v through the tree, as
     (edge index, direction) with direction +1 for lower -> upper."""
     path = []
-    while v != basis.basepoint:
+    while v != 0:
         here = basis.parent[v]
         if here is None:
             raise ValueError("vertex is not in the spanning tree component")

@@ -537,7 +537,6 @@ def check_pullback_against_reference(a, b):
     verdict = is_forest(p)
     nodes, edges = reference_pullback(a, b)
     assert p.nodes == nodes and p.edges == edges
-    assert p.edges is p.edges
     assert verdict is reference_is_forest(nodes, edges)
     return verdict
 

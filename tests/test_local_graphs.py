@@ -170,7 +170,7 @@ def test_lambda_connected():
             assert all(
                 basis.parent[v] is not None
                 for v in range(basis.lam.n_vertices)
-                if v != basis.basepoint
+                if v != 0
             )
             assert basis.rank == pi1_rank(basis.lam)
 
