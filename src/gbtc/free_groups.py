@@ -12,9 +12,12 @@ conjugates are read off the fiber product of two cores: the two subgroups
 have disjoint conjugates exactly when every component of the product graph
 is a forest.  Every cycle of the product passes a pair whose first state is
 a branch state of the first core, so that test walks the product from those
-pairs along the first core's unbranched segments and runs union-find over
-the walks that reach another such pair, never materializing the product.
-Its ``nodes`` and ``edges`` are views built on each access.
+pairs along the first core's unbranched segments, each from one end only,
+and runs union-find over the walks that reach another such pair, never
+materializing the product.  It reads the first core through flat lists of
+state degrees and slots and the second through parallel state lists per
+slot, so it builds no container per state or per step.  The product's
+``nodes`` and ``edges`` are views built on each access.
 """
 
 from __future__ import annotations
@@ -32,6 +35,8 @@ class FreeWord(Record):
         # thousand, and the generic loop would add most of a microsecond
         object.__setattr__(self, "rank", rank)
         object.__setattr__(self, "letters", letters)
+        if not isinstance(letters, tuple):
+            raise ValueError("letters must be a tuple")
         for x in self.letters:
             if x == 0 or abs(x) > self.rank:
                 raise ValueError(f"generator index {x} out of range for rank {self.rank}")
@@ -412,20 +417,29 @@ class PullbackGraph(Record):
     def edges(self) -> tuple[tuple[tuple[int, int], tuple[int, int], int], ...]:
         """One ((s, u), (t, v), l) per arc s -l-> t of the first core and
         u -l-> v of the second, in the order of the two arc lists."""
-        steps, rank = _arcs_by_slot(self.b), self.a.rank
+        us, vs = _steps_by_slot(self.b)
+        rank = self.a.rank
         return tuple(
-            ((s, u), (t, v), l) for s, l, t in self.a.arcs for u, v in steps[rank + l]
+            ((s, u), (t, v), l)
+            for s, l, t in self.a.arcs
+            for u, v in zip(us[rank + l], vs[rank + l])
         )
 
 
-def _arcs_by_slot(a: FoldedAutomaton) -> list[list[tuple[int, int]]]:
-    """For each letter l, at index l + rank, the steps (u, v) it takes
-    along the arcs, in arc order: a letter -l reads an l-arc backwards."""
-    steps: list[list[tuple[int, int]]] = [[] for _ in range(2 * a.rank + 1)]
+def _steps_by_slot(a: FoldedAutomaton) -> tuple[list[list[int]], list[list[int]]]:
+    """For each letter l, at index l + rank, the steps it takes along the
+    arcs, in arc order, as two parallel lists: the states ``us[l + rank]``
+    it leaves and the states ``vs[l + rank]`` it reaches.  A letter -l
+    reads the l-arcs backwards, so its two lists are those of l, swapped."""
+    rank = a.rank
+    us: list[list[int]] = [[] for _ in range(2 * rank + 1)]
+    vs: list[list[int]] = [[] for _ in range(2 * rank + 1)]
     for u, l, v in a.arcs:
-        steps[a.rank + l].append((u, v))
-        steps[a.rank - l].append((v, u))
-    return steps
+        us[rank + l].append(u)
+        vs[rank + l].append(v)
+    for l in range(1, rank + 1):
+        us[rank - l], vs[rank - l] = vs[rank + l], us[rank + l]
+    return us, vs
 
 
 def pullback(a: FoldedAutomaton, b: FoldedAutomaton) -> PullbackGraph:
@@ -449,24 +463,40 @@ def is_forest(p: PullbackGraph) -> bool:
     edge.  Distinct compressed edges share no product edge, so the product
     is a forest exactly when the graph of compressed edges is.
 
-    A segment is found from both of its ends, so it is taken only from the
-    end whose (state, slot) is smaller; it is never its own reverse, which
-    would need a reduced word equal to its inverse.  Union-find keys (s, u)
-    as s * n + u, n the second core's state count, keeps the non-roots in a
-    dict, halves paths and stops at the first edge whose ends are joined.
+    The first core is read through three flat lists, each state's degree
+    and its first and last signed slots, which are its two slots when it
+    lies inside a segment; a seed's slots are read off its own row.  Each
+    segment is walked once, from the first of its ends the loop reaches:
+    the far end (t, back) is recorded and skipped when the loop gets there.
+    A segment is never its own reverse, which would need a reduced word
+    equal to its inverse.  The second core's steps are two parallel state
+    lists per slot.  Union-find keys (s, u) as s * n + u, n the second
+    core's state count, keeps the non-roots in a dict, halves paths and
+    stops at the first edge whose ends are joined.
     """
     a, b = p.a, p.b
     rank, nb = a.rank, b.n_states
+    width = 2 * rank + 1
     rows_a, rows_b = a._rows, b._rows
-    # the signed slots of each state of a, as row indices
-    slots: list[list[int]] = [[] for _ in rows_a]
+    deg = [0] * a.n_states
+    k1 = [0] * a.n_states
+    k2 = [0] * a.n_states
     for s, l, t in a.arcs:
-        slots[s].append(rank + l)
-        slots[t].append(rank - l)
-    steps = _arcs_by_slot(b)
-    seed = [len(ks) >= 3 for ks in slots]
+        if deg[s]:
+            k2[s] = rank + l
+        else:
+            k1[s] = rank + l
+        deg[s] += 1
+        if deg[t]:
+            k2[t] = rank - l
+        else:
+            k1[t] = rank - l
+        deg[t] += 1
+    seed = [d >= 3 for d in deg]
     if not any(seed):
         seed = [True] * a.n_states
+    us, vs = _steps_by_slot(b)
+    walked: set[int] = set()
     parent: dict[int, int] = {}
 
     def root(x: int) -> int:
@@ -478,20 +508,23 @@ def is_forest(p: PullbackGraph) -> bool:
             x = r
         return x
 
-    for s, ks in enumerate(slots):
+    for s, row in enumerate(rows_a):
         if not seed[s]:
             continue
-        for first in ks:
+        for first, t in enumerate(row):
+            if t < 0 or s * width + first in walked:
+                continue
             # the first core's segment from s through slot `first`: the
             # slots after the first one, and the seed t it reaches
-            path, t, back = [], rows_a[s][first], 2 * rank - first
-            while not seed[t] and len(slots[t]) == 2:
-                k = slots[t][slots[t][0] == back]  # t's other slot
+            path, back = [], 2 * rank - first
+            while not seed[t] and deg[t] == 2:
+                k = k2[t] if k1[t] == back else k1[t]
                 path.append(k)
                 t, back = rows_a[t][k], 2 * rank - k
-            if not seed[t] or (t, back) < (s, first):
+            if not seed[t]:
                 continue
-            for u, v in steps[first]:
+            walked.add(t * width + back)
+            for u, v in zip(us[first], vs[first]):
                 for k in path:
                     v = rows_b[v][k]
                     if v < 0:

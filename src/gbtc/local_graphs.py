@@ -45,6 +45,8 @@ class EquivRelation(Record):
             if seen.intersection(b):
                 raise ValueError("blocks must be disjoint")
             seen.update(b)
+        if len(set(self.ground)) != len(self.ground):
+            raise ValueError("ground elements must be distinct")
         if seen != set(self.ground):
             raise ValueError("blocks must cover the ground set")
 
@@ -242,8 +244,7 @@ def free_basis(lam: LambdaGraph) -> FreeBasis:
     tree: set[int] = set()
     seen = {0}
     queue = [0]
-    while queue:
-        x = queue.pop(0)
+    for x in queue:  # grows while it is read: breadth-first order
         for _, ei, other in adj[x]:
             if other not in seen:
                 seen.add(other)

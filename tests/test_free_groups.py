@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import itertools
 import random
+import sys
 from collections import Counter
 
 import pytest
@@ -74,6 +75,12 @@ def test_reduce_rejects_out_of_range():
 def test_freeword_rejects_unreduced():
     with pytest.raises(ValueError):
         FreeWord(2, (1, -1))
+
+
+def test_freeword_rejects_letters_not_in_a_tuple():
+    # a list would compare unequal to the same tuple and not hash
+    with pytest.raises(ValueError, match="tuple"):
+        FreeWord(2, [1, 2])
 
 
 def test_inverse_and_concat():
@@ -703,6 +710,80 @@ def test_is_forest_with_a_trivial_side():
         p = pullback(a, b)
         assert len(p.nodes) == a.n_states * b.n_states and p.edges == ()
         assert check_pullback_against_reference(a, b) is True
+
+
+def test_is_forest_segment_back_to_its_own_seed():
+    # 0 is the only branch state, and both of its segments come back to it:
+    # x1 x2 x3 through 1 and 2, x4 x4 through 3.  A walk along x1 x2 x3
+    # ends at (0, slot -3), which must not start the same segment again
+    a = stallings_core(4, [w(4, 1, 2, 3), w(4, 4, 4)])
+    assert a.arcs == ((0, 1, 1), (0, 4, 3), (1, 2, 2), (2, 3, 0), (3, 4, 0))
+    assert branch_states(a) == {0}
+    for gen, disjoint in (
+        (w(4, 1, 2, 3, 2), True),
+        (w(4, 1, 2, 3, 1, 2, 3), False),
+        (w(4, 3, 1, 2), False),
+    ):
+        b = stallings_core(4, [gen])
+        assert check_pullback_against_reference(a, b) is disjoint
+        assert check_pullback_against_reference(b, a) is disjoint
+
+
+def theta_core():
+    """Branch states 3 and 4, joined by three segments of two arcs or more:
+    x2 x2 and x4 x4 from 3 to 4, and x3 x3 x1 x1 from 4 back to 3."""
+    a = stallings_core(4, [w(4, 1, 1, 2, 2, 3, 3), w(4, 1, 1, 4, 4, 3, 3)])
+    assert a.arcs == (
+        (0, 1, 1), (1, 1, 3), (2, 3, 0), (3, 2, 5),
+        (3, 4, 6), (4, 3, 2), (5, 2, 4), (6, 4, 4),
+    )
+    assert branch_states(a) == {3, 4}
+    return a
+
+
+def test_is_forest_segments_joining_one_pair_of_seeds():
+    # x2^2 x4^2 runs the x2 and x4 segments in one direction each: two
+    # compressed edges between seeds over 3 and 4, and no cycle; x2^2 x4^-2
+    # runs them around the theta's cycle
+    a = theta_core()
+    for gen, disjoint in ((w(4, 2, 2, 4, 4), True), (w(4, 2, 2, -4, -4), False)):
+        b = stallings_core(4, [gen])
+        assert check_pullback_against_reference(a, b) is disjoint
+        assert check_pullback_against_reference(b, a) is disjoint
+    assert check_pullback_against_reference(a, a) is False
+
+
+def test_is_forest_unions_compressed_edges_only():
+    # against x2^2 x4^2 the theta's product has 8 edges, but only two walks
+    # read a whole segment, so union-find roots two pairs per compressed
+    # edge and none per product edge inside a segment
+    a, b = theta_core(), stallings_core(4, [w(4, 2, 2, 4, 4)])
+    assert len(pullback(a, b).edges) == 8
+    calls = Counter()
+
+    def profile(frame, event, arg):
+        if event == "call":
+            calls[frame.f_code.co_name] += 1
+
+    sys.setprofile(profile)
+    try:
+        assert is_forest(pullback(a, b))
+    finally:
+        sys.setprofile(None)
+    assert calls["root"] == 4
+
+
+def test_is_forest_circle_against_branched_core():
+    # every state of the circle seeds, so each product edge is walked alone
+    b = theta_core()
+    for gen, disjoint in (
+        (w(4, 1, 1, 2, 2), True),
+        (w(4, 2, 2, 3, 3, 1, 1), False),
+        (w(4, 2, 2, -4, -4, 2, 2, -4, -4), False),
+    ):
+        a = stallings_core(4, [gen])
+        assert a.arcs and not branch_states(a)
+        assert check_pullback_against_reference(a, b) is disjoint
 
 
 def test_disjoint_conjugates_of_paper_pairs():

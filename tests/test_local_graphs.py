@@ -59,6 +59,9 @@ def test_equiv_relation_validates_cover():
         EquivRelation((0, 1, 2), ((0,), (1,)))
     with pytest.raises(ValueError):
         EquivRelation((0, 1), ((0, 1), (1,)))
+    # a repeated ground element: the blocks cover the set of elements
+    with pytest.raises(ValueError, match="distinct"):
+        EquivRelation((0, 0, 1), ((0,), (1,)))
 
 
 def test_equiv_relation_constructors():
