@@ -105,6 +105,8 @@ class FreeHom(Record):
 
     def __init__(self, domain_rank: int, codomain_rank: int, images: tuple[FreeWord, ...]):
         super().__init__(domain_rank, codomain_rank, images)
+        if not isinstance(self.images, tuple):
+            raise ValueError("images must be a tuple")
         if len(self.images) != self.domain_rank:
             raise ValueError("need one image word per domain generator")
         for w in self.images:
@@ -137,9 +139,9 @@ class FoldedAutomaton(Record):
     that letter l leads to, or -1.
 
     This constructor writes the rows from the arcs, after rejecting a state
-    count below 1, which leaves no basepoint, and a state or label out of
-    range; :func:`stallings_core` hands over the rows it has renumbered
-    instead.  Either way :func:`_check_folded` then checks the rows against
+    count below 1, which leaves no basepoint, arcs that are not a tuple, and
+    a state or label out of range; :func:`stallings_core` hands over the
+    rows it has renumbered instead.  Either way :func:`_check_folded` then checks the rows against
     the arcs.  The rows take no part in equality, hashing or ``repr``.
     """
 
@@ -149,6 +151,8 @@ class FoldedAutomaton(Record):
     def __init__(self, rank: int, n_states: int, arcs: tuple[tuple[int, int, int], ...]):
         if n_states < 1:
             raise ValueError(f"state count {n_states} out of range: the basepoint is state 0")
+        if not isinstance(arcs, tuple):
+            raise ValueError("arcs must be a tuple")
         rows = [[-1] * (2 * rank + 1) for _ in range(n_states)]
         for s, l, t in arcs:
             if not (0 <= s < n_states and 0 <= t < n_states and 0 < l <= rank):

@@ -28,41 +28,36 @@ from .free_groups import (
 
 
 class EquivRelation(Record):
-    """An equivalence relation on the finite ground set {0..n-1}.
+    """An equivalence relation on the finite ground set {0..n-1}, held as
+    its blocks.
 
-    Blocks are disjoint, nonempty, cover the ground set, and are kept sorted
-    by smallest member.
+    The blocks may be given in any order; each is sorted, and then they are
+    sorted by smallest member.  They must be nonempty and partition
+    {0..n-1}.
     """
 
-    __slots__ = ("ground", "blocks")
+    __slots__ = ("blocks",)
 
-    def __init__(self, ground: tuple[int, ...], blocks: tuple[tuple[int, ...], ...]):
-        super().__init__(ground, blocks)
-        seen: set[int] = set()
-        for b in self.blocks:
-            if not b:
-                raise ValueError("blocks must be nonempty")
-            if seen.intersection(b):
-                raise ValueError("blocks must be disjoint")
-            seen.update(b)
-        if len(set(self.ground)) != len(self.ground):
-            raise ValueError("ground elements must be distinct")
-        if seen != set(self.ground):
-            raise ValueError("blocks must cover the ground set")
-
-    @classmethod
-    def from_blocks(cls, blocks) -> "EquivRelation":
-        blocks = tuple(sorted((tuple(sorted(b)) for b in blocks), key=lambda b: b[0]))
-        ground = tuple(sorted(x for b in blocks for x in b))
-        return cls(ground, blocks)
+    def __init__(self, blocks):
+        # disjoint nonempty blocks sort by their smallest members
+        blocks = tuple(sorted(tuple(sorted(b)) for b in blocks))
+        if not all(blocks):
+            raise ValueError("blocks must be nonempty")
+        if sorted(x for b in blocks for x in b) != list(range(sum(map(len, blocks)))):
+            raise ValueError("blocks must partition {0..n-1}")
+        super().__init__(blocks)
 
     @classmethod
     def discrete(cls, n: int) -> "EquivRelation":
-        return cls.from_blocks([(i,) for i in range(n)])
+        return cls([(i,) for i in range(n)])
 
     @classmethod
     def indiscrete(cls, n: int) -> "EquivRelation":
-        return cls.from_blocks([tuple(range(n))])
+        return cls([range(n)])
+
+    @property
+    def ground(self) -> tuple[int, ...]:
+        return tuple(range(sum(map(len, self.blocks))))
 
     @property
     def n_blocks(self) -> int:
@@ -89,18 +84,13 @@ def local_quotient(g: Graph, v: str) -> EquivRelation:
     if not is_connected(g):
         raise HypothesisError("connected graph required")
     blocks = components_without(g, v)
-    order = list(range(sum(len(b) for b in blocks)))
-    if len(blocks) > 1:
-        block_of = {}
-        for bi, b in enumerate(blocks):
-            for x in b:
-                block_of[x] = bi
-        if block_of[order[0]] == block_of[order[1]]:
-            swap = next(p for p in order if block_of[p] != block_of[order[0]])
-            order.remove(swap)
-            order.insert(1, swap)
-    pos = {old: new for new, old in enumerate(order)}
-    return EquivRelation.from_blocks([tuple(pos[x] for x in b) for b in blocks])
+    if len(blocks) > 1 and 1 in blocks[0]:
+        # blocks are sorted by smallest member, so blocks[1][0] is the first
+        # position outside the block of 0: it moves to position 1, and the
+        # positions it passes shift up by one
+        m = blocks[1][0]
+        blocks = [tuple(1 if p == m else p + (0 < p < m) for p in b) for b in blocks]
+    return EquivRelation(blocks)
 
 
 def compositions(total: int, parts: int) -> list[tuple[int, ...]]:
@@ -206,22 +196,23 @@ def pi1_rank(lam: LambdaGraph) -> int:
 class FreeBasis(Record):
     """Spanning-tree basis of the loops of a particle model graph.
 
-    One generator per non-tree edge; a loop's word is read off by recording
-    the signed generator of each non-tree edge it crosses (tree edges
-    contribute nothing).  Positive direction of an edge is lower -> upper,
-    the move sending the center particle to the sink.  The tree is rooted
-    at vertex 0, the first composition of k - 1.
+    The tree is rooted at vertex 0, the first composition of k - 1, and
+    lists one (vertex, parent vertex, edge index) per other vertex in
+    breadth-first order.  One generator per non-tree edge; a loop's word is
+    read off by recording the signed generator of each non-tree edge it
+    crosses (tree edges contribute nothing).  Positive direction of an edge
+    is lower -> upper, the move sending the center particle to the sink.
     """
 
-    __slots__ = ("lam", "parent", "gens")
+    __slots__ = ("lam", "tree", "gens")
 
     def __init__(
         self,
         lam: LambdaGraph,
-        parent: tuple[tuple[int, int] | None, ...],  # per vertex: (parent vertex, edge idx)
+        tree: tuple[tuple[int, int, int], ...],
         gens: tuple[int, ...],  # non-tree edge indices, ascending
     ):
-        super().__init__(lam, parent, gens)
+        super().__init__(lam, tree, gens)
 
     @property
     def rank(self) -> int:
@@ -230,7 +221,8 @@ class FreeBasis(Record):
 
 def free_basis(lam: LambdaGraph) -> FreeBasis:
     """Breadth-first spanning tree from vertex 0, edges visited in
-    (ground label, edge index) order."""
+    (ground label, edge index) order; a model the tree does not span is
+    rejected."""
     adj: dict[int, list[tuple[tuple[int, int], int, int]]] = {
         i: [] for i in range(lam.n_vertices)
     }
@@ -240,55 +232,20 @@ def free_basis(lam: LambdaGraph) -> FreeBasis:
     for lst in adj.values():
         lst.sort()
 
-    parent: list[tuple[int, int] | None] = [None] * lam.n_vertices
-    tree: set[int] = set()
+    tree: list[tuple[int, int, int]] = []
     seen = {0}
     queue = [0]
     for x in queue:  # grows while it is read: breadth-first order
         for _, ei, other in adj[x]:
             if other not in seen:
                 seen.add(other)
-                parent[other] = (x, ei)
-                tree.add(ei)
+                tree.append((other, x, ei))
                 queue.append(other)
-    gens = tuple(ei for ei in range(lam.n_edges) if ei not in tree)
-    return FreeBasis(lam, tuple(parent), gens)
-
-
-def tree_path(basis: FreeBasis, v: int) -> list[tuple[int, int]]:
-    """Edge path from vertex 0 to v through the tree, as
-    (edge index, direction) with direction +1 for lower -> upper."""
-    path = []
-    while v != 0:
-        here = basis.parent[v]
-        if here is None:
-            raise ValueError("vertex is not in the spanning tree component")
-        p, ei = here
-        upper, lower, _ = basis.lam.edges[ei]
-        path.append((ei, 1 if (lower == p and upper == v) else -1))
-        v = p
-    path.reverse()
-    return path
-
-
-def word_of_path(basis: FreeBasis, path) -> FreeWord:
-    """The element of the free basis determined by a closed edge path."""
-    gen_pos = {ei: i + 1 for i, ei in enumerate(basis.gens)}
-    letters = []
-    for ei, direction in path:
-        i = gen_pos.get(ei)
-        if i is not None:
-            letters.append(i * direction)
-    return reduce_word(basis.rank, letters)
-
-
-def generator_loop(basis: FreeBasis, gen_edge: int) -> list[tuple[int, int]]:
-    """The defining loop of a basis generator: tree path to the lower end,
-    across the edge, tree path back from the upper end."""
-    upper, lower, _ = basis.lam.edges[gen_edge]
-    fwd = tree_path(basis, lower)
-    back = [(ei, -d) for ei, d in reversed(tree_path(basis, upper))]
-    return fwd + [(gen_edge, 1)] + back
+    if len(queue) != lam.n_vertices:
+        raise ValueError("the model graph is not connected")
+    tree_edges = {ei for _, _, ei in tree}
+    gens = tuple(ei for ei in range(lam.n_edges) if ei not in tree_edges)
+    return FreeBasis(lam, tuple(tree), gens)
 
 
 class SinkStabilization(Record):
@@ -306,7 +263,9 @@ def sink_stabilization(lam: LambdaGraph, block: int) -> SinkStabilization:
 
     Vertices map by incrementing the block's coordinate; edges map label by
     label.  The induced homomorphism rewrites each basis loop of the source
-    in the target's basis.
+    in the target's basis: ``pot[v]`` holds the target letters crossed by
+    the image of the tree path from vertex 0 to v, and the generator on
+    edge (upper, lower) goes to pot[lower], its own letter, pot[upper]^-1.
     """
     if not 0 <= block < lam.pi.n_blocks:
         raise ValueError(f"unknown block {block}")
@@ -314,21 +273,30 @@ def sink_stabilization(lam: LambdaGraph, block: int) -> SinkStabilization:
     src_basis = free_basis(lam)
     tgt_basis = free_basis(target)
 
-    tgt_index: dict[tuple[tuple[int, ...], int], int] = {}
-    for ei, (u, l, j) in enumerate(target.edges):
-        tgt_index[(target.vertices[l], j)] = ei
+    # a target edge, keyed by (lower composition, label), and its letter:
+    # its generator position, or 0 on a tree edge
+    gen_pos = {ei: i for i, ei in enumerate(tgt_basis.gens, 1)}
+    letter_at = {
+        (target.vertices[l], j): gen_pos.get(ei, 0) for ei, (_, l, j) in enumerate(target.edges)
+    }
 
-    def edge_image(ei: int) -> int:
+    def letter(ei: int) -> int:
         _, l, j = lam.edges[ei]
         low = list(lam.vertices[l])
         low[block] += 1
-        return tgt_index[(tuple(low), j)]
+        return letter_at[(tuple(low), j)]
+
+    pot: list[tuple[int, ...]] = [()] * lam.n_vertices
+    for v, p, ei in src_basis.tree:
+        x = letter(ei) if lam.edges[ei][0] == v else -letter(ei)
+        pot[v] = pot[p] + (x,) if x else pot[p]
 
     images = []
     for ge in src_basis.gens:
-        path = generator_loop(src_basis, ge)
-        image_path = [(edge_image(ei), d) for ei, d in path]
-        images.append(word_of_path(tgt_basis, image_path))
+        upper, lower, _ = lam.edges[ge]
+        x = letter(ge)
+        loop = pot[lower] + ((x,) if x else ()) + tuple(-y for y in reversed(pot[upper]))
+        images.append(reduce_word(tgt_basis.rank, loop))
     hom = FreeHom(src_basis.rank, tgt_basis.rank, tuple(images))
     return SinkStabilization(lam, target, block, hom)
 

@@ -8,12 +8,14 @@ are meaningful.  The helpers at the end are ones only the tests call.
 from __future__ import annotations
 
 import itertools
+import random
 
 from gbtc.corpus import BUNDLED, load_bundled
 from gbtc.discrete_config import BettiVector
 from gbtc.free_groups import FreeHom, FreeWord, generator, is_forest, pullback, stallings_core
 from gbtc.graph_core import Graph, VertexClassification
-from gbtc.local_graphs import EquivRelation, build_lambda, free_basis, word_of_path
+from gbtc.local_graphs import EquivRelation, build_lambda, free_basis
+from loop_basis_oracle import word_of_path
 
 
 def star(n: int) -> Graph:
@@ -171,6 +173,26 @@ def greedy_choice(cls: VertexClassification, k: int) -> tuple[int, int, int]:
 
 def bundled_graphs() -> list[tuple[str, Graph]]:
     return [(name, load_bundled(name)) for name in BUNDLED]
+
+
+def random_multigraph(rng: random.Random) -> Graph:
+    """A connected graph on 1-7 vertices: a random spanning tree plus extra
+    edges that are often self-loops or parallel to an existing edge."""
+    n = rng.randint(1, 7)
+    verts = tuple(f"v{i}" for i in range(n))
+    edges = [(verts[i], verts[rng.randrange(i)]) for i in range(1, n)]
+    for _ in range(rng.randint(0, 5)):
+        roll = rng.random()
+        if roll < 0.3:
+            x = rng.choice(verts)
+            edges.append((x, x))
+        elif roll < 0.6 and edges:
+            u, w = rng.choice(edges)
+            edges.append((w, u) if rng.random() < 0.5 else (u, w))
+        else:
+            edges.append((rng.choice(verts), rng.choice(verts)))
+    rng.shuffle(edges)
+    return Graph(verts, tuple(edges))
 
 
 def trimmed(bv: BettiVector) -> tuple[int, ...]:

@@ -155,9 +155,9 @@ def test_criterion_4_model_counts_and_stable_rank():
     shapes = [
         EquivRelation.indiscrete(2),
         EquivRelation.indiscrete(4),
-        EquivRelation.from_blocks([(0,), (1, 2)]),
-        EquivRelation.from_blocks([(0, 1), (2, 3)]),
-        EquivRelation.from_blocks([(0,), (1,), (2, 3)]),
+        EquivRelation([(0,), (1, 2)]),
+        EquivRelation([(0, 1), (2, 3)]),
+        EquivRelation([(0,), (1,), (2, 3)]),
         EquivRelation.discrete(3),
         EquivRelation.discrete(4),
     ]

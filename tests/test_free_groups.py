@@ -96,6 +96,15 @@ def kill_third() -> FreeHom:
     return FreeHom(3, 2, (generator(2, 1), generator(2, 2), identity(2)))
 
 
+def test_freehom_rejects_images_not_in_a_tuple():
+    # a list would compare unequal to the same tuple and not hash
+    images = (generator(1, 1), identity(1))
+    with pytest.raises(ValueError, match="tuple"):
+        FreeHom(2, 1, list(images))
+    f = FreeHom(2, 1, images)
+    assert f == FreeHom(2, 1, images) and hash(f) == hash(FreeHom(2, 1, images))
+
+
 def test_apply_hom_keeps_first_commutator():
     c12 = commutator(generator(3, 1), generator(3, 2))
     assert apply_hom(kill_third(), c12) == commutator(generator(2, 1), generator(2, 2))
@@ -270,6 +279,15 @@ def test_folded_automaton_rows_and_fold_check():
     for arcs in (((0, 1, 1), (0, 1, 0)), ((0, 1, 1), (1, 1, 1)), ((0, 2, 0), (0, 2, 0))):
         with pytest.raises(ValueError, match="not folded"):
             FoldedAutomaton(2, 2, arcs)
+
+
+def test_folded_automaton_rejects_arcs_not_in_a_tuple():
+    # a list would compare unequal to the same tuple and not hash
+    with pytest.raises(ValueError, match="tuple"):
+        FoldedAutomaton(1, 1, [(0, 1, 0)])
+    a = FoldedAutomaton(1, 1, ((0, 1, 0),))
+    assert a == stallings_core(1, [generator(1, 1)])
+    assert hash(a) == hash(stallings_core(1, [generator(1, 1)]))
 
 
 @pytest.mark.parametrize(

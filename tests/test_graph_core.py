@@ -21,6 +21,7 @@ from conftest import (
     oracle_separating,
     oracle_valence,
     path_graph,
+    random_multigraph,
     spider,
     star,
     theta,
@@ -297,26 +298,6 @@ def test_graph_from_data_keeps_string_ids_and_sinks():
     assert g == Graph(("a", "b"), (("a", "b"),), ("b",))
 
 
-def random_multigraph(rng: random.Random) -> Graph:
-    """A connected graph on 1-7 vertices: a random spanning tree plus extra
-    edges that are often self-loops or parallel to an existing edge."""
-    n = rng.randint(1, 7)
-    verts = tuple(f"v{i}" for i in range(n))
-    edges = [(verts[i], verts[rng.randrange(i)]) for i in range(1, n)]
-    for _ in range(rng.randint(0, 5)):
-        roll = rng.random()
-        if roll < 0.3:
-            x = rng.choice(verts)
-            edges.append((x, x))
-        elif roll < 0.6 and edges:
-            u, w = rng.choice(edges)
-            edges.append((w, u) if rng.random() < 0.5 else (u, w))
-        else:
-            edges.append((rng.choice(verts), rng.choice(verts)))
-    rng.shuffle(edges)
-    return Graph(verts, tuple(edges))
-
-
 def test_input_graph_matches_normalized_route():
     # every result read off the input graph equals the one computed on its
     # subdivision, as graph_core did before it stopped subdividing
@@ -342,7 +323,7 @@ def test_input_graph_matches_normalized_route():
 
 # -- value semantics of the records --------------------------------------------
 
-PI = EquivRelation.from_blocks([(0,), (1, 2)])
+PI = EquivRelation([(0,), (1, 2)])
 
 # one builder per record type; each call builds fresh, equal field values
 RECORDS = {
@@ -355,7 +336,7 @@ RECORDS = {
         stallings_core(2, [FreeWord(2, (1, 2))]), stallings_core(2, [FreeWord(2, (2, 1))])
     ),
     ConjugacySearch: lambda: ConjugacySearch(3, (FreeWord(2, (1,)), FreeWord(2, (2,)))),
-    EquivRelation: lambda: EquivRelation.from_blocks([(0,), (1, 2)]),
+    EquivRelation: lambda: EquivRelation([(0,), (1, 2)]),
     LambdaGraph: lambda: build_lambda(PI, 2),
     FreeBasis: lambda: free_basis(build_lambda(PI, 2)),
     SinkStabilization: lambda: sink_stabilization(build_lambda(PI, 1), 0),

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import itertools
+import random
 
 import pytest
 
@@ -13,6 +14,7 @@ from conftest import (
     gamma_to_tree_hom,
     hgraph,
     oracle_compositions,
+    random_multigraph,
     recursive_compositions,
     star,
     theta,
@@ -30,14 +32,14 @@ from gbtc.free_groups import (
     stallings_core,
     subgroup_rank,
 )
-from gbtc.graph_core import HypothesisError
+from gbtc.graph_core import Graph, HypothesisError, components_without, valence
 from gbtc.local_graphs import (
     EquivRelation,
+    LambdaGraph,
     build_lambda,
     compositions,
     expected_counts,
     free_basis,
-    generator_loop,
     local_quotient,
     pi1_rank,
     sink_stabilization,
@@ -45,28 +47,44 @@ from gbtc.local_graphs import (
     star_projection_hom,
     trivalent_collapse_hom,
     trivalent_product_subgroups,
-    word_of_path,
 )
+from loop_basis_oracle import generator_loop, stabilization_hom, word_of_path
 
-PI23 = EquivRelation.from_blocks([(0,), (1, 2)])
+PI23 = EquivRelation([(0,), (1, 2)])
 
 
 # -- equivalence relations -----------------------------------------------------
 
 
 def test_equiv_relation_validates_cover():
-    with pytest.raises(ValueError):
-        EquivRelation((0, 1, 2), ((0,), (1,)))
-    with pytest.raises(ValueError):
-        EquivRelation((0, 1), ((0, 1), (1,)))
-    # a repeated ground element: the blocks cover the set of elements
-    with pytest.raises(ValueError, match="distinct"):
-        EquivRelation((0, 0, 1), ((0,), (1,)))
+    # the blocks must partition {0..n-1}: no gap, no overlap, no repeat
+    for blocks in (
+        [(0,), (2,)],
+        [(1,), (3,)],
+        [(0, 1), (1,)],
+        [(0, 1), (1, 2)],
+        [(0, 0), (1,)],
+        [(0,), (0,)],
+    ):
+        with pytest.raises(ValueError, match="partition"):
+            EquivRelation(blocks)
+    for blocks in ([(0,), ()], [()]):
+        with pytest.raises(ValueError, match="nonempty"):
+            EquivRelation(blocks)
+    with pytest.raises(ValueError, match="nonempty"):
+        EquivRelation.indiscrete(0)
 
 
 def test_equiv_relation_constructors():
     assert EquivRelation.discrete(3).blocks == ((0,), (1,), (2,))
     assert EquivRelation.indiscrete(3).blocks == ((0, 1, 2),)
+    assert EquivRelation.discrete(0).blocks == () and EquivRelation.discrete(0).ground == ()
+    # shuffled blocks are sorted, each block and then by smallest member
+    pi = EquivRelation([(4, 2), (3,), (1, 0, 5)])
+    assert pi.blocks == ((0, 1, 5), (2, 4), (3,))
+    assert pi == EquivRelation([(3,), (0, 5, 1), (2, 4)])
+    assert pi.ground == (0, 1, 2, 3, 4, 5)
+    assert [pi.block_of(x) for x in pi.ground] == [0, 0, 1, 2, 1, 0]
 
 
 # -- local quotients -----------------------------------------------------------
@@ -95,6 +113,40 @@ def test_local_quotient_rejects_sinks():
     gs = Graph(g.vertices, g.edges, sinks=(g.vertices[0],))
     with pytest.raises(HypothesisError):
         local_quotient(gs, "c")
+
+
+def reference_local_quotient(g: Graph, v: str) -> tuple[tuple[int, ...], ...]:
+    """The blocks of local_quotient by the remove/insert rule: when the
+    first two positions share a block, the first position outside that
+    block is taken out and put back at index 1."""
+    blocks = components_without(g, v)
+    order = list(range(sum(len(b) for b in blocks)))
+    if len(blocks) > 1:
+        block_of = {x: bi for bi, b in enumerate(blocks) for x in b}
+        if block_of[order[0]] == block_of[order[1]]:
+            swap = next(p for p in order if block_of[p] != block_of[order[0]])
+            order.remove(swap)
+            order.insert(1, swap)
+    pos = {old: new for new, old in enumerate(order)}
+    moved = [sorted(pos[x] for x in b) for b in blocks]
+    return tuple(tuple(b) for b in sorted(moved))
+
+
+def test_local_quotient_matches_remove_insert_rule():
+    rng = random.Random(20261019)
+    checked = moved = 0
+    for _ in range(1500):
+        g = random_multigraph(rng)
+        for v in g.vertices:
+            if valence(g, v) < 3:
+                continue
+            blocks = components_without(g, v)
+            pi = local_quotient(g, v)
+            assert pi.blocks == reference_local_quotient(g, v), (g, v)
+            checked += 1
+            moved += len(blocks) > 1 and 1 in blocks[0]
+    # the rule moves a position on a good share of the cases
+    assert checked >= 1000 and moved >= 100, (checked, moved)
 
 
 def test_local_quotient_separating_order_fix():
@@ -141,9 +193,9 @@ def test_lambda_counts_match_enumeration():
         EquivRelation.indiscrete(3),
         EquivRelation.discrete(3),
         PI23,
-        EquivRelation.from_blocks([(0, 1), (2, 3)]),
-        EquivRelation.from_blocks([(0,), (1,), (2, 3)]),
-        EquivRelation.from_blocks([(0,), (1,), (2,), (3,)]),
+        EquivRelation([(0, 1), (2, 3)]),
+        EquivRelation([(0,), (1,), (2, 3)]),
+        EquivRelation([(0,), (1,), (2,), (3,)]),
     ]
     for pi in shapes:
         b = pi.n_blocks
@@ -170,12 +222,19 @@ def test_lambda_connected():
     for pi in (EquivRelation.discrete(4), EquivRelation.indiscrete(4), PI23):
         for k in range(1, 6):
             basis = free_basis(build_lambda(pi, k))
-            assert all(
-                basis.parent[v] is not None
-                for v in range(basis.lam.n_vertices)
-                if v != 0
-            )
+            reached = [0] + [v for v, _, _ in basis.tree]
+            assert sorted(reached) == list(range(basis.lam.n_vertices))
+            # breadth-first: each parent was reached before its child
+            assert all(reached.index(p) < reached.index(v) for v, p, _ in basis.tree)
             assert basis.rank == pi1_rank(basis.lam)
+
+
+def test_free_basis_rejects_disconnected_model():
+    # the one-particle model of two blocks with its edge to (0, 1) left out
+    pi = EquivRelation.discrete(2)
+    lam = LambdaGraph(pi, 1, ((0, 0), (1, 0), (0, 1)), ((1, 0, 0),))
+    with pytest.raises(ValueError, match="not connected"):
+        free_basis(lam)
 
 
 def test_lambda_rejects_empty_relation():
@@ -227,8 +286,13 @@ def test_free_basis_size_is_betti_number():
 
 
 def test_generator_loops_read_back_as_generators():
+    # each generator's defining loop, walked through the tree, reads back as
+    # that generator, and every tree edge joins a vertex to its parent
     lam = build_lambda(PI23, 3)
     basis = free_basis(lam)
+    for v, p, ei in basis.tree:
+        upper, lower, _ = lam.edges[ei]
+        assert {upper, lower} == {v, p}
     for pos, edge in enumerate(basis.gens):
         word = word_of_path(basis, generator_loop(basis, edge))
         assert word == generator(basis.rank, pos + 1)
@@ -274,6 +338,31 @@ def test_stabilization_rank_nondecreasing_discrete():
     for n in (3, 4):
         ranks = [pi1_rank(build_lambda(EquivRelation.discrete(n), k)) for k in range(1, 7)]
         assert ranks == sorted(ranks)
+
+
+def set_partitions(n: int):
+    """Every partition of {0..n-1} into blocks, each exactly once."""
+    if n == 0:
+        yield []
+        return
+    for p in set_partitions(n - 1):
+        for i in range(len(p)):
+            yield p[:i] + [p[i] + [n - 1]] + p[i + 1 :]
+        yield p + [[n - 1]]
+
+
+def test_stabilization_matches_edge_path_reference():
+    count = 0
+    for n in range(1, 6):
+        for blocks in set_partitions(n):
+            pi = EquivRelation(blocks)
+            for k in range(1, 5):
+                lam = build_lambda(pi, k)
+                for block in range(pi.n_blocks):
+                    hom = sink_stabilization(lam, block).hom
+                    assert hom == stabilization_hom(lam, block), (blocks, k, block)
+                    count += 1
+    assert count == 4 * (1 + 3 + 10 + 37 + 151)
 
 
 def test_stabilization_preserves_labels():
