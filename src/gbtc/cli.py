@@ -198,8 +198,9 @@ def _verify_lemma_rows(max_n: int) -> list[dict]:
 
     ok = True
     for n in range(2, 5):
+        # the model of k + 1 particles is the k-particle model's target
+        lam = local_graphs.build_lambda(local_graphs.EquivRelation.discrete(n), 1)
         for k in range(1, 5):
-            lam = local_graphs.build_lambda(local_graphs.EquivRelation.discrete(n), k)
             stab = local_graphs.sink_stabilization(lam, 0)
             gens = [
                 free_groups.generator(stab.hom.domain_rank, i + 1)
@@ -207,15 +208,17 @@ def _verify_lemma_rows(max_n: int) -> list[dict]:
             ]
             ok = ok and free_groups.restriction_injective(stab.hom, gens)
             ok = ok and local_graphs.pi1_rank(stab.target) >= local_graphs.pi1_rank(lam)
+            lam = stab.target
     row("adding a particle splits into the next leaf-separated model", ok)
 
     ok = True
     for n in range(2, 6):
+        lam = local_graphs.build_lambda(local_graphs.EquivRelation.indiscrete(n), 1)
         for k in range(1, 6):
-            lam = local_graphs.build_lambda(local_graphs.EquivRelation.indiscrete(n), k)
             stab = local_graphs.sink_stabilization(lam, 0)
             ok = ok and free_groups.is_isomorphism(stab.hom)
             ok = ok and stab.hom.domain_rank == n - 1
+            lam = stab.target
     row("adding a particle is an isomorphism for the leaf-identified model", ok)
 
     return rows
@@ -246,20 +249,11 @@ def _cmd_corpus(args) -> int:
         stable = {}
         bounds = {}
         for r in (2, 3) if cls.m >= 2 else ():
-            rep = tc_bounds.stable_report(cls, r)
-            stable[f"r{r}"] = {
-                "stable_value": rep.stable_value,
-                "k0": rep.k0,
-                "caveats": list(rep.caveats),
-            }
-            k = rep.k0 if rep.k0 is not None else 2 * cls.m
-            b = tc_bounds.lower_bound(cls, r, k)
-            bounds[f"r{r}"] = {
-                "k": k,
-                "lower": b.lower,
-                "upper": b.upper,
-                "choice": list(b.choice),
-            }
+            rep = tc_bounds.stable_report(cls, r).as_dict()
+            stable[f"r{r}"] = {key: rep[key] for key in ("stable_value", "k0", "caveats")}
+            k = rep["k0"] if rep["k0"] is not None else 2 * cls.m
+            b = tc_bounds.lower_bound(cls, r, k).as_dict()
+            bounds[f"r{r}"] = {key: b[key] for key in ("k", "lower", "upper", "choice")}
         out.append(
             {"name": name, "classification": cls.as_dict(), "stable": stable, "bounds": bounds}
         )

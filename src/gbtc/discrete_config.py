@@ -31,10 +31,12 @@ non-negotiable: ranks are computed over the integers, never in floating
 point.  Degrees 2 and up are reduced by columns, each pivoting on its
 largest row, which on this complex creates far less fill than pivoting on
 the smallest; a column is built only when the clearing does not skip it.
-Pivots keep their sign.  A ±1 pivot, the only kind this complex has shown,
-reduces a column without rescaling it, since 1/a = a; any other pivot is
-combined fraction-free, and content is divided out only of a column that
-registers with a pivot entry other than ±1.
+Pivots keep their sign.  A ±1 pivot reduces a column without rescaling it,
+since 1/a = a; any other pivot is combined fraction-free.  Content is
+divided out only of a column that registers with a pivot entry other than
+±1: on K_{3,3} and K_5 one column of d_2 does, with entry ±2 and content 2
+(k = 2, 3, 4), and registers as a ±1 pivot.  No built complex has yet kept a
+pivot other than ±1, so only synthetic matrices reach the fraction-free step.
 Degree 1 needs no elimination: every column of d_1 is zero or
 e(h) - e(h0) on two monomials, so d_1 is the incidence matrix of a graph on
 the degree-0 generators, and its rank is their number less the number of
@@ -107,18 +109,13 @@ class GeneratorLayer(Record):
 
     Generator j is vertex state ``states[j // M]`` times edge monomial
     ``monos[j % M]``, with ``M = len(monos)``: every vertex state times
-    every edge monomial, the monomial varying fastest.  ``len`` counts
-    them; nothing is stored per generator.
+    every edge monomial, the monomial varying fastest.  A vertex state is a
+    tuple of occupied (vertex, half-edge) pairs and a monomial a sorted
+    tuple of edge indices.  ``len`` counts the generators; nothing is
+    stored per generator.
     """
 
     __slots__ = ("states", "monos")
-
-    def __init__(
-        self,
-        states: tuple[tuple[tuple[int, int], ...], ...],  # occupied (vertex, half-edge) pairs
-        monos: tuple[tuple[int, ...], ...],  # edge monomials as sorted edge indices
-    ):
-        super().__init__(states, monos)
 
     def __len__(self) -> int:
         return len(self.states) * len(self.monos)
@@ -140,14 +137,6 @@ class Boundary(Record):
 
     __slots__ = ("terms", "up", "stride")
     __hash__ = None
-
-    def __init__(
-        self,
-        terms: list[tuple[tuple[int, int, int], ...]],  # terms[s]: (lower state, edge, sign)
-        up: list[list[int]],  # up[e][r]: rank of upper monomial r times edge e
-        stride: int,  # number of lower monomials
-    ):
-        super().__init__(terms, up, stride)
 
     def __iter__(self):
         return self.columns()
@@ -189,7 +178,8 @@ class Boundary(Record):
 
 
 class ChainComplex(Record):
-    """Generators graded by degree, with integer boundary maps.
+    """Generators of k particles on ``graph``, graded by degree, with
+    integer boundary maps.
 
     ``cells[d]`` is the :class:`GeneratorLayer` of degree d, the vertex
     states and edge monomials whose products are its generators.
@@ -201,15 +191,6 @@ class ChainComplex(Record):
 
     __slots__ = ("graph", "k", "cells", "boundaries")
     __hash__ = None
-
-    def __init__(
-        self,
-        graph: Graph,
-        k: int,
-        cells: list[GeneratorLayer],
-        boundaries: list,  # [] for degree 0, then a Boundary per degree
-    ):
-        super().__init__(graph, k, cells, boundaries)
 
     @property
     def dimension(self) -> int:
@@ -408,10 +389,9 @@ def _rank_by_union_find(bd: Boundary) -> int:
 
 
 class BettiVector(Record):
-    __slots__ = ("betti",)
+    """Betti numbers by degree; a degree outside the tuple reads 0."""
 
-    def __init__(self, betti: tuple[int, ...]):
-        super().__init__(betti)
+    __slots__ = ("betti",)
 
     def __getitem__(self, d: int) -> int:
         return self.betti[d] if 0 <= d < len(self.betti) else 0
@@ -451,34 +431,18 @@ def betti(c: ChainComplex) -> BettiVector:
 
 class NonvanishingReport(Record):
     """The verdict, plus the complex it was read from; the complex takes no
-    part in equality, hashing or repr."""
+    part in equality, hashing or repr.
+
+    ``status`` is "verified" or "budget-exceeded"; a budget-exceeded report
+    has no ``betti``, ``nonzero`` or complex and empty ``cell_counts``, the
+    generators per degree.  ``as_dict`` writes ``betti`` as a plain list.
+    """
 
     __slots__ = ("k", "m", "degree", "betti", "nonzero", "status", "cell_counts", "chain_complex")
     _fields = __slots__[:-1]
 
-    def __init__(
-        self,
-        k: int,
-        m: int,
-        degree: int,
-        betti: BettiVector | None,
-        nonzero: bool | None,
-        status: str,  # "verified" or "budget-exceeded"
-        cell_counts: tuple[int, ...] = (),  # generators per degree
-        chain_complex: ChainComplex | None = None,
-    ):
-        super().__init__(k, m, degree, betti, nonzero, status, cell_counts, chain_complex)
-
     def as_dict(self) -> dict:
-        return {
-            "k": self.k,
-            "m": self.m,
-            "degree": self.degree,
-            "betti": list(self.betti.betti) if self.betti else None,
-            "nonzero": self.nonzero,
-            "status": self.status,
-            "cell_counts": list(self.cell_counts),
-        }
+        return {**super().as_dict(), "betti": list(self.betti.betti) if self.betti else None}
 
 
 def nonvanishing_check(
@@ -498,7 +462,7 @@ def nonvanishing_check(
     try:
         complex_ = build_complex(g, k, budget)
     except CellBudgetError:
-        return NonvanishingReport(k, m, degree, None, None, "budget-exceeded")
+        return NonvanishingReport(k, m, degree, None, None, "budget-exceeded", (), None)
     b = betti(complex_).betti
     bv = BettiVector(b + (0,) * (k + 1 - len(b)))
     chi = sum((-1) ** d * x for d, x in enumerate(bv.betti))
@@ -506,12 +470,5 @@ def nonvanishing_check(
     if chi != gal:
         raise AssertionError(f"Euler characteristic {chi} != Gal's formula {gal}")
     return NonvanishingReport(
-        k,
-        m,
-        degree,
-        bv,
-        bv[degree] != 0,
-        "verified",
-        tuple(complex_.cell_counts()),
-        complex_,
+        k, m, degree, bv, bv[degree] != 0, "verified", tuple(complex_.cell_counts()), complex_
     )

@@ -408,9 +408,6 @@ class PullbackGraph(Record):
 
     __slots__ = ("a", "b")
 
-    def __init__(self, a: FoldedAutomaton, b: FoldedAutomaton):
-        super().__init__(a, b)
-
     @property
     def nodes(self) -> tuple[tuple[int, int], ...]:
         """Every state pair (i, j), with i the first core's state, row-major."""
@@ -551,9 +548,6 @@ class ConjugacySearch(Record):
     """
 
     __slots__ = ("max_len", "violation")
-
-    def __init__(self, max_len: int, violation: tuple[FreeWord, FreeWord] | None):
-        super().__init__(max_len, violation)
 
     @property
     def found_violation(self) -> bool:

@@ -21,11 +21,12 @@ import json
 class Record:
     """Base of the package's value records.
 
-    A subclass lists its fields in ``__slots__``, in constructor order, and
-    its ``__init__`` hands their values to :meth:`Record.__init__`.  Equality
+    A subclass lists its fields in ``__slots__``, in constructor order;
+    :meth:`Record.__init__` takes exactly one value per slot, and a subclass
+    defines its own ``__init__`` only to check or derive values.  Equality
     and hashing compare the record type and the values of ``_fields``, which
-    defaults to ``__slots__``; ``repr`` shows them by name.  A field cannot
-    be reassigned or deleted once set.
+    defaults to ``__slots__``; ``repr`` and :meth:`as_dict` show them by
+    name.  A field cannot be reassigned or deleted once set.
 
     Every CLI call is a fresh process, so the records are plain classes, not
     built by the standard library's record decorator: importing its module
@@ -42,6 +43,10 @@ class Record:
             cls._fields = cls.__slots__
 
     def __init__(self, *values):
+        if len(values) != len(self.__slots__):
+            raise TypeError(
+                f"{type(self).__qualname__} takes {len(self.__slots__)} values, got {len(values)}"
+            )
         for name, value in zip(self.__slots__, values):
             object.__setattr__(self, name, value)
 
@@ -55,6 +60,17 @@ class Record:
 
     def __hash__(self):
         return hash(self._values())
+
+    def as_dict(self) -> dict:
+        """The fields by name, for JSON: a record field becomes its own
+        ``as_dict()`` and a tuple a list."""
+        out = {f: getattr(self, f) for f in self._fields}
+        for f, v in out.items():
+            if isinstance(v, Record):
+                out[f] = v.as_dict()
+            elif isinstance(v, tuple):
+                out[f] = list(v)
+        return out
 
     def __repr__(self):
         fields = ", ".join(f"{f}={getattr(self, f)!r}" for f in self._fields)
@@ -102,27 +118,26 @@ class Graph(Record):
         edges: tuple[tuple[str, str], ...],
         sinks: tuple[str, ...] = (),
     ):
-        super().__init__(vertices, edges, sinks)
         at: dict[str, list[int]] = {}
-        for v in self.vertices:
+        for v in vertices:
             if v in at:
                 raise GraphFormatError(f"duplicate vertex id {_short(v)}")
             at[v] = []
-        for ei, e in enumerate(self.edges):
+        for ei, e in enumerate(edges):
             if len(e) != 2:
                 raise GraphFormatError(f"edge {_short(e)} is not a pair")
             for x in e:
                 if x not in at:
                     raise GraphFormatError(f"edge endpoint {_short(x)} is not a declared vertex")
                 at[x].append(ei)
-        sinks = set()
-        for s in self.sinks:
+        seen = set()
+        for s in sinks:
             if s not in at:
                 raise GraphFormatError(f"sink {_short(s)} is not a declared vertex")
-            if s in sinks:
+            if s in seen:
                 raise GraphFormatError(f"duplicate sink id {_short(s)}")
-            sinks.add(s)
-        object.__setattr__(self, "half_edges", {v: tuple(hs) for v, hs in at.items()})
+            seen.add(s)
+        super().__init__(vertices, edges, sinks, {v: tuple(hs) for v, hs in at.items()})
 
     @property
     def n_vertices(self) -> int:
@@ -250,13 +265,7 @@ class VertexClassification(Record):
         return self.n1 + self.n2
 
     def as_dict(self) -> dict:
-        return {
-            "n0": self.n0,
-            "n1": self.n1,
-            "n2": self.n2,
-            "m": self.m,
-            "trivalent_total": self.trivalent_total,
-        }
+        return {**super().as_dict(), "m": self.m, "trivalent_total": self.trivalent_total}
 
 
 def classify(g: Graph) -> VertexClassification:

@@ -33,12 +33,16 @@ class EquivRelation(Record):
 
     The blocks may be given in any order; each is sorted, and then they are
     sorted by smallest member.  They must be nonempty and partition
-    {0..n-1}.
+    {0..n-1}, and every member must be an ``int`` (not a bool or float,
+    which would compare equal to one).
     """
 
     __slots__ = ("blocks",)
 
     def __init__(self, blocks):
+        blocks = [tuple(b) for b in blocks]
+        if any(type(x) is not int for b in blocks for x in b):
+            raise ValueError("block members must be ints")
         # disjoint nonempty blocks sort by their smallest members
         blocks = tuple(sorted(tuple(sorted(b)) for b in blocks))
         if not all(blocks):
@@ -131,15 +135,6 @@ class LambdaGraph(Record):
 
     __slots__ = ("pi", "k", "vertices", "edges")
 
-    def __init__(
-        self,
-        pi: EquivRelation,
-        k: int,
-        vertices: tuple[tuple[int, ...], ...],
-        edges: tuple[tuple[int, int, int], ...],
-    ):
-        super().__init__(pi, k, vertices, edges)
-
     @property
     def n_vertices(self) -> int:
         return len(self.vertices)
@@ -198,21 +193,14 @@ class FreeBasis(Record):
 
     The tree is rooted at vertex 0, the first composition of k - 1, and
     lists one (vertex, parent vertex, edge index) per other vertex in
-    breadth-first order.  One generator per non-tree edge; a loop's word is
+    breadth-first order.  One generator per non-tree edge, ``gens`` listing
+    their edge indices in ascending order; a loop's word is
     read off by recording the signed generator of each non-tree edge it
     crosses (tree edges contribute nothing).  Positive direction of an edge
     is lower -> upper, the move sending the center particle to the sink.
     """
 
     __slots__ = ("lam", "tree", "gens")
-
-    def __init__(
-        self,
-        lam: LambdaGraph,
-        tree: tuple[tuple[int, int, int], ...],
-        gens: tuple[int, ...],  # non-tree edge indices, ascending
-    ):
-        super().__init__(lam, tree, gens)
 
     @property
     def rank(self) -> int:
@@ -253,9 +241,6 @@ class SinkStabilization(Record):
     homomorphism it induces on spanning-tree bases."""
 
     __slots__ = ("source", "target", "block", "hom")
-
-    def __init__(self, source: LambdaGraph, target: LambdaGraph, block: int, hom: FreeHom):
-        super().__init__(source, target, block, hom)
 
 
 def sink_stabilization(lam: LambdaGraph, block: int) -> SinkStabilization:

@@ -68,20 +68,6 @@ class BoundReport(Record):
             if self.k is not None and self.k < 2 * (c0 + c2) + 3 * c1:
                 raise ValueError("choice is not admissible at this k")
 
-    def as_dict(self) -> dict:
-        return {
-            "classification": self.classification.as_dict(),
-            "r": self.r,
-            "k": self.k,
-            "choice": list(self.choice) if self.choice is not None else None,
-            "lower": self.lower,
-            "upper": self.upper,
-            "stable_value": self.stable_value,
-            "k0": self.k0,
-            "caveats": list(self.caveats),
-            "homology_status": self.homology_status,
-        }
-
 
 def _require_bound_hypotheses(cls: VertexClassification) -> None:
     if cls.m < 2:

@@ -62,6 +62,19 @@ def cycle_graph(n: int) -> Graph:
     return Graph(verts, edges)
 
 
+def k33() -> Graph:
+    """K_{3,3}, non-planar: a test fixture, not a bundled graph, so the
+    corpus output does not change."""
+    a, b = ("a1", "a2", "a3"), ("b1", "b2", "b3")
+    return Graph(a + b, tuple((x, y) for x in a for y in b))
+
+
+def k5() -> Graph:
+    """K_5, non-planar: a test fixture like :func:`k33`."""
+    verts = tuple(f"v{i}" for i in range(1, 6))
+    return Graph(verts, tuple(itertools.combinations(verts, 2)))
+
+
 # ---------------------------------------------------------------------------
 # oracles
 # ---------------------------------------------------------------------------

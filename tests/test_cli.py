@@ -456,6 +456,24 @@ def test_verify_lemmas_stallings_core_calls(monkeypatch):
     assert len(calls) == 3 * 4 + 6 + 60 * 4 + 12 * 2 + 20 * 1 == 302
 
 
+def test_verify_lemmas_builds_each_particle_model_once(monkeypatch):
+    # the trivalent row builds 1 model; the split rows build the k = 1 model
+    # of each n and reach k + 1 through the particle-adding map, 3 * 5 and
+    # 4 * 6 models; it was 65 when each k rebuilt the model its predecessor
+    # had built as a target
+    calls = []
+    build = local_graphs.build_lambda
+
+    def counted(pi, k):
+        calls.append((pi, k))
+        return build(pi, k)
+
+    monkeypatch.setattr(local_graphs, "build_lambda", counted)
+    rows = _verify_lemma_rows(6)
+    assert all(r["ok"] for r in rows)
+    assert len(calls) == len(set(calls)) == 1 + 3 * 5 + 4 * 6 == 40
+
+
 def test_verify_lemmas_refuses_n_over_the_limit(capsys):
     from gbtc.cli import VERIFY_LEMMAS_MAX_N
 

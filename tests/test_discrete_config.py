@@ -13,7 +13,7 @@ import sympy
 
 import swiatkowski_oracle
 from abrams_oracle import abrams_model, chains, normalize, sufficient_subdivision
-from conftest import cycle_graph, hgraph, path_graph, spider, star, theta, trimmed
+from conftest import cycle_graph, hgraph, k5, k33, path_graph, spider, star, theta, trimmed
 from dict_columns import (
     _check_boundary_squares_to_zero,
     _rank_of_columns,
@@ -322,7 +322,7 @@ def test_rank_of_columns_against_sympy_random():
 
 
 def test_eliminate_non_unit_pivots_against_sympy_and_fractions():
-    # the complex has only ±1 pivots, so random matrices reach the
+    # a built complex keeps only ±1 pivots, so random matrices reach the
     # fraction-free branch: pivots of either sign, unit or not
     rng = random.Random(17)
     met = set()
@@ -346,14 +346,71 @@ def test_eliminate_non_unit_pivots_against_sympy_and_fractions():
     assert met == {(True, True), (False, True), (True, False), (False, False)}
 
 
+# the Kuratowski graphs: sympy ranks the k = 2 complexes in well under a
+# second, the Abrams oracle both k in about 0.2 s each
+NONPLANAR = [
+    (k33, 2, (1, 4, 0)),
+    (k33, 3, (1, 4, 8, 0)),
+    (k5, 2, (1, 6, 0)),
+    (k5, 3, (1, 6, 30, 0)),
+]
+
+
+def test_nonplanar_betti_match_sympy_and_the_abrams_oracle():
+    for make, k, want in NONPLANAR:
+        g = make()
+        assert nonvanishing_check(g, k).betti.betti == want, (make.__name__, k)
+        assert dict_betti(abrams_model(g, k)).betti == want, (make.__name__, k)
+        if k == 2:
+            assert sympy_betti(model(g, k)) == want, make.__name__
+
+
+def test_nonplanar_d2_registers_a_non_unit_pivot_entry_by_its_content(monkeypatch):
+    # on each graph one column of d_2 reaches its pivot row with entry ±2
+    # and content 2, which the planar bundled graphs never do; divided by
+    # its content it registers as a ±1 pivot.  gcd runs only on that path,
+    # and each column's content starts at gcd(0, first entry)
+    starts = []
+    real_gcd = discrete_config.gcd
+
+    def counted(g, v):
+        if g == 0:
+            starts.append(v)
+        return real_gcd(g, v)
+
+    monkeypatch.setattr(discrete_config, "gcd", counted)
+    for make, k, _ in NONPLANAR:
+        c = model(make(), k)
+        cleared = frozenset()
+        for d in range(c.dimension, 1, -1):
+            columns = list(c.boundaries[d].columns(cleared))
+            fresh = [dict(col) for col in columns]
+            starts.clear()
+            rank, pivot_rows = _eliminate(fresh)
+            assert len(starts) == (1 if d == 2 else 0), (make.__name__, k, d)
+            assert (rank, pivot_rows) == _rank_over_fractions(columns)
+            assert all(col[max(col)] in (1, -1) for col in fresh if col)
+            cleared = pivot_rows
+
+
 def test_eliminate_keeps_a_negative_non_unit_pivot():
     # the only pivot is -2: its column registers as it is, with content 1
     # and its sign kept, and the other two, multiples of it, reduce to zero
-    # as a*col - b*pivot
+    # as a*col - b*pivot, one step each.  A pivot's entries are read once
+    # per step, so a step that leaves the pivot row, and would repeat
+    # forever, fails at the third read
+    class Column(dict):
+        reads = 0
+
+        def items(self):
+            Column.reads += 1
+            assert Column.reads <= 2, "a reduction step left the pivot row"
+            return super().items()
+
     columns = [{0: 1, 1: -2}, {0: -2, 1: 4}, {0: 3, 1: -6}]
-    fresh = [dict(col) for col in columns]
+    fresh = [Column(col) for col in columns]
     assert _eliminate(fresh) == (1, {1})
-    assert fresh == [{0: 1, 1: -2}, {}, {}]
+    assert fresh == [{0: 1, 1: -2}, {}, {}] and Column.reads == 2
     assert _rank_over_fractions(columns) == (1, {1})
 
 

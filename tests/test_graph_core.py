@@ -46,6 +46,7 @@ from gbtc.graph_core import (
     Graph,
     GraphFormatError,
     HypothesisError,
+    Record,
     VertexClassification,
     classify,
     components_without,
@@ -62,7 +63,7 @@ from gbtc.local_graphs import (
     local_quotient,
     sink_stabilization,
 )
-from gbtc.tc_bounds import BoundReport, lower_bound
+from gbtc.tc_bounds import BoundReport, lower_bound, stable_report
 
 
 def test_valence_star_center():
@@ -347,6 +348,14 @@ RECORDS = {
 }
 
 
+# the slots that take no part in equality, hashing or repr
+HIDDEN_SLOTS = {
+    Graph: ["half_edges"],
+    FoldedAutomaton: ["_rows"],
+    NonvanishingReport: ["chain_complex"],
+}
+
+
 @pytest.mark.parametrize("cls", list(RECORDS), ids=lambda c: c.__name__)
 def test_record_value_semantics(cls):
     a, b = RECORDS[cls](), RECORDS[cls]()
@@ -366,13 +375,14 @@ def test_record_value_semantics(cls):
         if other is not cls:
             assert a != build() and not a == build()
 
-    fields = [p for p in inspect.signature(cls.__init__).parameters if p != "self"]
-    for name in fields:
+    hidden = [name for name in cls.__slots__ if name not in cls._fields]
+    assert hidden == HIDDEN_SLOTS.get(cls, [])
+    for name in cls.__slots__:
         changed = copy.copy(b)
         object.__setattr__(changed, name, object())
-        if cls is NonvanishingReport and name == "chain_complex":
-            assert changed == a and hash(changed) == hash(a)
-            assert "chain_complex" not in repr(a)
+        if name in hidden:
+            assert changed == a and hash(changed) == hash(a) and repr(changed) == repr(a)
+            assert name not in repr(a)
         else:
             assert changed != a and not changed == a, name
         with pytest.raises(AttributeError):
@@ -380,3 +390,82 @@ def test_record_value_semantics(cls):
         with pytest.raises(AttributeError):
             delattr(b, name)
     assert a == b
+
+
+@pytest.mark.parametrize("cls", list(RECORDS), ids=lambda c: c.__name__)
+def test_record_constructor_refuses_a_value_too_few_or_too_many(cls):
+    # a record without its own __init__ takes exactly one value per slot;
+    # one with its own takes from its required parameters up to all of them
+    a = RECORDS[cls]()
+    values = [getattr(a, name) for name in cls.__slots__]
+    params = inspect.signature(cls).parameters.values()
+    if cls.__init__ is Record.__init__:
+        fewest = most = len(values)
+    else:
+        fewest = sum(p.default is p.empty for p in params)
+        most = len(params)
+    assert cls(*values[:most]) == a
+    with pytest.raises(TypeError):
+        cls(*values[: fewest - 1])
+    with pytest.raises(TypeError):
+        cls(*values[:most], values[-1])
+
+
+def _old_classification_dict(cls):
+    # the hand-written serializers that Record.as_dict replaced
+    return {"n0": cls.n0, "n1": cls.n1, "n2": cls.n2, "m": cls.m, "trivalent_total": cls.trivalent_total}
+
+
+def _old_bound_dict(rep):
+    return {
+        "classification": _old_classification_dict(rep.classification),
+        "r": rep.r,
+        "k": rep.k,
+        "choice": list(rep.choice) if rep.choice is not None else None,
+        "lower": rep.lower,
+        "upper": rep.upper,
+        "stable_value": rep.stable_value,
+        "k0": rep.k0,
+        "caveats": list(rep.caveats),
+        "homology_status": rep.homology_status,
+    }
+
+
+def _old_nonvanishing_dict(rep):
+    return {
+        "k": rep.k,
+        "m": rep.m,
+        "degree": rep.degree,
+        "betti": list(rep.betti.betti) if rep.betti else None,
+        "nonzero": rep.nonzero,
+        "status": rep.status,
+        "cell_counts": list(rep.cell_counts),
+    }
+
+
+def test_as_dict_matches_the_hand_written_reports():
+    # seen: lower bounds with and without a caveat, stable reports with and
+    # without a stable value, verified and budget-exceeded homology reports
+    seen = set()
+    for _, g in bundled_graphs():
+        cls = classify(g)
+        assert cls.as_dict() == _old_classification_dict(cls)
+        bounds = []
+        for r in (2, 3) if cls.m >= 2 else ():
+            bounds += [lower_bound(cls, r, cls.m), lower_bound(cls, r, 2 * cls.m)]
+            bounds.append(stable_report(cls, r))
+        for rep in bounds:
+            assert rep.as_dict() == _old_bound_dict(rep)
+            seen.add((rep.lower is None, rep.stable_value is None, bool(rep.caveats)))
+        for budget in (10, 10**6):
+            rep = nonvanishing_check(g, 3, budget)
+            assert rep.as_dict() == _old_nonvanishing_dict(rep)
+            seen.add(rep.status)
+    assert seen == {
+        (False, True, True),
+        (False, True, False),
+        (True, False, False),
+        (True, True, True),
+        "verified",
+        "budget-exceeded",
+    }

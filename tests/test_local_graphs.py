@@ -75,6 +75,15 @@ def test_equiv_relation_validates_cover():
         EquivRelation.indiscrete(0)
 
 
+def test_equiv_relation_refuses_members_that_only_compare_equal_to_ints():
+    # True == 1 and 0.0 == 0, so without the type check these would pass the
+    # cover check and build relations equal to ones on ints, with another repr
+    for blocks in ([(True,), (0,)], [(0.0,), (1,)], [(0, 1.0)], [("0",)], [(0,), (1, "2")]):
+        with pytest.raises(ValueError, match="ints"):
+            EquivRelation(blocks)
+    assert EquivRelation([(1,), (0,)]) == EquivRelation.discrete(2)
+
+
 def test_equiv_relation_constructors():
     assert EquivRelation.discrete(3).blocks == ((0,), (1,), (2,))
     assert EquivRelation.indiscrete(3).blocks == ((0, 1, 2),)
