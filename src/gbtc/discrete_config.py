@@ -320,7 +320,8 @@ def _eliminate(columns: Iterable[dict[int, int]]) -> tuple[int, set[int]]:
     when its pivot entry is not ±1 (else the content is 1), so pivots stay
     small.  Scaling a column moves none of the pivot rows, so neither
     choice changes the rank or the pivot-row set.  Each registered column
-    has its pivot as its largest row.
+    has its pivot as its largest row.  A step that leaves the pivot row in
+    the column raises AssertionError, as it would pick that pivot forever.
     """
     pivots: dict[int, dict[int, int]] = {}
     for col in columns:
@@ -354,6 +355,8 @@ def _eliminate(columns: Iterable[dict[int, int]]) -> tuple[int, set[int]]:
                     col[rr] = nv
                 else:
                     del col[rr]
+            if r in col:
+                raise AssertionError(f"elimination left pivot row {r} in the column")
     return len(pivots), set(pivots)
 
 

@@ -31,13 +31,12 @@ class FreeWord(Record):
     __slots__ = ("rank", "letters")
 
     def __init__(self, rank: int, letters: tuple[int, ...]):
-        # assigned here, not through Record.__init__: words are built by the
-        # thousand, and the generic loop would add most of a microsecond
-        object.__setattr__(self, "rank", rank)
-        object.__setattr__(self, "letters", letters)
+        super().__init__(rank, letters)
         if not isinstance(letters, tuple):
             raise ValueError("letters must be a tuple")
         for x in self.letters:
+            if type(x) is not int:
+                raise ValueError(f"generator index {x!r} is not an int")
             if x == 0 or abs(x) > self.rank:
                 raise ValueError(f"generator index {x} out of range for rank {self.rank}")
         for a, b in zip(self.letters, self.letters[1:]):
@@ -65,6 +64,8 @@ def _reduce_letters(letters) -> tuple[int, ...]:
 def reduce_word(rank: int, letters) -> FreeWord:
     """Freely reduce a raw letter sequence."""
     for x in letters:
+        if type(x) is not int:
+            raise ValueError(f"generator index {x!r} is not an int")
         if x == 0 or abs(x) > rank:
             raise ValueError(f"generator index {x} out of range for rank {rank}")
     return FreeWord(rank, _reduce_letters(letters))
@@ -124,8 +125,9 @@ def apply_hom(f: FreeHom, w: FreeWord) -> FreeWord:
     return FreeWord(f.codomain_rank, _reduce_letters(letters))
 
 
-def _label_key(l: int) -> tuple[int, int]:
-    return (abs(l), 0 if l > 0 else 1)
+def _letters(rank: int) -> list[int]:
+    """The signed letters in label order: 1, -1, 2, -2, ..."""
+    return [l for m in range(1, rank + 1) for l in (m, -m)]
 
 
 class FoldedAutomaton(Record):
@@ -141,8 +143,11 @@ class FoldedAutomaton(Record):
     This constructor writes the rows from the arcs, after rejecting a state
     count below 1, which leaves no basepoint, arcs that are not a tuple, and
     a state or label out of range; :func:`stallings_core` hands over the
-    rows it has renumbered instead.  Either way :func:`_check_folded` then checks the rows against
-    the arcs.  The rows take no part in equality, hashing or ``repr``.
+    rows it has renumbered instead.  Either way :func:`_check_folded` then
+    checks the rows against the arcs, and this constructor rejects a state
+    that the basepoint does not reach, which the breadth-first numbering of
+    :func:`stallings_core` never leaves.  The rows take no part in
+    equality, hashing or ``repr``.
     """
 
     __slots__ = ("rank", "n_states", "arcs", "_rows")
@@ -160,6 +165,14 @@ class FoldedAutomaton(Record):
             rows[s][rank + l] = t
             rows[t][rank - l] = s
         _check_folded(rank, rows, arcs)
+        reached, bfs = {0}, [0]
+        for s in bfs:
+            for t in rows[s]:
+                if t >= 0 and t not in reached:
+                    reached.add(t)
+                    bfs.append(t)
+        if len(reached) < n_states:
+            raise ValueError("automaton has a state the basepoint does not reach")
         super().__init__(rank, n_states, arcs, rows)
 
     @classmethod
@@ -177,10 +190,6 @@ class FoldedAutomaton(Record):
             return None  # a row index out of range would wrap or raise
         t = self._rows[state][letter + self.rank]
         return t if t >= 0 else None
-
-    def transition_table(self) -> list[list[int]]:
-        """Dense table: table[state][letter + rank] -> state or -1 (a copy)."""
-        return [row[:] for row in self._rows]
 
     def __repr__(self):
         return f"FoldedAutomaton(rank={self.rank}, states={self.n_states}, arcs={len(self.arcs)})"
@@ -306,7 +315,7 @@ def stallings_core(rank: int, gens) -> FoldedAutomaton:
     # stale targets on the way; each slot of a numbered state is rewritten
     # to the canonical number of its target.  The slots go in label order,
     # each with its label if positive, else 0, which emits no arc
-    order = [(rank + l, max(l, 0)) for m in range(1, rank + 1) for l in (m, -m)]
+    order = [(rank + l, max(l, 0)) for l in _letters(rank)]
     number = [-1] * len(rows)
     bfs = [find(0)]
     number[bfs[0]] = 0
@@ -328,17 +337,21 @@ def stallings_core(rank: int, gens) -> FoldedAutomaton:
     return FoldedAutomaton._from_rows(rank, [rows[s] for s in bfs], tuple(arcs))
 
 
+def _read(a: FoldedAutomaton, state: int, letters) -> int:
+    """The state that reading ``letters`` from ``state`` leads to, or -1."""
+    rows, rank = a._rows, a.rank
+    for x in letters:
+        state = rows[state][x + rank]
+        if state < 0:
+            break
+    return state
+
+
 def contains(a: FoldedAutomaton, w: FreeWord) -> bool:
     """Membership by path tracing; the identity is always contained."""
     if w.rank != a.rank:
         raise ValueError("rank context mismatch")
-    cur = 0
-    for x in w.letters:
-        nxt = a.step(cur, x)
-        if nxt is None:
-            return False
-        cur = nxt
-    return cur == 0
+    return _read(a, 0, w.letters) == 0
 
 
 def subgroup_rank(a: FoldedAutomaton) -> int:
@@ -348,26 +361,22 @@ def subgroup_rank(a: FoldedAutomaton) -> int:
 def subgroup_elements_up_to(a: FoldedAutomaton, max_len: int) -> list[tuple[int, ...]]:
     """All nontrivial reduced subgroup words of length <= max_len.
 
-    These are the non-backtracking closed walks at the basepoint, enumerated
-    in canonical label order.
+    These are the non-backtracking closed walks at the basepoint.  The walks
+    of each length extend those one shorter, in order, by each letter in
+    label order, so they come out by length and then in label order.
     """
+    rows, rank = a._rows, a.rank
+    labels = _letters(rank)
     found: list[tuple[int, ...]] = []
-    labels = sorted((l for l in range(-a.rank, a.rank + 1) if l != 0), key=_label_key)
-    stack: list[tuple[int, int, tuple[int, ...]]] = [(0, 0, ())]
-    while stack:
-        state, last, word = stack.pop()
-        for l in reversed(labels):
-            if last and l == -last:
-                continue
-            t = a.step(state, l)
-            if t is None:
-                continue
-            w = word + (l,)
-            if t == 0:
-                found.append(w)
-            if len(w) < max_len:
-                stack.append((t, l, w))
-    found.sort(key=lambda w: (len(w), tuple(_label_key(x) for x in w)))
+    walks: list[tuple[int, int, tuple[int, ...]]] = [(0, 0, ())]
+    for _ in range(max_len):
+        walks = [
+            (t, l, word + (l,))
+            for s, last, word in walks
+            for l in labels
+            if l != -last and (t := rows[s][rank + l]) >= 0
+        ]
+        found += [word for t, _, word in walks if t == 0]
     return found
 
 
@@ -580,18 +589,11 @@ def disjoint_conjugates_bruteforce(a, b, max_len: int) -> ConjugacySearch:
     if max_len < 1:
         raise ValueError("max_len must be at least 1")
     rank = offset = a.rank
-    tab = b.transition_table()
-    letters = sorted((l for l in range(-rank, rank + 1) if l != 0), key=_label_key)
-
-    def trace(cur: int, word: tuple[int, ...]) -> int:
-        for x in word:
-            cur = tab[cur][x + offset]
-            if cur < 0:
-                break
-        return cur
+    tab = b._rows
+    letters = _letters(rank)
 
     def fixed(word: tuple[int, ...]) -> int:
-        return sum(1 << s for s in range(b.n_states) if trace(s, word) == s)
+        return sum(1 << s for s in range(b.n_states) if _read(b, s, word) == s)
 
     def conjugated(mask: int, x: int) -> int:
         col = x + offset
@@ -619,7 +621,7 @@ def disjoint_conjugates_bruteforce(a, b, max_len: int) -> ConjugacySearch:
         return found
 
     def search(g: tuple[int, ...], m: tuple[int, ...]) -> tuple[int, ...] | None:
-        if trace(0, m) == 0:
+        if _read(b, 0, m) == 0:
             return g
         if len(g) >= max_len:
             return None

@@ -13,12 +13,7 @@ library.
 
 from __future__ import annotations
 
-from gbtc.free_groups import (
-    ConjugacySearch,
-    FreeWord,
-    _label_key,
-    subgroup_elements_up_to,
-)
+from gbtc.free_groups import ConjugacySearch, FreeWord, subgroup_elements_up_to
 from stallings_oracle import stallings_core
 
 
@@ -29,9 +24,9 @@ def disjoint_conjugates_bruteforce(h0, h1, rank: int, max_len: int) -> Conjugacy
         raise ValueError("max_len must be at least 1")
     a = stallings_core(rank, h0)
     b = stallings_core(rank, h1)
-    tab = b.transition_table()
+    tab = b._rows  # read only
     offset = rank
-    letters = sorted((l for l in range(-rank, rank + 1) if l != 0), key=_label_key)
+    letters = [l for m in range(1, rank + 1) for l in (m, -m)]  # label order
 
     def member(word: tuple[int, ...]) -> bool:
         cur = 0

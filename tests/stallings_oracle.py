@@ -14,7 +14,7 @@ from __future__ import annotations
 
 from collections import deque
 
-from gbtc.free_groups import FoldedAutomaton, _label_key
+from gbtc.free_groups import FoldedAutomaton
 
 
 def stallings_core(rank: int, gens) -> FoldedAutomaton:
@@ -118,12 +118,13 @@ def stallings_core(rank: int, gens) -> FoldedAutomaton:
                 queue.append(t)
         slots[r] = {}
 
-    # canonical breadth-first renumbering from the basepoint
+    # canonical breadth-first renumbering from the basepoint, in label
+    # order 1, -1, 2, -2, ...
     order = {bp: 0}
     bfs = deque((bp,))
     while bfs:
         s = bfs.popleft()
-        for l in sorted(slots[s], key=_label_key):
+        for l in sorted(slots[s], key=lambda l: (abs(l), l < 0)):
             t = slots[s][l]
             if t not in order:
                 order[t] = len(order)

@@ -6,6 +6,7 @@ from __future__ import annotations
 
 import itertools
 import random
+import signal
 from math import comb
 
 import pytest
@@ -412,6 +413,38 @@ def test_eliminate_keeps_a_negative_non_unit_pivot():
     assert _eliminate(fresh) == (1, {1})
     assert fresh == [{0: 1, 1: -2}, {}, {}] and Column.reads == 2
     assert _rank_over_fractions(columns) == (1, {1})
+
+
+class _NeverCancels(int):
+    """An int whose differences never reach 0: a step that should cancel
+    its pivot row leaves 1 there instead."""
+
+    def __sub__(self, other):
+        return _NeverCancels(int(self) - int(other) or 1)
+
+    def __rsub__(self, other):
+        return _NeverCancels(int(other) - int(self) or 1)
+
+    def __mul__(self, other):
+        return _NeverCancels(int(self) * int(other))
+
+    __rmul__ = __mul__
+
+
+def test_eliminate_raises_when_a_step_leaves_its_pivot_row():
+    # such a step would pick the same pivot forever; the alarm turns a
+    # hang into a failure
+    def stalled(signum, frame):
+        raise TimeoutError("_eliminate did not return")
+
+    previous = signal.signal(signal.SIGALRM, stalled)
+    signal.alarm(5)
+    try:
+        with pytest.raises(AssertionError, match="pivot row 0"):
+            _eliminate([{0: _NeverCancels(1)}, {0: _NeverCancels(1)}])
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, previous)
 
 
 def test_incidence_rank_and_clearing_match_plain_elimination():

@@ -41,6 +41,11 @@ def w(rank, *letters):
     return reduce_word(rank, letters)
 
 
+def rows_of(a):
+    """A copy of the automaton's slot rows: ``row[l + rank]`` per state."""
+    return [row[:] for row in a._rows]
+
+
 def random_reduced(rng, rank, max_len, min_len=1):
     letters = []
     for _ in range(rng.randrange(min_len, max_len + 1)):
@@ -75,6 +80,23 @@ def test_reduce_rejects_out_of_range():
 def test_freeword_rejects_unreduced():
     with pytest.raises(ValueError):
         FreeWord(2, (1, -1))
+
+
+@pytest.mark.parametrize(
+    "make",
+    [
+        # a float letter would reach stallings_core and fail there as an index
+        lambda: reduce_word(2, [1.5]),
+        # True == 1, so this would equal generator(2, 1) but print differently
+        lambda: FreeWord(2, (True,)),
+        # 1.0 and -1.0 would cancel into the identity
+        lambda: reduce_word(2, [1.0, -1.0]),
+    ],
+    ids=["float", "bool", "cancelling floats"],
+)
+def test_words_refuse_letters_that_are_not_ints(make):
+    with pytest.raises(ValueError, match="not an int"):
+        make()
 
 
 def test_freeword_rejects_letters_not_in_a_tuple():
@@ -260,7 +282,7 @@ def test_core_has_no_hanging_trees():
     for _ in range(500):
         rank, gens, _ = _reference_case(rng)
         a = stallings_core(rank, gens)
-        for state, row in enumerate(a.transition_table()):
+        for state, row in enumerate(rows_of(a)):
             assert state == 0 or len(row) - row.count(-1) >= 2
 
 
@@ -271,14 +293,27 @@ def test_folded_automaton_rows_and_fold_check():
     # letters and states out of range lead nowhere, as unknown keys did
     assert [a.step(0, l) for l in (3, -3, -4)] == [None, None, None]
     assert a.step(2, 1) is None and a.step(-1, 1) is None
-    tab = a.transition_table()
-    assert tab == [[0, -1, -1, 1, 0], [1, 0, -1, -1, 1]]
-    tab[0][3] = 5  # a copy: the automaton is unchanged
-    assert a.step(0, 1) == 1 and a.transition_table()[0][3] == 1
+    assert rows_of(a) == [[0, -1, -1, 1, 0], [1, 0, -1, -1, 1]]
     # two arcs leave by one slot, enter by one slot, or a loop repeats
     for arcs in (((0, 1, 1), (0, 1, 0)), ((0, 1, 1), (1, 1, 1)), ((0, 2, 0), (0, 2, 0))):
         with pytest.raises(ValueError, match="not folded"):
             FoldedAutomaton(2, 2, arcs)
+
+
+@pytest.mark.parametrize(
+    "rank, n_states, arcs",
+    [
+        # a loop at the unreached state 1 made is_forest(pullback) report
+        # True against FoldedAutomaton(3, 1, ((0, 3, 0),)), where the
+        # product has a cycle at (1, 0)
+        (3, 2, ((0, 1, 0), (0, 2, 0), (1, 3, 1))),
+        # two loops at the unreached state 1 gave <x1> subgroup_rank 2
+        (3, 2, ((0, 1, 0), (1, 2, 1), (1, 3, 1))),
+    ],
+)
+def test_folded_automaton_rejects_states_the_basepoint_does_not_reach(rank, n_states, arcs):
+    with pytest.raises(ValueError, match="does not reach"):
+        FoldedAutomaton(rank, n_states, arcs)
 
 
 def test_folded_automaton_rejects_arcs_not_in_a_tuple():
@@ -334,13 +369,13 @@ def test_core_rows_are_the_rows_of_its_arcs():
     largest = 0
     for rank, gens in cases:
         a = stallings_core(rank, gens)
-        table = a.transition_table()
-        assert table == FoldedAutomaton(a.rank, a.n_states, a.arcs).transition_table()
+        table = rows_of(a)
+        assert table == rows_of(FoldedAutomaton(a.rank, a.n_states, a.arcs))
         assert a == reference_core(rank, gens), (rank, gens)
         shuffled = gens[:]
         rng.shuffle(shuffled)
         b = stallings_core(rank, shuffled)
-        assert b == a and b.transition_table() == table
+        assert b == a and rows_of(b) == table
         largest = max(largest, a.n_states)
     assert largest >= 300
 
@@ -349,11 +384,11 @@ def test_fold_check_rejects_tampered_rows():
     rank, gens = _fold_size_case(random.Random(3))
     a = stallings_core(rank, gens)
     arcs, n = a.arcs, a.n_states
-    _check_folded(rank, a.transition_table(), arcs)
+    _check_folded(rank, rows_of(a), arcs)
     s, l, t = arcs[len(arcs) // 2]
     empty = next(
         (q, k)
-        for q, row in enumerate(a.transition_table())
+        for q, row in enumerate(rows_of(a))
         for k in range(2 * rank + 1)
         if k != rank and row[k] < 0
     )
@@ -365,10 +400,10 @@ def test_fold_check_rejects_tampered_rows():
         (*empty, 0),  # one stray filled slot
         (0, rank, 0),  # a stray in the unused middle slot
     ):
-        rows = a.transition_table()
+        rows = rows_of(a)
         rows[q][k] = value
         tampered.append((rows, arcs))
-    tampered.append((a.transition_table(), arcs + (arcs[0],)))  # a duplicated arc
+    tampered.append((rows_of(a), arcs + (arcs[0],)))  # a duplicated arc
     for rows, arcs in tampered:
         with pytest.raises(ValueError, match="not folded"):
             _check_folded(rank, rows, arcs)
@@ -448,6 +483,36 @@ def test_subgroup_elements_enumeration():
     a = stallings_core(2, [w(2, 1, 1)])
     els = subgroup_elements_up_to(a, 4)
     assert els == [(1, 1), (-1, -1), (1, 1, 1, 1), (-1, -1, -1, -1)]
+
+
+def test_subgroup_elements_are_the_accepted_words_in_shortlex_order():
+    # every reduced word of length 1..L that the reference core accepts, by
+    # length and then letter by letter in label order 1, -1, 2, -2, ...
+    rng = random.Random(24)
+    for _ in range(60):
+        rank = rng.randint(1, 4)
+        gens = [random_reduced(rng, rank, 6) for _ in range(rng.randint(1, 3))]
+        max_len = rng.randint(1, 5)
+        ref = reference_core(rank, gens)
+        step = {(s, l): t for s, l, t in ref.arcs}
+        step.update({(t, -l): s for s, l, t in ref.arcs})
+
+        def accepted(word):
+            state = 0
+            for x in word:
+                state = step.get((state, x))
+                if state is None:
+                    return False
+            return state == 0
+
+        words = [
+            word
+            for length in range(1, max_len + 1)
+            for word in _all_reduced(rank, length)
+            if accepted(word)
+        ]
+        words.sort(key=lambda word: (len(word), [(abs(x), x < 0) for x in word]))
+        assert subgroup_elements_up_to(stallings_core(rank, gens), max_len) == words
 
 
 # -- restriction injectivity -------------------------------------------------
