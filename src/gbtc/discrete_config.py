@@ -205,7 +205,10 @@ def build_complex(g: Graph, k: int, budget: int = DEFAULT_CELL_BUDGET) -> ChainC
     in degrees 0..min(k, number of vertices of valence >= 2 after smoothing).
 
     Raises :class:`CellBudgetError` before enumerating anything when the
-    generator count exceeds ``budget``.  Verifies boundary-of-boundary.
+    generator count, or k + 1, exceeds ``budget``: a graph of at most one
+    edge after smoothing has at most two generators at every k, yet its
+    degree-0 monomial holds k edges and its report k + 1 Betti numbers.
+    Verifies boundary-of-boundary.
 
     Each boundary map is stored factored (:class:`Boundary`): the terms of
     each vertex state, found by hashing the states once each, and the rank
@@ -215,6 +218,8 @@ def build_complex(g: Graph, k: int, budget: int = DEFAULT_CELL_BUDGET) -> ChainC
         raise HypothesisError("connected graph required")
     if k < 0:
         raise ValueError("particle count k must be nonnegative")
+    if k + 1 > budget:
+        raise CellBudgetError(f"generator budget exceeded: k + 1 = {k + 1} for budget {budget}")
     half, n_edges = _smooth(g)
     if not n_edges:
         # a point holds at most one particle; the reduction needs a half-edge per vertex

@@ -136,44 +136,18 @@ class FoldedAutomaton(Record):
     States are 0..n_states-1 with basepoint 0; arcs carry positive labels
     1..rank, and a letter -l traverses the l-arc backwards.  States are
     numbered canonically (breadth-first from the basepoint in label order),
-    so two runs of the construction produce identical objects.  Each state
-    has a dense row of 2 * rank + 1 ints: ``row[l + rank]`` is the state
-    that letter l leads to, or -1.
-
-    This constructor writes the rows from the arcs, after rejecting a state
-    count below 1, which leaves no basepoint, arcs that are not a tuple, and
-    a state or label out of range; :func:`stallings_core` hands over the
-    rows it has renumbered instead.  Either way :func:`_check_folded` then
-    checks the rows against the arcs, and this constructor rejects a state
-    that the basepoint does not reach, which the breadth-first numbering of
-    :func:`stallings_core` never leaves.  The rows take no part in
-    equality, hashing or ``repr``.
+    so equal subgroups give equal automata.  Each state has a dense row of
+    2 * rank + 1 ints: ``row[l + rank]`` is the state that letter l leads
+    to, or -1.  The rows take no part in equality, hashing or ``repr``.
+    :func:`stallings_core` is the only maker; calling the class raises
+    TypeError.
     """
 
     __slots__ = ("rank", "n_states", "arcs", "_rows")
     _fields = __slots__[:-1]
 
-    def __init__(self, rank: int, n_states: int, arcs: tuple[tuple[int, int, int], ...]):
-        if n_states < 1:
-            raise ValueError(f"state count {n_states} out of range: the basepoint is state 0")
-        if not isinstance(arcs, tuple):
-            raise ValueError("arcs must be a tuple")
-        rows = [[-1] * (2 * rank + 1) for _ in range(n_states)]
-        for s, l, t in arcs:
-            if not (0 <= s < n_states and 0 <= t < n_states and 0 < l <= rank):
-                raise ValueError(f"arc {(s, l, t)} out of range: rank {rank}, {n_states} states")
-            rows[s][rank + l] = t
-            rows[t][rank - l] = s
-        _check_folded(rank, rows, arcs)
-        reached, bfs = {0}, [0]
-        for s in bfs:
-            for t in rows[s]:
-                if t >= 0 and t not in reached:
-                    reached.add(t)
-                    bfs.append(t)
-        if len(reached) < n_states:
-            raise ValueError("automaton has a state the basepoint does not reach")
-        super().__init__(rank, n_states, arcs, rows)
+    def __init__(self, *args, **kwargs):
+        raise TypeError("a FoldedAutomaton is made only by stallings_core")
 
     @classmethod
     def _from_rows(cls, rank: int, rows: list[list[int]], arcs) -> FoldedAutomaton:
@@ -183,13 +157,6 @@ class FoldedAutomaton(Record):
         a = cls.__new__(cls)
         Record.__init__(a, rank, len(rows), arcs, rows)
         return a
-
-    def step(self, state: int, letter: int) -> int | None:
-        """The state that the letter leads to, or None."""
-        if not (0 <= state < self.n_states and -self.rank <= letter <= self.rank):
-            return None  # a row index out of range would wrap or raise
-        t = self._rows[state][letter + self.rank]
-        return t if t >= 0 else None
 
     def __repr__(self):
         return f"FoldedAutomaton(rank={self.rank}, states={self.n_states}, arcs={len(self.arcs)})"
@@ -203,9 +170,8 @@ def _check_folded(rank: int, rows: list[list[int]], arcs) -> None:
     two values in it, so once every arc finds its two slots the arcs are
     folded, and once exactly 2 * len(arcs) slots are filled no slot is
     stray and no arc is repeated.  A repeated arc together with a stray
-    slot would pass, but neither constructor can make that pair: the public
-    one writes its rows from its arcs, and :func:`stallings_core` reads its
-    arcs off its rows.
+    slot would pass, but :func:`stallings_core` reads its arcs off its rows,
+    so it never makes that pair.
     """
     for s, l, t in arcs:
         if rows[s][rank + l] != t or rows[t][rank - l] != s:

@@ -171,9 +171,6 @@ def graph_from_data(data: dict) -> Graph:
     if not isinstance(data["edges"], (list, tuple)):
         raise GraphFormatError(f"edges must be an array, got {_short(data['edges'])}")
     edges = tuple(_id_array(e, "an edge") for e in data["edges"])
-    for e in edges:
-        if len(e) != 2:
-            raise GraphFormatError(f"edge {_short(list(e))} does not have exactly two endpoints")
     sinks = _id_array(data.get("sinks", []), "sinks")
     return Graph(vertices, edges, sinks)
 

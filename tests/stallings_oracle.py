@@ -7,7 +7,8 @@ dicts, merging states whenever two arcs share a slot.  It prunes hanging
 trees and numbers the core breadth-first from the basepoint in label order.
 The library builds the same core by tracing each word through the partial
 core on per-state slot rows, so the two must return equal
-``FoldedAutomaton`` objects on every input.
+``FoldedAutomaton`` objects on every input.  This folder writes its own
+rows from its own arcs, so it shares only the fold check with the library.
 """
 
 from __future__ import annotations
@@ -129,10 +130,22 @@ def stallings_core(rank: int, gens) -> FoldedAutomaton:
             if t not in order:
                 order[t] = len(order)
                 bfs.append(t)
-    arcs = sorted(
-        (order[s], l, order[t])
-        for s in live
-        for l, t in slots[s].items()
-        if l > 0
+    arcs = tuple(
+        sorted(
+            (order[s], l, order[t])
+            for s in live
+            for l, t in slots[s].items()
+            if l > 0
+        )
     )
-    return FoldedAutomaton(rank, len(order), tuple(arcs))
+    return FoldedAutomaton._from_rows(rank, rows_of_arcs(rank, len(order), arcs), arcs)
+
+
+def rows_of_arcs(rank: int, n_states: int, arcs) -> list[list[int]]:
+    """The slot rows the arcs fill: ``row[l + rank]`` is the state that
+    letter l leads to, or -1."""
+    rows = [[-1] * (2 * rank + 1) for _ in range(n_states)]
+    for s, l, t in arcs:
+        rows[s][rank + l] = t
+        rows[t][rank - l] = s
+    return rows

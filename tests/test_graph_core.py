@@ -395,9 +395,20 @@ def test_record_value_semantics(cls):
 @pytest.mark.parametrize("cls", list(RECORDS), ids=lambda c: c.__name__)
 def test_record_constructor_refuses_a_value_too_few_or_too_many(cls):
     # a record without its own __init__ takes exactly one value per slot;
-    # one with its own takes from its required parameters up to all of them
+    # one with its own takes from its required parameters up to all of
+    # them, except FoldedAutomaton, which takes none
     a = RECORDS[cls]()
     values = [getattr(a, name) for name in cls.__slots__]
+    if cls is FoldedAutomaton:
+        # stallings_core is its only maker: every call is refused
+        for n in range(len(values) + 1):
+            with pytest.raises(TypeError, match="stallings_core"):
+                cls(*values[:n])
+        # such as a trivial subgroup's core with a hanging state, which
+        # would compare unequal to stallings_core(1, [])
+        with pytest.raises(TypeError, match="stallings_core"):
+            FoldedAutomaton(rank=1, n_states=2, arcs=((0, 1, 1),))
+        return
     params = inspect.signature(cls).parameters.values()
     if cls.__init__ is Record.__init__:
         fewest = most = len(values)
