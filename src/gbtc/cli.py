@@ -198,27 +198,29 @@ def _verify_lemma_rows(max_n: int) -> list[dict]:
 
     ok = True
     for n in range(2, 5):
-        # the model of k + 1 particles is the k-particle model's target
+        # the basis of k + 1 particles is the k-particle basis's target
         lam = local_graphs.build_lambda(local_graphs.EquivRelation.discrete(n), 1)
+        basis = local_graphs.free_basis(lam)
         for k in range(1, 5):
-            stab = local_graphs.sink_stabilization(lam, 0)
+            stab = local_graphs.sink_stabilization(basis, 0)
             gens = [
                 free_groups.generator(stab.hom.domain_rank, i + 1)
                 for i in range(stab.hom.domain_rank)
             ]
             ok = ok and free_groups.restriction_injective(stab.hom, gens)
-            ok = ok and local_graphs.pi1_rank(stab.target) >= local_graphs.pi1_rank(lam)
-            lam = stab.target
+            ok = ok and stab.target.rank >= basis.rank
+            basis = stab.target
     row("adding a particle splits into the next leaf-separated model", ok)
 
     ok = True
     for n in range(2, 6):
         lam = local_graphs.build_lambda(local_graphs.EquivRelation.indiscrete(n), 1)
+        basis = local_graphs.free_basis(lam)
         for k in range(1, 6):
-            stab = local_graphs.sink_stabilization(lam, 0)
+            stab = local_graphs.sink_stabilization(basis, 0)
             ok = ok and free_groups.is_isomorphism(stab.hom)
             ok = ok and stab.hom.domain_rank == n - 1
-            lam = stab.target
+            basis = stab.target
     row("adding a particle is an isomorphism for the leaf-identified model", ok)
 
     return rows

@@ -397,12 +397,12 @@ def _rank_by_union_find(bd: Boundary) -> int:
 
 
 class BettiVector(Record):
-    """Betti numbers by degree; a degree outside the tuple reads 0."""
+    """Betti numbers by degree, indexed like the tuple ``betti``."""
 
     __slots__ = ("betti",)
 
     def __getitem__(self, d: int) -> int:
-        return self.betti[d] if 0 <= d < len(self.betti) else 0
+        return self.betti[d]
 
 
 def betti(c: ChainComplex) -> BettiVector:

@@ -67,12 +67,6 @@ class EquivRelation(Record):
     def n_blocks(self) -> int:
         return len(self.blocks)
 
-    def block_of(self, x: int) -> int:
-        for i, b in enumerate(self.blocks):
-            if x in b:
-                return i
-        raise ValueError(f"{x} is not in the ground set")
-
 
 def local_quotient(g: Graph, v: str) -> EquivRelation:
     """The relation on the half-edges at v given by :func:`components_without`.
@@ -155,7 +149,7 @@ def build_lambda(pi: EquivRelation, k: int) -> LambdaGraph:
     vertices = tuple(lower + upper)
     index = {c: i for i, c in enumerate(lower)}
     index.update({c: len(lower) + i for i, c in enumerate(upper)})
-    label_blocks = [(j, pi.block_of(j)) for j in pi.ground]
+    label_blocks = sorted((j, i) for i, b in enumerate(pi.blocks) for j in b)
     edges = []
     for comp in lower:
         li = index[comp]
@@ -237,14 +231,15 @@ def free_basis(lam: LambdaGraph) -> FreeBasis:
 
 
 class SinkStabilization(Record):
-    """The particle-adding graph map between consecutive models and the
-    homomorphism it induces on spanning-tree bases."""
+    """The particle-adding graph map between consecutive models: the next
+    model's basis and the homomorphism the map induces into it."""
 
-    __slots__ = ("source", "target", "block", "hom")
+    __slots__ = ("target", "hom")
 
 
-def sink_stabilization(lam: LambdaGraph, block: int) -> SinkStabilization:
-    """Add one particle at the sink of the designated block.
+def sink_stabilization(basis: FreeBasis, block: int) -> SinkStabilization:
+    """Add one particle at the sink of the designated block of the basis's
+    model; only the next model and its basis are built.
 
     Vertices map by incrementing the block's coordinate; edges map label by
     label.  The induced homomorphism rewrites each basis loop of the source
@@ -252,10 +247,10 @@ def sink_stabilization(lam: LambdaGraph, block: int) -> SinkStabilization:
     the image of the tree path from vertex 0 to v, and the generator on
     edge (upper, lower) goes to pot[lower], its own letter, pot[upper]^-1.
     """
+    lam = basis.lam
     if not 0 <= block < lam.pi.n_blocks:
         raise ValueError(f"unknown block {block}")
     target = build_lambda(lam.pi, lam.k + 1)
-    src_basis = free_basis(lam)
     tgt_basis = free_basis(target)
 
     # a target edge, keyed by (lower composition, label), and its letter:
@@ -272,18 +267,18 @@ def sink_stabilization(lam: LambdaGraph, block: int) -> SinkStabilization:
         return letter_at[(tuple(low), j)]
 
     pot: list[tuple[int, ...]] = [()] * lam.n_vertices
-    for v, p, ei in src_basis.tree:
+    for v, p, ei in basis.tree:
         x = letter(ei) if lam.edges[ei][0] == v else -letter(ei)
         pot[v] = pot[p] + (x,) if x else pot[p]
 
     images = []
-    for ge in src_basis.gens:
+    for ge in basis.gens:
         upper, lower, _ = lam.edges[ge]
         x = letter(ge)
         loop = pot[lower] + ((x,) if x else ()) + tuple(-y for y in reversed(pot[upper]))
         images.append(reduce_word(tgt_basis.rank, loop))
-    hom = FreeHom(src_basis.rank, tgt_basis.rank, tuple(images))
-    return SinkStabilization(lam, target, block, hom)
+    hom = FreeHom(basis.rank, tgt_basis.rank, tuple(images))
+    return SinkStabilization(tgt_basis, hom)
 
 
 # ---------------------------------------------------------------------------

@@ -495,6 +495,23 @@ def test_verify_lemmas_builds_each_particle_model_once(monkeypatch):
     assert len(calls) == len(set(calls)) == 1 + 3 * 5 + 4 * 6 == 40
 
 
+def test_verify_lemmas_builds_each_basis_once(monkeypatch):
+    # each split row builds the basis of its k = 1 model and takes every
+    # later one as the particle-adding map's target, 3 * 5 and 4 * 6 bases;
+    # it was 64 when the map built its source's basis again
+    calls = []
+    basis = local_graphs.free_basis
+
+    def counted(lam):
+        calls.append(lam)
+        return basis(lam)
+
+    monkeypatch.setattr(local_graphs, "free_basis", counted)
+    rows = _verify_lemma_rows(6)
+    assert all(r["ok"] for r in rows)
+    assert len(calls) == len(set(calls)) == 3 * 5 + 4 * 6 == 39
+
+
 def test_verify_lemmas_refuses_n_over_the_limit(capsys):
     from gbtc.cli import VERIFY_LEMMAS_MAX_N
 

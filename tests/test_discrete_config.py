@@ -26,6 +26,7 @@ from dict_columns import columns as dict_columns
 from gbtc import discrete_config
 from gbtc.corpus import BUNDLED, load_bundled
 from gbtc.discrete_config import (
+    BettiVector,
     CellBudgetError,
     betti,
     build_complex,
@@ -322,6 +323,15 @@ def test_betti_matches_sympy_on_small_complexes():
     for g, k in cases:
         c = model(g, k)
         assert betti(c).betti == sympy_betti(c)
+
+
+def test_betti_vector_indexes_like_its_tuple():
+    # a degree past the end raises IndexError, so list(bv) stops there
+    for bv in (BettiVector((1, 2)), betti(model(star(3), 2))):
+        n = len(bv.betti)
+        assert list(itertools.islice(iter(bv), n + 1)) == list(bv.betti)
+        with pytest.raises(IndexError):
+            bv[n]
 
 
 def test_rank_of_columns_against_sympy_random():

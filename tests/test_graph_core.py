@@ -340,7 +340,7 @@ RECORDS = {
     EquivRelation: lambda: EquivRelation([(0,), (1, 2)]),
     LambdaGraph: lambda: build_lambda(PI, 2),
     FreeBasis: lambda: free_basis(build_lambda(PI, 2)),
-    SinkStabilization: lambda: sink_stabilization(build_lambda(PI, 1), 0),
+    SinkStabilization: lambda: sink_stabilization(free_basis(build_lambda(PI, 1)), 0),
     ChainComplex: lambda: build_complex(star(3), 2),
     BettiVector: lambda: BettiVector((1, 3, 0)),
     NonvanishingReport: lambda: nonvanishing_check(star(3), 2),

@@ -93,7 +93,8 @@ def test_equiv_relation_constructors():
     assert pi.blocks == ((0, 1, 5), (2, 4), (3,))
     assert pi == EquivRelation([(3,), (0, 5, 1), (2, 4)])
     assert pi.ground == (0, 1, 2, 3, 4, 5)
-    assert [pi.block_of(x) for x in pi.ground] == [0, 0, 1, 2, 1, 0]
+    block_of = {x: bi for bi, b in enumerate(pi.blocks) for x in b}
+    assert [block_of[x] for x in pi.ground] == [0, 0, 1, 2, 1, 0]
 
 
 # -- local quotients -----------------------------------------------------------
@@ -164,8 +165,8 @@ def test_local_quotient_separating_order_fix():
     g = normalize(hgraph())
     for v in ("c1", "c2"):
         pi = local_quotient(g, v)
-        b0 = pi.block_of(0)
-        assert pi.block_of(1) != b0
+        block_of = {x: bi for bi, b in enumerate(pi.blocks) for x in b}
+        assert block_of[1] != block_of[0]
 
 
 # -- particle models -----------------------------------------------------------
@@ -208,6 +209,7 @@ def test_lambda_counts_match_enumeration():
     ]
     for pi in shapes:
         b = pi.n_blocks
+        block_of = {x: bi for bi, members in enumerate(pi.blocks) for x in members}
         for k in range(1, 9):
             lam = build_lambda(pi, k)
             lower = oracle_compositions(k - 1, b)
@@ -220,7 +222,7 @@ def test_lambda_counts_match_enumeration():
             for u, l, j in lam.edges:
                 cu, cl = lam.vertices[u], lam.vertices[l]
                 assert sum(cu) == k and sum(cl) == k - 1
-                blk = pi.block_of(j)
+                blk = block_of[j]
                 assert cu[blk] == cl[blk] + 1
                 assert all(cu[i] == cl[i] for i in range(b) if i != blk)
 
@@ -327,7 +329,7 @@ def test_gamma_words_match_consecutive_edge_description():
 def test_stabilization_indiscrete_is_isomorphism():
     for n in (2, 3, 4, 5):
         for k in (1, 2, 3):
-            stab = sink_stabilization(build_lambda(EquivRelation.indiscrete(n), k), 0)
+            stab = sink_stabilization(free_basis(build_lambda(EquivRelation.indiscrete(n), k)), 0)
             assert stab.hom.domain_rank == n - 1
             assert stab.hom.codomain_rank == n - 1
             assert is_isomorphism(stab.hom)
@@ -337,10 +339,10 @@ def test_stabilization_discrete_is_injective():
     for n in (2, 3, 4):
         for k in (1, 2, 3):
             lam = build_lambda(EquivRelation.discrete(n), k)
-            stab = sink_stabilization(lam, 0)
+            stab = sink_stabilization(free_basis(lam), 0)
             gens = [generator(stab.hom.domain_rank, i + 1) for i in range(stab.hom.domain_rank)]
             assert restriction_injective(stab.hom, gens)
-            assert pi1_rank(stab.target) >= pi1_rank(lam)
+            assert pi1_rank(stab.target.lam) >= pi1_rank(lam)
 
 
 def test_stabilization_rank_nondecreasing_discrete():
@@ -367,8 +369,9 @@ def test_stabilization_matches_edge_path_reference():
             pi = EquivRelation(blocks)
             for k in range(1, 5):
                 lam = build_lambda(pi, k)
+                basis = free_basis(lam)
                 for block in range(pi.n_blocks):
-                    hom = sink_stabilization(lam, block).hom
+                    hom = sink_stabilization(basis, block).hom
                     assert hom == stabilization_hom(lam, block), (blocks, k, block)
                     count += 1
     assert count == 4 * (1 + 3 + 10 + 37 + 151)
@@ -376,10 +379,12 @@ def test_stabilization_matches_edge_path_reference():
 
 def test_stabilization_preserves_labels():
     lam = build_lambda(PI23, 2)
-    stab = sink_stabilization(lam, 1)
+    stab = sink_stabilization(free_basis(lam), 1)
+    # the target is the next model's basis
+    assert stab.target == free_basis(build_lambda(PI23, 3))
+    target = stab.target.lam
     tgt_lookup = {
-        (stab.target.vertices[l], j): (stab.target.vertices[u], j)
-        for u, l, j in stab.target.edges
+        (target.vertices[l], j): (target.vertices[u], j) for u, l, j in target.edges
     }
     for u, l, j in lam.edges:
         low = list(lam.vertices[l])
@@ -392,7 +397,7 @@ def test_stabilization_preserves_labels():
 def test_stabilization_rejects_unknown_block():
     lam = build_lambda(PI23, 2)
     with pytest.raises(ValueError):
-        sink_stabilization(lam, 5)
+        sink_stabilization(free_basis(lam), 5)
 
 
 # -- the verified subgroups -------------------------------------------------------
