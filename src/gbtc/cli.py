@@ -33,10 +33,12 @@ VERIFY_LEMMAS_MAX_N = 64
 
 
 def _emit(obj, pretty: bool) -> None:
+    # every payload is a fresh tree of dicts, lists, tuples, ints and
+    # strings, so the encoder need not track the containers it is inside
     if pretty:
-        out = json.dumps(obj, sort_keys=True, indent=2)
+        out = json.dumps(obj, sort_keys=True, indent=2, check_circular=False)
     else:
-        out = json.dumps(obj, sort_keys=True, separators=(",", ":"))
+        out = json.dumps(obj, sort_keys=True, separators=(",", ":"), check_circular=False)
     sys.stdout.write(out + "\n")
 
 

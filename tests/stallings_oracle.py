@@ -8,7 +8,8 @@ trees and numbers the core breadth-first from the basepoint in label order.
 The library builds the same core by tracing each word through the partial
 core on per-state slot rows, so the two must return equal
 ``FoldedAutomaton`` objects on every input.  This folder writes its own
-rows from its own arcs, so it shares only the fold check with the library.
+rows and per-label steps from its own arcs, so it shares only the fold
+check with the library.
 """
 
 from __future__ import annotations
@@ -138,7 +139,8 @@ def stallings_core(rank: int, gens) -> FoldedAutomaton:
             if l > 0
         )
     )
-    return FoldedAutomaton._from_rows(rank, rows_of_arcs(rank, len(order), arcs), arcs)
+    rows = rows_of_arcs(rank, len(order), arcs)
+    return FoldedAutomaton._from_rows(rank, rows, *steps_of_arcs(rank, arcs))
 
 
 def rows_of_arcs(rank: int, n_states: int, arcs) -> list[list[int]]:
@@ -149,3 +151,14 @@ def rows_of_arcs(rank: int, n_states: int, arcs) -> list[list[int]]:
         rows[s][rank + l] = t
         rows[t][rank - l] = s
     return rows
+
+
+def steps_of_arcs(rank: int, arcs) -> tuple[list[list[int]], list[list[int]]]:
+    """The arcs as per-label steps, in arc order: ``sources[l - 1]`` and
+    ``targets[l - 1]`` list the two ends of each l-arc."""
+    sources: list[list[int]] = [[] for _ in range(rank)]
+    targets: list[list[int]] = [[] for _ in range(rank)]
+    for s, l, t in arcs:
+        sources[l - 1].append(s)
+        targets[l - 1].append(t)
+    return sources, targets

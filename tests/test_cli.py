@@ -14,7 +14,7 @@ import pytest
 import gbtc
 import swiatkowski_oracle
 from gbtc import discrete_config, free_groups, graph_core, local_graphs
-from gbtc.cli import _verify_lemma_rows, main
+from gbtc.cli import _lambda_payload, _verify_lemma_rows, main
 from gbtc.corpus import BUNDLED, load_bundled
 
 DATA = os.path.join(os.path.dirname(__file__), "..", "src", "gbtc", "data")
@@ -211,6 +211,20 @@ def test_lambda_dot(capsys):
     assert code == 0
     assert out.startswith("graph model {")
     assert out.count("--") == 3
+
+
+@pytest.mark.parametrize("pretty", [False, True], ids=["compact", "pretty"])
+def test_emit_writes_the_bytes_of_plain_json_dumps(capsys, pretty):
+    # _emit skips the encoder's cycle check; on the 128,394-byte star5 model
+    # at k = 12 it writes what the plain call writes
+    flags = ["--pretty"] if pretty else []
+    code, out = run(capsys, "lambda", datafile("star5"), "--vertex", "c", "--k", "12", *flags)
+    pi = local_graphs.local_quotient(graph_core.load_graph(datafile("star5")), "c")
+    payload = _lambda_payload(local_graphs.build_lambda(pi, 12))
+    layout = {"indent": 2} if pretty else {"separators": (",", ":")}
+    assert code == 0 and out == json.dumps(payload, sort_keys=True, **layout) + "\n"
+    if not pretty:
+        assert len(out) == 128394 + 1  # the payload and a newline
 
 
 def test_lambda_size_guard(capsys):

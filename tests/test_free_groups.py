@@ -11,7 +11,7 @@ import pytest
 
 from conftest import cores_disjoint, identity_hom
 from conjugator_oracle import disjoint_conjugates_bruteforce as reference_bruteforce
-from stallings_oracle import rows_of_arcs
+from stallings_oracle import rows_of_arcs, steps_of_arcs
 from stallings_oracle import stallings_core as reference_core
 from gbtc.free_groups import (
     FoldedAutomaton,
@@ -290,11 +290,12 @@ def test_core_has_no_hanging_trees():
 def test_folded_automaton_rows_and_fold_check():
     a = stallings_core(2, [w(2, 2), w(2, 1, 2, -1)])
     assert a.arcs == ((0, 1, 1), (0, 2, 0), (1, 2, 1))
+    assert a.sources == [[0], [0, 1]] and a.targets == [[1], [0, 1]]
     assert rows_of(a) == [[0, -1, -1, 1, 0], [1, 0, -1, -1, 1]]
     # two arcs leave by one slot, enter by one slot, or a loop repeats
     for arcs in (((0, 1, 1), (0, 1, 0)), ((0, 1, 1), (1, 1, 1)), ((0, 2, 0), (0, 2, 0))):
         with pytest.raises(ValueError, match="not folded"):
-            FoldedAutomaton._from_rows(2, rows_of_arcs(2, 2, arcs), arcs)
+            FoldedAutomaton._from_rows(2, rows_of_arcs(2, 2, arcs), *steps_of_arcs(2, arcs))
 
 
 def _fold_size_case(rng):
@@ -326,11 +327,14 @@ def test_core_rows_are_the_rows_of_its_arcs():
         a = stallings_core(rank, gens)
         table = rows_of(a)
         assert table == rows_of_arcs(a.rank, a.n_states, a.arcs)
-        assert a == reference_core(rank, gens), (rank, gens)
+        assert all(sources == sorted(sources) for sources in a.sources)
+        ref = reference_core(rank, gens)
+        assert a == ref and a.arcs == ref.arcs, (rank, gens)
+        assert subgroup_rank(a) == len(a.arcs) - a.n_states + 1
         shuffled = gens[:]
         rng.shuffle(shuffled)
         b = stallings_core(rank, shuffled)
-        assert b == a and rows_of(b) == table
+        assert b == a and hash(b) == hash(a) and rows_of(b) == table
         largest = max(largest, a.n_states)
     assert largest >= 300
 
@@ -339,7 +343,7 @@ def test_fold_check_rejects_tampered_rows():
     rank, gens = _fold_size_case(random.Random(3))
     a = stallings_core(rank, gens)
     arcs, n = a.arcs, a.n_states
-    _check_folded(rank, rows_of(a), arcs)
+    _check_folded(rank, rows_of(a), a.sources, a.targets)
     s, l, t = arcs[len(arcs) // 2]
     empty = next(
         (q, k)
@@ -361,7 +365,11 @@ def test_fold_check_rejects_tampered_rows():
     tampered.append((rows_of(a), arcs + (arcs[0],)))  # a duplicated arc
     for rows, arcs in tampered:
         with pytest.raises(ValueError, match="not folded"):
-            _check_folded(rank, rows, arcs)
+            _check_folded(rank, rows, *steps_of_arcs(rank, arcs))
+    sources, targets = steps_of_arcs(rank, a.arcs)
+    targets[l - 1].append(t)  # a target with no source
+    with pytest.raises(ValueError, match="not folded"):
+        _check_folded(rank, rows_of(a), sources, targets)
 
 
 def test_cores_share_no_row_lists():
