@@ -6,18 +6,14 @@ lemma verification table, and a deterministic sweep over the bundled
 corpus.  Output is canonical JSON (sorted keys) on stdout; exit code
 2 flags failed mathematical hypotheses or a homology check that
 contradicts a bound, 1 flags I/O or format problems and requests over a
-size guard.
+size guard or malformed arguments.  Arguments are read from one table,
+``COMMANDS``, and each command imports only the gbtc modules it runs.
 """
 
-from __future__ import annotations
-
-import argparse
 import json
 import os
-import random
 import sys
 
-from . import corpus, discrete_config, free_groups, local_graphs, tc_bounds
 from .graph_core import GraphFormatError, HypothesisError, classify, load_graph
 
 # Largest k-particle model `lambda` writes, in vertices plus edges: star5 at
@@ -43,6 +39,8 @@ def _emit(obj, pretty: bool) -> None:
 
 
 def _cell_budget() -> int:
+    from . import discrete_config
+
     raw = os.environ.get("GBTC_CELL_BUDGET")
     if raw is None:
         return discrete_config.DEFAULT_CELL_BUDGET
@@ -55,50 +53,53 @@ def _cell_budget() -> int:
     return budget
 
 
-def _cmd_classify(args) -> int:
-    g = load_graph(args.graph)
-    _emit(classify(g).as_dict(), args.pretty)
+def _cmd_classify(graph, pretty) -> int:
+    _emit(classify(load_graph(graph)).as_dict(), pretty)
     return 0
 
 
-def _cmd_bound(args) -> int:
-    g = load_graph(args.graph)
+def _cmd_bound(graph, r, k, check_homology, pretty) -> int:
+    from . import discrete_config, tc_bounds
+
+    g = load_graph(graph)
     cls = classify(g)
     status = "assumed"
     # checks the bound's hypotheses before any complex is built
-    bound = tc_bounds.lower_bound(cls, args.r, args.k, homology_status=status)
-    if args.check_homology:
-        report = discrete_config.nonvanishing_check(g, args.k, _cell_budget())
+    bound = tc_bounds.lower_bound(cls, r, k, homology_status=status)
+    if check_homology:
+        report = discrete_config.nonvanishing_check(g, k, _cell_budget())
         status = report.status
         if status == "verified" and not report.nonzero:
             status = "contradicted"
-        bound = tc_bounds.lower_bound(cls, args.r, args.k, homology_status=status)
-    _emit(bound.as_dict(), args.pretty)
+        bound = tc_bounds.lower_bound(cls, r, k, homology_status=status)
+    _emit(bound.as_dict(), pretty)
     if status == "contradicted":
-        sys.stderr.write(
-            f"contradicted: homology vanishes in degree {report.degree} at k={args.k}\n"
-        )
+        sys.stderr.write(f"contradicted: homology vanishes in degree {report.degree} at k={k}\n")
         return 2
     return 0
 
 
-def _cmd_stable(args) -> int:
-    cls = classify(load_graph(args.graph))
-    _emit(tc_bounds.stable_report(cls, args.r).as_dict(), args.pretty)
+def _cmd_stable(graph, r, pretty) -> int:
+    from . import tc_bounds
+
+    cls = classify(load_graph(graph))
+    _emit(tc_bounds.stable_report(cls, r).as_dict(), pretty)
     return 0
 
 
-def _lambda_payload(lam: local_graphs.LambdaGraph) -> dict:
+def _lambda_payload(lam) -> dict:
+    from .local_graphs import pi1_rank
+
     return {
         "k": lam.k,
         "blocks": lam.pi.blocks,
         "vertices": lam.vertices,
         "edges": lam.edges,
-        "rank": local_graphs.pi1_rank(lam),
+        "rank": pi1_rank(lam),
     }
 
 
-def _lambda_dot(lam: local_graphs.LambdaGraph) -> str:
+def _lambda_dot(lam) -> str:
     def name(i: int) -> str:
         return '"' + ",".join(str(x) for x in lam.vertices[i]) + '"'
 
@@ -111,41 +112,47 @@ def _lambda_dot(lam: local_graphs.LambdaGraph) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _cmd_lambda(args) -> int:
-    pi = local_graphs.local_quotient(load_graph(args.graph), args.vertex)
-    size = sum(local_graphs.expected_counts(pi, args.k))
+def _cmd_lambda(graph, vertex, k, dot, pretty) -> int:
+    from . import local_graphs
+
+    pi = local_graphs.local_quotient(load_graph(graph), vertex)
+    size = sum(local_graphs.expected_counts(pi, k))
     if size > LAMBDA_MAX_SIZE:
         raise ValueError(
-            f"the k={args.k} model has {size} vertices plus edges, "
-            f"over the limit of {LAMBDA_MAX_SIZE}"
+            f"the k={k} model has {size} vertices plus edges, over the limit of {LAMBDA_MAX_SIZE}"
         )
-    lam = local_graphs.build_lambda(pi, args.k)
-    if args.dot:
+    lam = local_graphs.build_lambda(pi, k)
+    if dot:
         sys.stdout.write(_lambda_dot(lam))
     else:
-        _emit(_lambda_payload(lam), args.pretty)
+        _emit(_lambda_payload(lam), pretty)
     return 0
 
 
-def _cmd_homology(args) -> int:
-    g = load_graph(args.graph)
-    report = discrete_config.nonvanishing_check(g, args.k, _cell_budget())
-    if args.dump_boundaries:
+def _cmd_homology(graph, k, dump_boundaries, pretty) -> int:
+    from . import discrete_config
+
+    report = discrete_config.nonvanishing_check(load_graph(graph), k, _cell_budget())
+    if dump_boundaries:
         complex_ = report.chain_complex
         if complex_ is None:
             sys.stderr.write("error: generator budget exceeded, no boundaries written\n")
             return 1
-        with open(args.dump_boundaries, "w", encoding="utf-8") as fh:
+        with open(dump_boundaries, "w", encoding="utf-8") as fh:
             for d in range(1, complex_.dimension + 1):
                 fh.write(f"# boundary {d}\n")
                 for col_idx, col in enumerate(complex_.boundaries[d]):
                     for row in sorted(col):
                         fh.write(f"{row} {col_idx} {col[row]}\n")
-    _emit(report.as_dict(), args.pretty)
+    _emit(report.as_dict(), pretty)
     return 0
 
 
 def _verify_lemma_rows(max_n: int) -> list[dict]:
+    import random
+
+    from . import free_groups, local_graphs
+
     rows = []
 
     def row(check: str, ok: bool, detail: str = "") -> None:
@@ -179,6 +186,16 @@ def _verify_lemma_rows(max_n: int) -> list[dict]:
     row("trivalent product subgroups have disjoint conjugates", ok)
 
     rng = random.Random(405060)
+
+    def random_word(rank: int, lo: int, hi: int) -> free_groups.FreeWord:
+        if lo > hi:
+            return free_groups.identity(rank)
+        letters = []
+        for _ in range(rng.randrange(1, 5)):
+            i = rng.randrange(lo, hi + 1)
+            letters.append(i if rng.random() < 0.5 else -i)
+        return free_groups.reduce_word(rank, letters)
+
     agree = True
     for _ in range(60):
         rank = rng.choice((2, 3))
@@ -188,8 +205,8 @@ def _verify_lemma_rows(max_n: int) -> list[dict]:
             for i in range(rank)
         ]
         psi = free_groups.FreeHom(rank, keep, tuple(images))
-        h0 = [_random_word(rng, rank, 1, keep) for _ in range(rng.choice((1, 2)))]
-        h1 = [_random_word(rng, rank, keep + 1, rank) for _ in range(rng.choice((1, 2)))]
+        h0 = [random_word(rank, 1, keep) for _ in range(rng.choice((1, 2)))]
+        h1 = [random_word(rank, keep + 1, rank) for _ in range(rng.choice((1, 2)))]
         applies = free_groups.restriction_injective(psi, h0) and all(
             free_groups.apply_hom(psi, w).is_identity for w in h1
         )
@@ -228,25 +245,17 @@ def _verify_lemma_rows(max_n: int) -> list[dict]:
     return rows
 
 
-def _random_word(rng, rank: int, lo: int, hi: int) -> free_groups.FreeWord:
-    if lo > hi:
-        return free_groups.identity(rank)
-    letters = []
-    for _ in range(rng.randrange(1, 5)):
-        i = rng.randrange(lo, hi + 1)
-        letters.append(i if rng.random() < 0.5 else -i)
-    return free_groups.reduce_word(rank, letters)
-
-
-def _cmd_verify_lemmas(args) -> int:
-    if not 4 <= args.n <= VERIFY_LEMMAS_MAX_N:
-        raise ValueError(f"--n must lie in 4..{VERIFY_LEMMAS_MAX_N}, got {args.n}")
-    rows = _verify_lemma_rows(args.n)
-    _emit(rows, args.pretty)
+def _cmd_verify_lemmas(n, pretty) -> int:
+    if not 4 <= n <= VERIFY_LEMMAS_MAX_N:
+        raise ValueError(f"--n must lie in 4..{VERIFY_LEMMAS_MAX_N}, got {n}")
+    rows = _verify_lemma_rows(n)
+    _emit(rows, pretty)
     return 0 if all(r["ok"] for r in rows) else 2
 
 
-def _cmd_corpus(args) -> int:
+def _cmd_corpus(pretty) -> int:
+    from . import corpus, tc_bounds
+
     out = []
     for name in corpus.BUNDLED:
         cls = classify(corpus.load_bundled(name))
@@ -261,116 +270,132 @@ def _cmd_corpus(args) -> int:
         out.append(
             {"name": name, "classification": cls.as_dict(), "stable": stable, "bounds": bounds}
         )
-    _emit(out, args.pretty)
+    _emit(out, pretty)
     return 0
 
 
-def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="gbtc",
-        description=(
-            "Bounds on the sequential topological complexity of unordered "
-            "particle configurations on graphs, plus the machine-checked "
-            "free-group facts behind them."
-        ),
-    )
-    sub = parser.add_subparsers(dest="command", required=True)
+DESCRIPTION = (
+    "Bounds on the sequential topological complexity of unordered particle configurations on "
+    "graphs, plus the machine-checked free-group facts behind them."
+)
 
-    def add(name, func, help_text):
-        p = sub.add_parser(name, help=help_text, description=help_text)
-        p.add_argument("--pretty", action="store_true", help="indent the JSON output")
-        p.set_defaults(func=func)
-        return p
+# command -> (handler, whether it reads a GRAPH argument, options, help).  An
+# option is "--flag" or "--name METAVAR", with its type (bool for a flag), its
+# default (... when it is required) and its help; every command takes PRETTY.
+PRETTY = ("--pretty", bool, False, "indent the JSON output")
+COMMANDS = {
+    "classify": (_cmd_classify, True, (),
+        "Count vertices of valence >= 4, separating trivalent vertices, and non-separating "
+        "trivalent vertices of a connected graph; self-loops and parallel edges are read as given."),
+    "bound": (_cmd_bound, True, (
+        ("--r R", int, ..., "motion-planning order, r >= 2"),
+        ("--k K", int, ..., "particle count"),
+        ("--check-homology", bool, False, "also verify the homology nonvanishing input at this k")),
+        "Best certified lower bound (r-2)*min(floor(k/2), m) + 2(c0+c1) + c2 over admissible "
+        "(c0,c1,c2), together with the r*m upper bound."),
+    "stable": (_cmd_stable, True, (("--r R", int, ..., "motion-planning order, r >= 1"),),
+        "Stable value r*m and stable range start 2m + #trivalent for graphs without "
+        "non-separating trivalent vertices."),
+    "lambda": (_cmd_lambda, True, (
+        ("--vertex VERTEX", str, ..., "essential vertex id"),
+        ("--k K", int, ..., "particle count, k >= 1"),
+        ("--dot", bool, False, "emit DOT text instead of JSON")),
+        "Build the k-particle model of the local relation at a vertex: compositions of k and "
+        "k-1 joined by single-particle moves."),
+    "homology": (_cmd_homology, True, (
+        ("--k K", int, ..., "particle count, k >= 0"),
+        ("--dump-boundaries PATH", str, None, "also write the complex's boundary matrices as "
+         "'row col value' triplets, rows and columns indexing generators")),
+        "Exact rational Betti numbers of the k-particle configuration space in degrees 0..k, "
+        "from the reduced Swiatkowski complex, with the verdict on nonvanishing in degree "
+        "min(floor(k/2), m)."),
+    "verify-lemmas": (_cmd_verify_lemmas, False, (
+        ("--n N", int, 6, f"largest star size to check, 4..{VERIFY_LEMMAS_MAX_N} (default 6)"),),
+        "Machine-check the disjoint-conjugates facts for the star commutator and trivalent "
+        "product subgroups, the kernel-criterion consistency, and the particle-adding rank facts."),
+    "corpus": (_cmd_corpus, False, (),
+        "Classify every bundled graph and report stable values and bounds; output is "
+        "deterministic byte for byte."),
+}
 
-    p = add(
-        "classify",
-        _cmd_classify,
-        "Count vertices of valence >= 4, separating trivalent vertices, and "
-        "non-separating trivalent vertices of a connected graph; self-loops "
-        "and parallel edges are read as given.",
-    )
-    p.add_argument("graph", help="graph JSON file")
 
-    p = add(
-        "bound",
-        _cmd_bound,
-        "Best certified lower bound (r-2)*min(floor(k/2), m) + 2(c0+c1) + c2 "
-        "over admissible (c0,c1,c2), together with the r*m upper bound.",
-    )
-    p.add_argument("graph")
-    p.add_argument("--r", type=int, required=True, help="motion-planning order, r >= 2")
-    p.add_argument("--k", type=int, required=True, help="particle count")
-    p.add_argument(
-        "--check-homology",
-        action="store_true",
-        help="also verify the homology nonvanishing input at this k",
-    )
+def _cmd_help(command=None) -> int:
+    """Write the usage text of gbtc, or of one command."""
+    from textwrap import TextWrapper
 
-    p = add(
-        "stable",
-        _cmd_stable,
-        "Stable value r*m and stable range start 2m + #trivalent for graphs "
-        "without non-separating trivalent vertices.",
-    )
-    p.add_argument("graph")
-    p.add_argument("--r", type=int, required=True, help="motion-planning order, r >= 1")
+    def fill(text: str, first: str = "", rest: str = "") -> str:
+        return TextWrapper(79, first, rest, break_on_hyphens=False).fill(text)
 
-    p = add(
-        "lambda",
-        _cmd_lambda,
-        "Build the k-particle model of the local relation at a vertex: "
-        "compositions of k and k-1 joined by single-particle moves.",
-    )
-    p.add_argument("graph")
-    p.add_argument("--vertex", required=True, help="essential vertex id")
-    p.add_argument("--k", type=int, required=True, help="particle count, k >= 1")
-    p.add_argument("--dot", action="store_true", help="emit DOT text instead of JSON")
+    def item(name: str, text: str) -> str:
+        return fill(text, f"  {name:<24}", " " * 26)
 
-    p = add(
-        "homology",
-        _cmd_homology,
-        "Exact rational Betti numbers of the k-particle configuration space "
-        "in degrees 0..k, from the reduced Swiatkowski complex, with the "
-        "verdict on nonvanishing in degree min(floor(k/2), m).",
-    )
-    p.add_argument("graph")
-    p.add_argument("--k", type=int, required=True, help="particle count, k >= 0")
-    p.add_argument(
-        "--dump-boundaries",
-        metavar="PATH",
-        help="also write the complex's boundary matrices as 'row col value' "
-        "triplets, rows and columns indexing generators",
-    )
+    if command is None:
+        usage, text = "gbtc [-h] COMMAND ...", DESCRIPTION
+        items = ["commands:"] + [item(name, spec[3]) for name, spec in COMMANDS.items()]
+    else:
+        _, graph, options, text = COMMANDS[command]
+        options = (PRETTY, *options)
+        usage = [f"gbtc {command} [-h]"] + [o if d is ... else f"[{o}]" for o, _, d, _ in options]
+        usage = " ".join(usage + ["GRAPH"] * graph)
+        items = ["arguments:"] + [item("GRAPH", "graph JSON file")] * graph
+        items += [item("-h, --help", "show this help message and exit")]
+        items += [item(opt, help_) for opt, _, _, help_ in options]
+    sys.stdout.write("\n".join([f"usage: {usage}", "", fill(text), "", *items]) + "\n")
+    return 0
 
-    p = add(
-        "verify-lemmas",
-        _cmd_verify_lemmas,
-        "Machine-check the disjoint-conjugates facts for the star commutator "
-        "and trivalent product subgroups, the kernel-criterion consistency, "
-        "and the particle-adding rank facts.",
-    )
-    p.add_argument(
-        "--n",
-        type=int,
-        default=6,
-        help=f"largest star size to check, 4..{VERIFY_LEMMAS_MAX_N} (default 6)",
-    )
 
-    add(
-        "corpus",
-        _cmd_corpus,
-        "Classify every bundled graph and report stable values and bounds; "
-        "output is deterministic byte for byte.",
-    )
-
-    return parser
+def _parse(argv: list[str]):
+    """The handler argv names and its keyword arguments; bad arguments raise ValueError."""
+    if not argv:
+        raise ValueError("no command given (see gbtc --help)")
+    command, *rest = argv
+    if command in ("-h", "--help"):
+        return _cmd_help, {}
+    if command not in COMMANDS:
+        raise ValueError(f"unknown command {command!r} (see gbtc --help)")
+    func, graph, options, _ = COMMANDS[command]
+    specs = {opt.split()[0]: (kind, default) for opt, kind, default, _ in (PRETTY, *options)}
+    given, positionals = {}, []
+    args = iter(rest)
+    for arg in args:
+        if arg in ("-h", "--help"):
+            return _cmd_help, {"command": command}
+        if not arg.startswith("-"):
+            positionals.append(arg)
+            continue
+        flag, eq, raw = arg.partition("=")
+        if flag not in specs:
+            raise ValueError(f"{command}: unknown option {flag} (see gbtc {command} --help)")
+        if flag in given:
+            raise ValueError(f"{command}: {flag} given twice")
+        kind = specs[flag][0]
+        if kind is bool and eq:
+            raise ValueError(f"{command}: {flag} takes no value")
+        if kind is not bool and not eq:
+            # the next argument is the value even when it starts with '-', so
+            # that --k -1 reaches the command's own range check
+            raw = next(args, None)
+            if raw is None:
+                raise ValueError(f"{command}: {flag} needs a value")
+        try:
+            given[flag] = True if kind is bool else kind(raw)
+        except ValueError:
+            raise ValueError(f"{command}: {flag} wants an integer, got {raw!r}") from None
+    if len(positionals) != graph:
+        want = "one GRAPH argument" if graph else "no arguments"
+        raise ValueError(f"{command}: takes {want}, got {len(positionals)}")
+    kwargs = {"graph": positionals[0]} if graph else {}
+    for flag, (_, default) in specs.items():
+        if flag not in given and default is ...:
+            raise ValueError(f"{command}: {flag} is required (see gbtc {command} --help)")
+        kwargs[flag[2:].replace("-", "_")] = given.get(flag, default)
+    return func, kwargs
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
     try:
-        return args.func(args)
+        func, kwargs = _parse(sys.argv[1:] if argv is None else list(argv))
+        return func(**kwargs)
     except HypothesisError as exc:
         sys.stderr.write(f"inapplicable: {exc}\n")
         return 2

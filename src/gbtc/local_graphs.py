@@ -146,18 +146,14 @@ def build_lambda(pi: EquivRelation, k: int) -> LambdaGraph:
     b = pi.n_blocks
     lower = compositions(k - 1, b)
     upper = compositions(k, b)
-    vertices = tuple(lower + upper)
-    index = {c: i for i, c in enumerate(lower)}
-    index.update({c: len(lower) + i for i, c in enumerate(upper)})
-    label_blocks = sorted((j, i) for i, b in enumerate(pi.blocks) for j in b)
-    edges = []
-    for comp in lower:
-        li = index[comp]
-        for j, blk in label_blocks:
-            up = list(comp)
-            up[blk] += 1
-            edges.append((index[tuple(up)], li, j))
-    return LambdaGraph(pi, k, vertices, tuple(edges))
+    n_lower = len(lower)
+    # adding a particle to block i maps the lower compositions, in order,
+    # onto the upper ones with c[i] > 0, in order: one rank list per block
+    # holds the upper vertex of each lower one
+    ranks = [[n_lower + p for p, c in enumerate(upper) if c[i]] for i in range(b)]
+    moves = sorted((j, ranks[i]) for i, blk in enumerate(pi.blocks) for j in blk)
+    edges = tuple([(up[li], li, j) for li in range(n_lower) for j, up in moves])
+    return LambdaGraph(pi, k, tuple(lower + upper), edges)
 
 
 def expected_counts(pi: EquivRelation, k: int) -> tuple[int, int]:

@@ -13,7 +13,7 @@ import pytest
 
 import gbtc
 import swiatkowski_oracle
-from gbtc import discrete_config, free_groups, graph_core, local_graphs
+from gbtc import discrete_config, free_groups, graph_core, local_graphs, tc_bounds
 from gbtc.cli import _lambda_payload, _verify_lemma_rows, main
 from gbtc.corpus import BUNDLED, load_bundled
 
@@ -553,6 +553,114 @@ def test_corpus_deterministic(capsys):
     assert [e["name"] for e in entries] == list(BUNDLED)
 
 
+def test_argument_forms_read_alike(capsys):
+    # --opt=value and options before the graph read as the plain form does
+    want = run(capsys, "bound", datafile("hgraph"), "--r", "3", "--k", "4")
+    assert want[0] == 0
+    for argv in (
+        ["bound", datafile("hgraph"), "--r=3", "--k=4"],
+        ["bound", "--r", "3", "--k", "4", datafile("hgraph")],
+        ["bound", "--k=4", datafile("hgraph"), "--r", "3"],
+    ):
+        assert run(capsys, *argv) == want, argv
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        ([], "no command given (see gbtc --help)"),
+        (["frobnicate"], "unknown command 'frobnicate' (see gbtc --help)"),
+        (["--pretty", "corpus"], "unknown command '--pretty' (see gbtc --help)"),
+        (["corpus", "--fast"], "corpus: unknown option --fast (see gbtc corpus --help)"),
+        # no prefix stands for an option
+        (["bound", "G", "--r", "3", "--k", "4", "--check"], "bound: unknown option --check "
+         "(see gbtc bound --help)"),
+        (["stable", "G"], "stable: --r is required (see gbtc stable --help)"),
+        (["bound", "G", "--r", "3", "--r", "3", "--k", "4"], "bound: --r given twice"),
+        (["classify", "G", "--pretty", "--pretty"], "classify: --pretty given twice"),
+        (["bound", "G", "--r", "x", "--k", "4"], "bound: --r wants an integer, got 'x'"),
+        (["bound", "G", "--r", "3", "--k", "4.0"], "bound: --k wants an integer, got '4.0'"),
+        (["verify-lemmas", "--n=six"], "verify-lemmas: --n wants an integer, got 'six'"),
+        (["homology", "G", "--k"], "homology: --k needs a value"),
+        (["corpus", "--pretty=yes"], "corpus: --pretty takes no value"),
+        (["classify"], "classify: takes one GRAPH argument, got 0"),
+        (["classify", "G", "H"], "classify: takes one GRAPH argument, got 2"),
+        (["corpus", "G"], "corpus: takes no arguments, got 1"),
+    ],
+    ids=[
+        "bare",
+        "unknown-command",
+        "option-for-command",
+        "unknown-option",
+        "prefix",
+        "missing-option",
+        "repeated-option",
+        "repeated-flag",
+        "non-int-r",
+        "non-int-k",
+        "non-int-n",
+        "missing-value",
+        "flag-value",
+        "missing-graph",
+        "two-graphs",
+        "extra-argument",
+    ],
+)
+def test_argument_errors_exit_one_with_one_line(capsys, argv, message):
+    # no file is read: the arguments are refused first
+    argv = [datafile("hgraph") if a == "G" else a for a in argv]
+    code = main(argv)
+    cap = capsys.readouterr()
+    assert (code, cap.out, cap.err) == (1, "", f"error: {message}\n")
+
+
+def test_argument_error_in_a_fresh_process(tmp_path):
+    # the installed entry point and python -m gbtc.cli share main
+    env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(gbtc.__file__)))
+    proc = subprocess.run(
+        [sys.executable, "-m", "gbtc.cli", "bound", datafile("hgraph"), "--r", "x", "--k", "4"],
+        env=env,
+        capture_output=True,
+        text=True,
+        timeout=60,
+    )
+    assert (proc.returncode, proc.stdout) == (1, "")
+    assert proc.stderr == "error: bound: --r wants an integer, got 'x'\n"
+
+
+@pytest.mark.parametrize("flag", ["-h", "--help"])
+def test_help_lists_the_commands(capsys, flag):
+    from gbtc.cli import COMMANDS
+
+    code = main([flag])
+    cap = capsys.readouterr()
+    assert code == 0 and cap.err == ""
+    lines = cap.out.splitlines()
+    assert lines[0] == "usage: gbtc [-h] COMMAND ..."
+    listed = [line.split()[0] for line in lines[lines.index("commands:") + 1 :] if line[2] != " "]
+    assert listed == list(COMMANDS)
+
+
+@pytest.mark.parametrize("flag", ["-h", "--help"])
+@pytest.mark.parametrize(
+    "command", ["classify", "bound", "stable", "lambda", "homology", "verify-lemmas", "corpus"]
+)
+def test_command_help_gives_usage_options_and_description(capsys, command, flag):
+    from gbtc.cli import COMMANDS, PRETTY
+
+    # help wins over arguments that are missing
+    code = main([command, "--r", "3", flag] if command == "bound" else [command, flag])
+    cap = capsys.readouterr()
+    assert code == 0 and cap.err == ""
+    assert cap.out.startswith(f"usage: gbtc {command} [-h] [--pretty]")
+    _, graph, options, description = COMMANDS[command]
+    text = " ".join(cap.out.split())
+    assert description in text
+    for opt, _, _, help_ in (PRETTY, *options):
+        assert f"{opt} {help_}" in text, opt
+    assert ("GRAPH graph JSON file" in text) == graph
+
+
 def test_pretty_flag(capsys):
     _, compact = run(capsys, "classify", datafile("theta"))
     _, pretty = run(capsys, "classify", datafile("theta"), "--pretty")
@@ -572,21 +680,73 @@ def test_malformed_graph_exits_one(capsys, tmp_path):
 
 
 def test_import_loads_neither_dataclasses_nor_inspect():
-    # every command pays for what importing gbtc.cli loads, in a fresh process
+    # every command pays for what importing gbtc.cli loads, in a fresh
+    # process; reading the arguments and running a command load no argument
+    # parser, no translation catalog and no locale either
     script = (
         "import sys\n"
         "before = set(sys.modules)\n"
         "import gbtc.cli\n"
         "print(' '.join(sorted(set(sys.modules) - before)))\n"
+        "gbtc.cli.main(['classify', sys.argv[1]])\n"
+        "print(' '.join(sorted(set(sys.modules) - before)))\n"
+    )
+    env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(gbtc.__file__)))
+    proc = subprocess.run(
+        [sys.executable, "-c", script, datafile("theta")],
+        env=env,
+        capture_output=True,
+        text=True,
+        timeout=60,
+    )
+    assert proc.returncode == 0, proc.stderr
+    imported, _, ran = proc.stdout.splitlines()
+    loaded = set(imported.split())
+    assert "gbtc.cli" in loaded
+    unwanted = {"dataclasses", "inspect", "argparse", "gettext", "locale"}
+    assert not loaded & unwanted, sorted(loaded)
+    assert not set(ran.split()) & unwanted, sorted(ran.split())
+    # classify needs graph_core alone
+    assert {m for m in ran.split() if m.startswith("gbtc.")} == {"gbtc.cli", "gbtc.graph_core"}
+
+
+# every name gbtc exported when it imported its modules eagerly
+EXPORTS = (
+    "Graph GraphFormatError HypothesisError VertexClassification classify components_without "
+    "graph_from_data load_graph valence FoldedAutomaton FreeHom FreeWord apply_hom commutator "
+    "concat contains disjoint_conjugates_bruteforce generator identity inverse pullback "
+    "reduce_word restriction_injective stallings_core subgroup_rank EquivRelation FreeBasis "
+    "LambdaGraph build_lambda free_basis local_quotient pi1_rank sink_stabilization "
+    "star_commutator_subgroups trivalent_product_subgroups BettiVector CellBudgetError "
+    "ChainComplex betti build_complex nonvanishing_check BoundReport lower_bound stable_report"
+).split()
+
+
+def test_bare_import_loads_no_submodule_and_every_export_resolves():
+    script = (
+        "import sys\n"
+        "import gbtc\n"
+        "print(' '.join(sorted(m for m in sys.modules if m.startswith('gbtc.'))))\n"
+        "from gbtc import stallings_core\n"
+        "print(stallings_core.__module__)\n"
     )
     env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(gbtc.__file__)))
     proc = subprocess.run(
         [sys.executable, "-c", script], env=env, capture_output=True, text=True, timeout=60
     )
     assert proc.returncode == 0, proc.stderr
-    loaded = set(proc.stdout.split())
-    assert "gbtc.cli" in loaded
-    assert not loaded & {"dataclasses", "inspect"}, sorted(loaded)
+    assert proc.stdout.splitlines() == ["", "gbtc.free_groups"]
+    modules = (graph_core, free_groups, local_graphs, discrete_config, tc_bounds)
+    for name in EXPORTS:
+        (home,) = [m for m in modules if getattr(vars(m).get(name), "__module__", "") == m.__name__]
+        assert getattr(gbtc, name) is getattr(home, name), name
+        assert name in dir(gbtc), name
+    star = {}
+    exec("from gbtc import *", star)
+    assert set(EXPORTS) <= set(star)
+    assert all(star[name] is getattr(gbtc, name) for name in EXPORTS)
+    with pytest.raises(AttributeError):
+        gbtc.no_such_name
 
 
 def test_names_the_benchmark_calls_stay_public():

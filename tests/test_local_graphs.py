@@ -227,6 +227,33 @@ def test_lambda_counts_match_enumeration():
                 assert all(cu[i] == cl[i] for i in range(b) if i != blk)
 
 
+def test_lambda_matches_the_indexed_reference():
+    # the model read off one rank list per block is the one built by moving
+    # a particle in each lower composition and looking the result up: the
+    # same vertices in the same order, the same edges in the same order
+    star5 = EquivRelation.discrete(5)
+    cases = [(star5, k) for k in (1, 2, 3, 12)] + [
+        (pi, k)
+        for pi in (PI23, EquivRelation([(0, 3), (1,), (2, 4)]), EquivRelation.indiscrete(3))
+        for k in range(1, 7)
+    ]
+    for pi, k in cases:
+        b = pi.n_blocks
+        lower = recursive_compositions(k - 1, b)
+        upper = recursive_compositions(k, b)
+        index = {c: i for i, c in enumerate(lower + upper)}
+        block_of = {x: bi for bi, members in enumerate(pi.blocks) for x in members}
+        edges = []
+        for li, comp in enumerate(lower):
+            for j in sorted(block_of):
+                up = list(comp)
+                up[block_of[j]] += 1
+                edges.append((index[tuple(up)], li, j))
+        lam = build_lambda(pi, k)
+        assert lam.vertices == tuple(lower + upper), (pi.blocks, k)
+        assert lam.edges == tuple(edges), (pi.blocks, k)
+
+
 def test_lambda_connected():
     # the spanning tree reaches every vertex, so the model is connected and
     # pi1_rank's edges - vertices + 1 is the rank of its fundamental group
