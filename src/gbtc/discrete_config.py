@@ -462,8 +462,6 @@ def nonvanishing_check(
     Gal's Euler characteristic; an exceeded generator budget yields an
     unverified report instead of an answer.
     """
-    if g.sinks:
-        raise HypothesisError("homology is computed for sink-free graphs only")
     valences = [len(hs) for hs in g.half_edges.values()]
     m = sum(val >= 3 for val in valences)  # the essential vertices
     degree = min(k // 2, m)

@@ -109,15 +109,10 @@ class Graph(Record):
     twice; it is built here once, takes no part in equality, hashing or
     repr, and is shared by every reader, so it must not be modified."""
 
-    __slots__ = ("vertices", "edges", "sinks", "half_edges")
+    __slots__ = ("vertices", "edges", "half_edges")
     _fields = __slots__[:-1]
 
-    def __init__(
-        self,
-        vertices: tuple[str, ...],
-        edges: tuple[tuple[str, str], ...],
-        sinks: tuple[str, ...] = (),
-    ):
+    def __init__(self, vertices: tuple[str, ...], edges: tuple[tuple[str, str], ...]):
         at: dict[str, list[int]] = {}
         for v in vertices:
             if v in at:
@@ -130,14 +125,7 @@ class Graph(Record):
                 if x not in at:
                     raise GraphFormatError(f"edge endpoint {_short(x)} is not a declared vertex")
                 at[x].append(ei)
-        seen = set()
-        for s in sinks:
-            if s not in at:
-                raise GraphFormatError(f"sink {_short(s)} is not a declared vertex")
-            if s in seen:
-                raise GraphFormatError(f"duplicate sink id {_short(s)}")
-            seen.add(s)
-        super().__init__(vertices, edges, sinks, {v: tuple(hs) for v, hs in at.items()})
+        super().__init__(vertices, edges, {v: tuple(hs) for v, hs in at.items()})
 
     @property
     def n_vertices(self) -> int:
@@ -162,6 +150,9 @@ def graph_from_data(data: dict) -> Graph:
 
     Ids must be strings and each edge an array of exactly two of them;
     anything else raises GraphFormatError rather than being coerced.
+    ``sinks`` may be absent or an empty array: a nonempty one asks for a
+    configuration space with sinks, which is not UConf_k, and raises
+    HypothesisError once the graph itself is well formed.
     """
     if not isinstance(data, dict):
         raise GraphFormatError("graph data must be a JSON object")
@@ -172,7 +163,10 @@ def graph_from_data(data: dict) -> Graph:
         raise GraphFormatError(f"edges must be an array, got {_short(data['edges'])}")
     edges = tuple(_id_array(e, "an edge") for e in data["edges"])
     sinks = _id_array(data.get("sinks", []), "sinks")
-    return Graph(vertices, edges, sinks)
+    g = Graph(vertices, edges)
+    if sinks:
+        raise HypothesisError(f"graphs with sinks are not supported: sinks {_short(list(sinks))}")
+    return g
 
 
 def load_graph(path: str) -> Graph:

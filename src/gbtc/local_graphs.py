@@ -71,14 +71,12 @@ class EquivRelation(Record):
 def local_quotient(g: Graph, v: str) -> EquivRelation:
     """The relation on the half-edges at v given by :func:`components_without`.
 
-    Requires a connected sinkless graph and an essential v; self-loops and
+    Requires a connected graph and an essential v; self-loops and
     parallel edges are fine.  When v separates and the first two half-edges
     in the file order land in the same block, the order is silently adjusted
     so that the first two lie in different blocks; ground positions refer to
     the adjusted order.
     """
-    if g.sinks:
-        raise HypothesisError("local relations are formed on sinkless graphs")
     if not is_connected(g):
         raise HypothesisError("connected graph required")
     blocks = components_without(g, v)
@@ -122,7 +120,7 @@ class LambdaGraph(Record):
     """The k-particle model graph of a local relation.
 
     Vertices are compositions of k-1 (one particle at the center) followed by
-    compositions of k (all particles at sinks), each in ascending lexicographic
+    compositions of k (none at the center), each in ascending lexicographic
     order.  Edges are (upper vertex, lower vertex, ground label): moving one
     particle between the center and the labeled edge's sink.
     """

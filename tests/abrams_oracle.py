@@ -98,7 +98,7 @@ def normalize(g: Graph) -> Graph:
 
     if not changed:
         return g
-    return Graph(tuple(verts), tuple(edges), g.sinks)
+    return Graph(tuple(verts), tuple(edges))
 
 
 def is_normalized(g: Graph) -> bool:
@@ -207,7 +207,7 @@ def sufficient_subdivision(g: Graph, k: int) -> Graph:
         stops = [u] + [_fresh_id(used, f"{u}-{w}") for _ in range(p - 1)] + [w]
         verts.extend(stops[1:-1])
         edges.extend(zip(stops, stops[1:]))
-    return Graph(tuple(verts), tuple(edges), g.sinks)
+    return Graph(tuple(verts), tuple(edges))
 
 
 Cell = tuple[tuple[int, ...], tuple[int, ...]]  # (edge indices, vertex indices)

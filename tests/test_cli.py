@@ -281,21 +281,19 @@ def test_bound_check_homology_checks_the_bound_first(capsys, tmp_path, monkeypat
         cap = capsys.readouterr()
         assert code == 2 and cap.out == "" and cap.err.splitlines() == refused
     assert built == []
-    # a star with a sink fails both checks; the bound's message is the one given
+    # a star with a sink fails both checks; the load gate answers first
     star = tmp_path / "star_sink.json"
     star.write_text(
         json.dumps(
             {"vertices": ["c", "a", "b", "d"], "edges": [["c", "a"], ["c", "b"], ["c", "d"]], "sinks": ["a"]}
         )
     )
-    code = main(["bound", str(star), "--r", "3", "--k", "4", "--check-homology"])
-    cap = capsys.readouterr()
-    assert code == 2 and cap.out == "" and cap.err.splitlines() == refused
-    code = main(["homology", str(star), "--k", "4"])
-    cap = capsys.readouterr()
-    assert code == 2 and cap.err.splitlines() == [
-        "inapplicable: homology is computed for sink-free graphs only"
-    ]
+    for argv in (["bound", "--r", "3", "--k", "4", "--check-homology"], ["homology", "--k", "4"]):
+        code = main([argv[0], str(star), *argv[1:]])
+        cap = capsys.readouterr()
+        assert code == 2 and cap.out == "" and cap.err.splitlines() == [
+            "inapplicable: graphs with sinks are not supported: sinks ['a']"
+        ]
 
 
 def test_homology_star3(capsys):
@@ -445,7 +443,32 @@ def test_homology_with_sinks_is_inapplicable(capsys, tmp_path):
     code = main(["homology", str(g), "--k", "2"])
     cap = capsys.readouterr()
     assert code == 2 and cap.out == ""
-    assert cap.err.startswith("inapplicable:")
+    assert cap.err.splitlines() == ["inapplicable: graphs with sinks are not supported: sinks ['u']"]
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["classify"],
+        ["stable", "--r", "2"],
+        ["bound", "--r", "2", "--k", "6"],
+        ["bound", "--r", "2", "--k", "6", "--check-homology"],
+        ["lambda", "--vertex", "c1", "--k", "2"],
+        ["homology", "--k", "2"],
+    ],
+    ids=["classify", "stable", "bound", "bound-check-homology", "lambda", "homology"],
+)
+def test_every_command_refuses_a_graph_with_sinks(capsys, tmp_path, argv):
+    # the sinks of a graph file are refused at load, in one wording for every
+    # command, including those that never read a configuration space
+    with open(datafile("hgraph"), encoding="utf-8") as fh:
+        data = json.load(fh)
+    g = tmp_path / "hgraph_sink.json"
+    g.write_text(json.dumps({**data, "sinks": ["l4"]}))
+    code = main([argv[0], str(g), *argv[1:]])
+    cap = capsys.readouterr()
+    assert code == 2 and cap.out == ""
+    assert cap.err.splitlines() == ["inapplicable: graphs with sinks are not supported: sinks ['l4']"]
 
 
 def test_verify_lemmas_passes(capsys):

@@ -842,12 +842,6 @@ def test_zero_particles_is_one_point():
             build_complex(g, -1)
 
 
-def test_nonvanishing_rejects_sinks():
-    g = theta()
-    with pytest.raises(HypothesisError):
-        nonvanishing_check(Graph(g.vertices, g.edges, ("u",)), 2)
-
-
 def test_euler_characteristic_matches_gal_on_bundled_graphs():
     # nonvanishing_check raises on a mismatch; the sum is recomputed here too
     for name in BUNDLED:

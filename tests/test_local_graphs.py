@@ -32,7 +32,7 @@ from gbtc.free_groups import (
     stallings_core,
     subgroup_rank,
 )
-from gbtc.graph_core import Graph, HypothesisError, components_without, valence
+from gbtc.graph_core import Graph, components_without, valence
 from gbtc.local_graphs import (
     EquivRelation,
     LambdaGraph,
@@ -114,15 +114,6 @@ def test_local_quotient_h_junction_discrete():
     g = normalize(hgraph())
     pi = local_quotient(g, "c1")
     assert sorted(len(b) for b in pi.blocks) == [1, 1, 1]
-
-
-def test_local_quotient_rejects_sinks():
-    g = normalize(star(3))
-    from gbtc.graph_core import Graph
-
-    gs = Graph(g.vertices, g.edges, sinks=(g.vertices[0],))
-    with pytest.raises(HypothesisError):
-        local_quotient(gs, "c")
 
 
 def reference_local_quotient(g: Graph, v: str) -> tuple[tuple[int, ...], ...]:
