@@ -21,10 +21,10 @@ from .graph_core import GraphFormatError, HypothesisError, classify, load_graph
 LAMBDA_MAX_SIZE = 100_000
 
 # Largest star size `verify-lemmas` checks.  Its run time grows about
-# quadratically with n; at 64 it stays a cheap query (Python 3.11 on a 2-core
-# Xeon host, median of 5 in-process calls: the rows take 0.048 s at n=64,
-# 0.17 s at n=128).  The star rows start at n=4, so a smaller n would check
-# none of them.
+# quadratically with n; at 64 it stays a cheap query (Python 3.11.7 on a
+# 2-vCPU Xeon host, medians of 5 in-process calls in four processes: the rows
+# take 0.07-0.10 s at n=64, 0.23-0.33 s at n=128).  The star rows start at
+# n=4, so a smaller n would check none of them.
 VERIFY_LEMMAS_MAX_N = 64
 
 

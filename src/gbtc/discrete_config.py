@@ -49,7 +49,7 @@ import itertools
 from collections.abc import Iterable, Set
 from math import comb, gcd
 
-from .graph_core import Graph, HypothesisError, Record, is_connected
+from .graph_core import Graph, Record
 
 DEFAULT_CELL_BUDGET = 1_000_000
 
@@ -201,8 +201,9 @@ class ChainComplex(Record):
 
 
 def build_complex(g: Graph, k: int, budget: int = DEFAULT_CELL_BUDGET) -> ChainComplex:
-    """The reduced Świątkowski complex of k particles on a connected graph,
-    in degrees 0..min(k, number of vertices of valence >= 2 after smoothing).
+    """The reduced Świątkowski complex of k particles on a graph (connected,
+    as every ``Graph`` is), in degrees 0..min(k, number of vertices of
+    valence >= 2 after smoothing).
 
     Raises :class:`CellBudgetError` before enumerating anything when the
     generator count, or k + 1, exceeds ``budget``: a graph of at most one
@@ -214,8 +215,6 @@ def build_complex(g: Graph, k: int, budget: int = DEFAULT_CELL_BUDGET) -> ChainC
     each vertex state, found by hashing the states once each, and the rank
     of every monomial times every edge.  No column is built.
     """
-    if not is_connected(g):
-        raise HypothesisError("connected graph required")
     if k < 0:
         raise ValueError("particle count k must be nonnegative")
     if k + 1 > budget:
@@ -458,9 +457,12 @@ def nonvanishing_check(
 ) -> NonvanishingReport:
     """Is rational homology nonzero in degree min(floor(k/2), m)?
 
-    Reports the Betti vector of UConf_k g in degrees 0..k, checked against
-    Gal's Euler characteristic; an exceeded generator budget yields an
-    unverified report instead of an answer.
+    Reports the Betti vector of UConf_k g in degrees 0..k (g is connected,
+    as every ``Graph`` is).  Its Euler characteristic must equal Gal's; as
+    b_d = n_d - r_d - r_(d+1), the ranks cancel there, so that checks only
+    the generator counts n_d.  The rank of d_1 is checked by b_0, which is 1,
+    or 0 at k >= 2 with no edges: UConf_k g is connected or empty.  An
+    exceeded generator budget yields an unverified report instead of an answer.
     """
     valences = [len(hs) for hs in g.half_edges.values()]
     m = sum(val >= 3 for val in valences)  # the essential vertices
@@ -475,6 +477,9 @@ def nonvanishing_check(
     gal = _gal_euler_characteristic(valences, g.n_edges, k)
     if chi != gal:
         raise AssertionError(f"Euler characteristic {chi} != Gal's formula {gal}")
+    b0 = 0 if k >= 2 and not g.edges else 1
+    if bv[0] != b0:
+        raise AssertionError(f"b_0 = {bv[0]} != {b0}: the rank of d_1 is wrong")
     return NonvanishingReport(
         k, m, degree, bv, bv[degree] != 0, "verified", tuple(complex_.cell_counts()), complex_
     )

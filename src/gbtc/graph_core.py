@@ -1,9 +1,10 @@
-"""Finite graphs as combinatorial 1-complexes.
+"""Finite connected graphs as combinatorial 1-complexes.
 
 Vertices are opaque string ids.  Edges form a multiset of unordered pairs;
 self-loops and parallel edges are legal and every operation works on the
-graph as given.  The order of the edge list fixes the order of the half-edges
-at each vertex (``Graph.half_edges``), and the pair order of an edge fixes its
+graph as given.  A ``Graph`` is connected by construction, so no reader
+checks.  The order of the edge list fixes the order of the half-edges at
+each vertex (``Graph.half_edges``), and the pair order of an edge fixes its
 parametrization (tail, head).
 
 The classification of essential vertices (valence >= 4 / separating trivalent
@@ -104,7 +105,9 @@ def _short(value) -> str:
 
 
 class Graph(Record):
-    """A validated graph.  ``half_edges`` maps each vertex id to the edge
+    """A validated graph: malformed ids or edges raise GraphFormatError, and
+    no vertices or a second component HypothesisError, so every reader may
+    assume a connected graph.  ``half_edges`` maps each vertex id to the edge
     indices of its half-edges, in edge-file order, a self-loop listed
     twice; it is built here once, takes no part in equality, hashing or
     repr, and is shared by every reader, so it must not be modified."""
@@ -126,6 +129,8 @@ class Graph(Record):
                     raise GraphFormatError(f"edge endpoint {_short(x)} is not a declared vertex")
                 at[x].append(ei)
         super().__init__(vertices, edges, {v: tuple(hs) for v, hs in at.items()})
+        if not vertices or len(_fill(self, vertices[0], {vertices[0]: 0})) < len(vertices):
+            raise HypothesisError("connected graph required")
 
     @property
     def n_vertices(self) -> int:
@@ -151,8 +156,9 @@ def graph_from_data(data: dict) -> Graph:
     Ids must be strings and each edge an array of exactly two of them;
     anything else raises GraphFormatError rather than being coerced.
     ``sinks`` may be absent or an empty array: a nonempty one asks for a
-    configuration space with sinks, which is not UConf_k, and raises
-    HypothesisError once the graph itself is well formed.
+    configuration space with sinks, which is not UConf_k.  Format errors
+    come first, then the connectivity :class:`Graph` checks, then a
+    nonempty ``sinks``, the last two as HypothesisError.
     """
     if not isinstance(data, dict):
         raise GraphFormatError("graph data must be a JSON object")
@@ -186,9 +192,9 @@ def valence(g: Graph, v: str) -> int:
     return len(hs)
 
 
-def _fill(g: Graph, start: str, label: dict[str, int]) -> None:
+def _fill(g: Graph, start: str, label: dict[str, int]) -> dict[str, int]:
     """Give every vertex reachable from start without passing a labelled
-    vertex the label of start."""
+    vertex the label of start, and return label."""
     stack = [start]
     while stack:
         x = stack.pop()
@@ -198,15 +204,7 @@ def _fill(g: Graph, start: str, label: dict[str, int]) -> None:
             if y not in label:
                 label[y] = label[start]
                 stack.append(y)
-
-
-def is_connected(g: Graph) -> bool:
-    """Exactly one component: the empty graph is not connected."""
-    if not g.vertices:
-        return False
-    label = {g.vertices[0]: 0}
-    _fill(g, g.vertices[0], label)
-    return len(label) == g.n_vertices
+    return label
 
 
 def _blocks(g: Graph, v: str) -> tuple[tuple[int, ...], ...]:
@@ -260,10 +258,8 @@ class VertexClassification(Record):
 
 
 def classify(g: Graph) -> VertexClassification:
-    """Classify the essential vertices of a connected graph, read off the
-    half-edges of the graph as given."""
-    if not is_connected(g):
-        raise HypothesisError("connected graph required")
+    """Classify the essential vertices of a graph, read off the half-edges
+    of the graph as given; the ``Graph`` type guarantees it is connected."""
     n0 = n1 = n2 = 0
     for v, hs in g.half_edges.items():
         if len(hs) >= 4:

@@ -15,7 +15,7 @@ from __future__ import annotations
 
 from math import comb
 
-from .graph_core import Graph, HypothesisError, Record, components_without, is_connected
+from .graph_core import Graph, Record, components_without
 from .free_groups import (
     FreeHom,
     FreeWord,
@@ -71,14 +71,12 @@ class EquivRelation(Record):
 def local_quotient(g: Graph, v: str) -> EquivRelation:
     """The relation on the half-edges at v given by :func:`components_without`.
 
-    Requires a connected graph and an essential v; self-loops and
-    parallel edges are fine.  When v separates and the first two half-edges
+    Requires an essential v (the ``Graph`` type guarantees a connected
+    graph); self-loops and parallel edges are fine.  When v separates and the first two half-edges
     in the file order land in the same block, the order is silently adjusted
     so that the first two lie in different blocks; ground positions refer to
     the adjusted order.
     """
-    if not is_connected(g):
-        raise HypothesisError("connected graph required")
     blocks = components_without(g, v)
     if len(blocks) > 1 and 1 in blocks[0]:
         # blocks are sorted by smallest member, so blocks[1][0] is the first

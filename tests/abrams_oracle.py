@@ -25,7 +25,7 @@ from collections import Counter
 from conftest import oracle_components
 from dict_columns import _check_boundary_squares_to_zero
 from gbtc.discrete_config import ChainComplex
-from gbtc.graph_core import Graph, HypothesisError, is_connected
+from gbtc.graph_core import Graph
 
 
 def _valences(g: Graph) -> dict[str, int]:
@@ -178,8 +178,6 @@ def sufficient_subdivision(g: Graph, k: int) -> Graph:
     """Subdivide so every chain between branch points or leaves and every
     embedded cycle has at least k+1 edges.  One particle needs no separation,
     so k <= 1 returns the graph unchanged."""
-    if not is_connected(g):
-        raise HypothesisError("connected graph required")
     if not is_normalized(g):
         raise ValueError("graph must be normalized first")
     if k <= 1:

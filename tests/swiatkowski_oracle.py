@@ -23,7 +23,7 @@ from gbtc.discrete_config import (
     _graded_terms,
     _smooth,
 )
-from gbtc.graph_core import Graph, HypothesisError, is_connected
+from gbtc.graph_core import Graph
 
 # (occupied vertices as (vertex, half-edge position) pairs, edge monomial)
 Cell = tuple[tuple[tuple[int, int], ...], tuple[int, ...]]
@@ -36,8 +36,6 @@ def build_complex(g: Graph, k: int, budget: int = DEFAULT_CELL_BUDGET) -> ChainC
     Raises :class:`CellBudgetError` before enumerating anything when the
     generator count exceeds ``budget``.  Verifies boundary-of-boundary.
     """
-    if not is_connected(g):
-        raise HypothesisError("connected graph required")
     if k < 0:
         raise ValueError("particle count k must be nonnegative")
     half, n_edges = _smooth(g)

@@ -29,6 +29,17 @@ def run(capsys, *argv) -> tuple[int, str]:
     return code, capsys.readouterr().out
 
 
+# every command that reads a graph, with options that hgraph passes
+GRAPH_COMMANDS = [
+    ["classify"],
+    ["stable", "--r", "2"],
+    ["bound", "--r", "2", "--k", "6"],
+    ["bound", "--r", "2", "--k", "6", "--check-homology"],
+    ["lambda", "--vertex", "c1", "--k", "2"],
+    ["homology", "--k", "2"],
+]
+
+
 def test_classify_output(capsys):
     code, out = run(capsys, "classify", datafile("hgraph"))
     assert code == 0
@@ -40,19 +51,20 @@ def test_classify_disconnected_exits_two(capsys, tmp_path):
     bad.write_text(
         json.dumps({"vertices": ["a", "b", "c", "d"], "edges": [["a", "b"], ["c", "d"]]})
     )
-    code = main(["classify", str(bad)])
-    cap = capsys.readouterr()
-    assert code == 2 and cap.out == ""
-    assert cap.err.splitlines() == ["inapplicable: connected graph required"]
+    for command, *options in GRAPH_COMMANDS:
+        code = main([command, str(bad), *options])
+        cap = capsys.readouterr()
+        assert code == 2 and cap.out == "", command
+        assert cap.err.splitlines() == ["inapplicable: connected graph required"]
 
 
 def test_empty_graph_is_not_connected(capsys, tmp_path):
     empty = tmp_path / "empty.json"
     empty.write_text(json.dumps({"vertices": [], "edges": []}))
-    for argv in (["classify", str(empty)], ["homology", str(empty), "--k", "2"]):
-        code = main(argv)
+    for command, *options in GRAPH_COMMANDS:
+        code = main([command, str(empty), *options])
         cap = capsys.readouterr()
-        assert code == 2 and cap.out == ""
+        assert code == 2 and cap.out == "", command
         assert cap.err.splitlines() == ["inapplicable: connected graph required"]
     point = tmp_path / "point.json"
     point.write_text(json.dumps({"vertices": ["a"], "edges": []}))
@@ -144,7 +156,7 @@ def test_bad_r_or_k_exit_codes_are_pinned(capsys, tmp_path, argv, message):
     code = main([command, datafile("hgraph"), *options])
     cap = capsys.readouterr()
     assert (code, cap.out, cap.err) == (1, "", f"error: {message}\n")
-    # the graph is classified first, so a disconnected one is refused as such
+    # the graph is loaded first, so a disconnected one is refused as such
     # before its options are read
     disc = tmp_path / "disc.json"
     disc.write_text(
@@ -448,14 +460,7 @@ def test_homology_with_sinks_is_inapplicable(capsys, tmp_path):
 
 @pytest.mark.parametrize(
     "argv",
-    [
-        ["classify"],
-        ["stable", "--r", "2"],
-        ["bound", "--r", "2", "--k", "6"],
-        ["bound", "--r", "2", "--k", "6", "--check-homology"],
-        ["lambda", "--vertex", "c1", "--k", "2"],
-        ["homology", "--k", "2"],
-    ],
+    GRAPH_COMMANDS,
     ids=["classify", "stable", "bound", "bound-check-homology", "lambda", "homology"],
 )
 def test_every_command_refuses_a_graph_with_sinks(capsys, tmp_path, argv):

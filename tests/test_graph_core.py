@@ -26,6 +26,7 @@ from conftest import (
     star,
     theta,
 )
+from gbtc import graph_core
 from gbtc.discrete_config import (
     BettiVector,
     ChainComplex,
@@ -179,10 +180,45 @@ def test_classify_theta():
     assert cls.m == 2
 
 
-def test_classify_rejects_disconnected():
-    g = Graph(("a", "b", "c", "d"), (("a", "b"), ("c", "d")))
-    with pytest.raises(HypothesisError):
+@pytest.mark.parametrize(
+    "vertices, edges",
+    [
+        (("a", "b", "c", "d"), (("a", "b"), ("c", "d"))),
+        ((), ()),
+        (("a", "b", "c"), (("a", "b"),)),
+        (("a", "b"), (("b", "b"),)),
+    ],
+    ids=["two-components", "no-vertices", "isolated-vertex", "loop-beside-a-point"],
+)
+def test_graph_refuses_disconnected(vertices, edges):
+    # a Graph is connected by construction, so no reader checks again
+    with pytest.raises(HypothesisError, match="^connected graph required$"):
+        Graph(vertices, edges)
+
+
+def test_readers_make_no_flood_fill_from_the_first_vertex(monkeypatch):
+    # the one connectivity fill starts from the first vertex with only that
+    # vertex labelled; a fill inside _blocks starts with the vertex removed
+    # already labelled
+    whole = []
+    real = graph_core._fill
+
+    def spy(g, start, label):
+        if start == g.vertices[0] and label == {start: 0}:
+            whole.append(g)
+        return real(g, start, label)
+
+    monkeypatch.setattr(graph_core, "_fill", spy)
+    graphs = [g for _, g in bundled_graphs()]
+    assert whole == graphs  # the spy sees the one fill each Graph makes
+    whole.clear()
+    for g in graphs:
         classify(g)
+        build_complex(g, 3)
+        for v in g.vertices:
+            if valence(g, v) >= 3:
+                local_quotient(g, v)
+    assert whole == []
 
 
 def test_classify_matches_bruteforce_on_corpus():
@@ -302,6 +338,25 @@ def test_graph_from_data_refuses_sinks(sinks):
     # the ids name vertices
     with pytest.raises(HypothesisError, match="graphs with sinks are not supported"):
         graph_from_data({"vertices": ["a", "b"], "edges": [["a", "b"]], "sinks": sinks})
+
+
+@pytest.mark.parametrize(
+    "data, error, message",
+    [
+        # a format error beats connectivity
+        ({"vertices": ["a", "b", "b"], "edges": []}, GraphFormatError, "duplicate vertex"),
+        ({"vertices": ["a", "b"], "edges": [["a"]]}, GraphFormatError, "not a pair"),
+        ({"vertices": ["a", "b"], "edges": [], "sinks": "a"}, GraphFormatError, "sinks"),
+        # connectivity beats a nonempty sinks list
+        ({"vertices": ["a", "b"], "edges": [], "sinks": ["a"]}, HypothesisError, "connected"),
+        ({"vertices": [], "edges": [], "sinks": ["a"]}, HypothesisError, "connected"),
+    ],
+)
+def test_graph_from_data_refusal_order(data, error, message):
+    # each graph here is disconnected: ids, edge shapes and the sinks array's
+    # shape are checked first, then connectivity, then a nonempty sinks list
+    with pytest.raises(error, match=message):
+        graph_from_data(data)
 
 
 def test_input_graph_matches_normalized_route():

@@ -17,7 +17,7 @@ from conftest import (
     theta,
     upper_bound,
 )
-from gbtc.graph_core import Graph, HypothesisError, VertexClassification, classify
+from gbtc.graph_core import HypothesisError, VertexClassification, classify
 from gbtc.tc_bounds import (
     BoundReport,
     _best_choice,
@@ -54,13 +54,6 @@ def test_lower_bound_rejects_r_one():
 def test_lower_bound_rejects_small_m():
     with pytest.raises(HypothesisError):
         lower_bound(classify(star(4)), 2, 6)
-
-
-def test_lower_bound_rejects_disconnected():
-    # a disconnected graph has no classification, so no bound either
-    g = Graph(("a", "b", "c", "d"), (("a", "b"), ("c", "d")))
-    with pytest.raises(HypothesisError):
-        lower_bound(classify(g), 2, 4)
 
 
 def test_bounds_reject_bad_order_and_count():
