@@ -8,6 +8,12 @@ corpus.  Output is canonical JSON (sorted keys) on stdout; exit code
 contradicts a bound, 1 flags I/O or format problems and requests over a
 size guard or malformed arguments.  Arguments are read from one table,
 ``COMMANDS``, and each command imports only the gbtc modules it runs.
+
+``run`` is the program entry, for the console script and ``python -m
+gbtc.cli`` alike: it calls ``main``, flushes the output and ends the process
+with ``os._exit``, since a process runs one command and holds nothing that
+must be freed once its output is flushed.  A write of the output that fails
+at that flush exits 1 with one ``error:`` line, as one that fails sooner does.
 """
 
 import json
@@ -404,5 +410,21 @@ def main(argv=None) -> int:
         return 1
 
 
+def run() -> None:
+    """Run ``main`` on ``sys.argv``, flush its output and end the process
+    without tearing the interpreter down."""
+    code = main()
+    try:
+        sys.stdout.flush()
+    except OSError as exc:
+        sys.stderr.write(f"error: {exc}\n")
+        code = 1
+    try:
+        sys.stderr.flush()
+    except OSError:
+        pass
+    os._exit(code)
+
+
 if __name__ == "__main__":
-    sys.exit(main())
+    run()

@@ -642,18 +642,61 @@ def test_argument_errors_exit_one_with_one_line(capsys, argv, message):
     assert (code, cap.out, cap.err) == (1, "", f"error: {message}\n")
 
 
-def test_argument_error_in_a_fresh_process(tmp_path):
-    # the installed entry point and python -m gbtc.cli share main
+def fresh(argv, stdout=subprocess.PIPE) -> subprocess.CompletedProcess:
+    """gbtc in a fresh ``python -m gbtc.cli`` process, with stdout block
+    buffered as it is by default."""
     env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(gbtc.__file__)))
-    proc = subprocess.run(
-        [sys.executable, "-m", "gbtc.cli", "bound", datafile("hgraph"), "--r", "x", "--k", "4"],
+    env.pop("PYTHONUNBUFFERED", None)
+    return subprocess.run(
+        [sys.executable, "-m", "gbtc.cli", *argv],
         env=env,
-        capture_output=True,
-        text=True,
+        stdout=stdout,
+        stderr=subprocess.PIPE,
         timeout=60,
     )
-    assert (proc.returncode, proc.stdout) == (1, "")
-    assert proc.stderr == "error: bound: --r wants an integer, got 'x'\n"
+
+
+def test_argument_error_in_a_fresh_process(tmp_path):
+    # the installed entry point and python -m gbtc.cli share run
+    proc = fresh(["bound", datafile("hgraph"), "--r", "x", "--k", "4"])
+    assert (proc.returncode, proc.stdout) == (1, b"")
+    assert proc.stderr == b"error: bound: --r wants an integer, got 'x'\n"
+
+
+def test_refused_graph_in_a_fresh_process(tmp_path):
+    g = tmp_path / "sink.json"
+    g.write_text(json.dumps({"vertices": ["a", "b"], "edges": [["a", "b"]], "sinks": ["a"]}))
+    proc = fresh(["classify", str(g)])
+    assert (proc.returncode, proc.stdout) == (2, b"")
+    assert proc.stderr == b"inapplicable: graphs with sinks are not supported: sinks ['a']\n"
+
+
+# star5 at k=12 writes 128 KB, more than two pipe buffers
+@pytest.mark.parametrize(
+    "argv", [["lambda", datafile("star5"), "--vertex", "c", "--k", "12"], ["corpus"]]
+)
+def test_fresh_process_writes_all_of_main_output(capsys, argv):
+    code, out = run(capsys, *argv)
+    proc = fresh(argv)
+    assert code == 0
+    assert (proc.returncode, proc.stderr, proc.stdout) == (0, b"", out.encode())
+
+
+# classify's few bytes fail only at run's flush; the 128 KB lambda output
+# fails inside main
+@pytest.mark.parametrize(
+    "argv",
+    [["classify", datafile("hgraph")], ["lambda", datafile("star5"), "--vertex", "c", "--k", "12"]],
+)
+def test_failed_write_exits_one_with_one_line(argv):
+    if not os.path.exists("/dev/full"):
+        pytest.skip("no /dev/full")
+    with open("/dev/full", "wb") as full:
+        proc = fresh(argv, stdout=full)
+    err = proc.stderr.decode()
+    assert proc.returncode == 1, err
+    assert len(err.splitlines()) == 1 and err.startswith("error:"), err
+    assert "Exception ignored" not in err and "Traceback" not in err
 
 
 @pytest.mark.parametrize("flag", ["-h", "--help"])
