@@ -10,17 +10,17 @@ size guard or malformed arguments.  Arguments are read from one table,
 ``COMMANDS``, and each command imports only the gbtc modules it runs.
 
 ``run`` is the program entry, for the console script and ``python -m
-gbtc.cli`` alike: it calls ``main``, flushes the output and ends the process
-with ``os._exit``, since a process runs one command and holds nothing that
-must be freed once its output is flushed.  A write of the output that fails
-at that flush exits 1 with one ``error:`` line, as one that fails sooner does.
+gbtc.cli`` alike: it calls ``main`` and ends the process with ``os._exit``,
+since a process runs one command and holds nothing that must be freed once
+its output is flushed.  Each write of the output is flushed at once, so one
+that fails exits 1 with one ``error:`` line like any other I/O error.
 """
 
 import json
 import os
 import sys
 
-from .graph_core import GraphFormatError, HypothesisError, classify, load_graph
+from .graph_core import GraphFormatError, HypothesisError, _short, classify, load_graph
 
 # Largest k-particle model `lambda` writes, in vertices plus edges: star5 at
 # k=20 (63,756) fits, k=40 (876,211, 14 MB of JSON) does not.
@@ -34,6 +34,15 @@ LAMBDA_MAX_SIZE = 100_000
 VERIFY_LEMMAS_MAX_N = 64
 
 
+def _write(text: str) -> None:
+    # the one writer of the output; with stdout closed (``>&-``) sys.stdout
+    # is None, which main reports as it does a full disk or a closed pipe
+    if sys.stdout is None:
+        raise OSError("standard output is closed")
+    sys.stdout.write(text)
+    sys.stdout.flush()
+
+
 def _emit(obj, pretty: bool) -> None:
     # every payload is a fresh tree of dicts, lists, tuples, ints and
     # strings, so the encoder need not track the containers it is inside
@@ -41,7 +50,7 @@ def _emit(obj, pretty: bool) -> None:
         out = json.dumps(obj, sort_keys=True, indent=2, check_circular=False)
     else:
         out = json.dumps(obj, sort_keys=True, separators=(",", ":"), check_circular=False)
-    sys.stdout.write(out + "\n")
+    _write(out + "\n")
 
 
 def _cell_budget() -> int:
@@ -129,7 +138,7 @@ def _cmd_lambda(graph, vertex, k, dot, pretty) -> int:
         )
     lam = local_graphs.build_lambda(pi, k)
     if dot:
-        sys.stdout.write(_lambda_dot(lam))
+        _write(_lambda_dot(lam))
     else:
         _emit(_lambda_payload(lam), pretty)
     return 0
@@ -346,7 +355,7 @@ def _cmd_help(command=None) -> int:
         items = ["arguments:"] + [item("GRAPH", "graph JSON file")] * graph
         items += [item("-h, --help", "show this help message and exit")]
         items += [item(opt, help_) for opt, _, _, help_ in options]
-    sys.stdout.write("\n".join([f"usage: {usage}", "", fill(text), "", *items]) + "\n")
+    _write("\n".join([f"usage: {usage}", "", fill(text), "", *items]) + "\n")
     return 0
 
 
@@ -358,7 +367,7 @@ def _parse(argv: list[str]):
     if command in ("-h", "--help"):
         return _cmd_help, {}
     if command not in COMMANDS:
-        raise ValueError(f"unknown command {command!r} (see gbtc --help)")
+        raise ValueError(f"unknown command {_short(command)} (see gbtc --help)")
     func, graph, options, _ = COMMANDS[command]
     specs = {opt.split()[0]: (kind, default) for opt, kind, default, _ in (PRETTY, *options)}
     given, positionals = {}, []
@@ -371,7 +380,9 @@ def _parse(argv: list[str]):
             continue
         flag, eq, raw = arg.partition("=")
         if flag not in specs:
-            raise ValueError(f"{command}: unknown option {flag} (see gbtc {command} --help)")
+            raise ValueError(
+                f"{command}: unknown option {_short(flag)} (see gbtc {command} --help)"
+            )
         if flag in given:
             raise ValueError(f"{command}: {flag} given twice")
         kind = specs[flag][0]
@@ -386,7 +397,7 @@ def _parse(argv: list[str]):
         try:
             given[flag] = True if kind is bool else kind(raw)
         except ValueError:
-            raise ValueError(f"{command}: {flag} wants an integer, got {raw!r}") from None
+            raise ValueError(f"{command}: {flag} wants an integer, got {_short(raw)}") from None
     if len(positionals) != graph:
         want = "one GRAPH argument" if graph else "no arguments"
         raise ValueError(f"{command}: takes {want}, got {len(positionals)}")
@@ -411,19 +422,10 @@ def main(argv=None) -> int:
 
 
 def run() -> None:
-    """Run ``main`` on ``sys.argv``, flush its output and end the process
-    without tearing the interpreter down."""
-    code = main()
-    try:
-        sys.stdout.flush()
-    except OSError as exc:
-        sys.stderr.write(f"error: {exc}\n")
-        code = 1
-    try:
-        sys.stderr.flush()
-    except OSError:
-        pass
-    os._exit(code)
+    """Run ``main`` on ``sys.argv`` and end the process without tearing the
+    interpreter down: ``_write`` has flushed the output, and every stderr
+    line is written whole, stderr being line-buffered or unbuffered."""
+    os._exit(main())
 
 
 if __name__ == "__main__":

@@ -599,9 +599,9 @@ def test_argument_forms_read_alike(capsys):
         ([], "no command given (see gbtc --help)"),
         (["frobnicate"], "unknown command 'frobnicate' (see gbtc --help)"),
         (["--pretty", "corpus"], "unknown command '--pretty' (see gbtc --help)"),
-        (["corpus", "--fast"], "corpus: unknown option --fast (see gbtc corpus --help)"),
+        (["corpus", "--fast"], "corpus: unknown option '--fast' (see gbtc corpus --help)"),
         # no prefix stands for an option
-        (["bound", "G", "--r", "3", "--k", "4", "--check"], "bound: unknown option --check "
+        (["bound", "G", "--r", "3", "--k", "4", "--check"], "bound: unknown option '--check' "
          "(see gbtc bound --help)"),
         (["stable", "G"], "stable: --r is required (see gbtc stable --help)"),
         (["bound", "G", "--r", "3", "--r", "3", "--k", "4"], "bound: --r given twice"),
@@ -640,6 +640,23 @@ def test_argument_errors_exit_one_with_one_line(capsys, argv, message):
     code = main(argv)
     cap = capsys.readouterr()
     assert (code, cap.out, cap.err) == (1, "", f"error: {message}\n")
+
+
+LONG = "x" * 5000
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [["bound", "G", "--r", LONG, "--k", "4"], [LONG], ["corpus", "--" + LONG]],
+    ids=["non-int-value", "unknown-command", "unknown-option"],
+)
+def test_argument_error_quotes_a_long_argument_in_short(capsys, argv):
+    argv = [datafile("hgraph") if a == "G" else a for a in argv]
+    code = main(argv)
+    cap = capsys.readouterr()
+    assert (code, cap.out) == (1, "")
+    assert cap.err.startswith("error:") and cap.err.count("\n") == 1, cap.err[:200]
+    assert len(cap.err.encode()) < 300
 
 
 def fresh(argv, stdout=subprocess.PIPE) -> subprocess.CompletedProcess:
@@ -682,8 +699,8 @@ def test_fresh_process_writes_all_of_main_output(capsys, argv):
     assert (proc.returncode, proc.stderr, proc.stdout) == (0, b"", out.encode())
 
 
-# classify's few bytes fail only at run's flush; the 128 KB lambda output
-# fails inside main
+# classify's few bytes fail at _write's flush, the 128 KB lambda output at
+# its write; both fail inside main, before run's os._exit
 @pytest.mark.parametrize(
     "argv",
     [["classify", datafile("hgraph")], ["lambda", datafile("star5"), "--vertex", "c", "--k", "12"]],
@@ -697,6 +714,29 @@ def test_failed_write_exits_one_with_one_line(argv):
     assert proc.returncode == 1, err
     assert len(err.splitlines()) == 1 and err.startswith("error:"), err
     assert "Exception ignored" not in err and "Traceback" not in err
+
+
+# every write of the output: the JSON payload, lambda's DOT text and the help
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["classify", datafile("hgraph")],
+        ["lambda", datafile("star5"), "--vertex", "c", "--k", "2", "--dot"],
+        ["--help"],
+    ],
+    ids=["json", "dot", "help"],
+)
+def test_closed_stdout_exits_one_with_one_line(argv):
+    env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(gbtc.__file__)))
+    proc = subprocess.run(
+        ["sh", "-c", 'exec "$0" -m gbtc.cli "$@" >&-', sys.executable, *argv],
+        env=env,
+        stderr=subprocess.PIPE,
+        timeout=60,
+    )
+    err = proc.stderr.decode()
+    assert proc.returncode == 1, err
+    assert err == "error: standard output is closed\n", err
 
 
 @pytest.mark.parametrize("flag", ["-h", "--help"])
@@ -781,43 +821,23 @@ def test_import_loads_neither_dataclasses_nor_inspect():
     assert {m for m in ran.split() if m.startswith("gbtc.")} == {"gbtc.cli", "gbtc.graph_core"}
 
 
-# every name gbtc exported when it imported its modules eagerly
-EXPORTS = (
-    "Graph GraphFormatError HypothesisError VertexClassification classify components_without "
-    "graph_from_data load_graph valence FoldedAutomaton FreeHom FreeWord apply_hom commutator "
-    "concat contains disjoint_conjugates_bruteforce generator identity inverse pullback "
-    "reduce_word restriction_injective stallings_core subgroup_rank EquivRelation FreeBasis "
-    "LambdaGraph build_lambda free_basis local_quotient pi1_rank sink_stabilization "
-    "star_commutator_subgroups trivalent_product_subgroups BettiVector CellBudgetError "
-    "ChainComplex betti build_complex nonvanishing_check BoundReport lower_bound stable_report"
-).split()
-
-
-def test_bare_import_loads_no_submodule_and_every_export_resolves():
+def test_bare_import_loads_no_submodule_and_defines_nothing():
+    # each name is imported from the module that defines it: the package
+    # holds no function or class of its own, and loads no module
     script = (
         "import sys\n"
         "import gbtc\n"
         "print(' '.join(sorted(m for m in sys.modules if m.startswith('gbtc.'))))\n"
-        "from gbtc import stallings_core\n"
-        "print(stallings_core.__module__)\n"
+        "print(' '.join(sorted(n for n, v in vars(gbtc).items() if callable(v))))\n"
+        "from gbtc import graph_core\n"
+        "print(graph_core.__name__)\n"
     )
     env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(gbtc.__file__)))
     proc = subprocess.run(
         [sys.executable, "-c", script], env=env, capture_output=True, text=True, timeout=60
     )
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.splitlines() == ["", "gbtc.free_groups"]
-    modules = (graph_core, free_groups, local_graphs, discrete_config, tc_bounds)
-    for name in EXPORTS:
-        (home,) = [m for m in modules if getattr(vars(m).get(name), "__module__", "") == m.__name__]
-        assert getattr(gbtc, name) is getattr(home, name), name
-        assert name in dir(gbtc), name
-    star = {}
-    exec("from gbtc import *", star)
-    assert set(EXPORTS) <= set(star)
-    assert all(star[name] is getattr(gbtc, name) for name in EXPORTS)
-    with pytest.raises(AttributeError):
-        gbtc.no_such_name
+    assert proc.stdout.splitlines() == ["", "", "gbtc.graph_core"]
 
 
 def test_names_the_benchmark_calls_stay_public():
