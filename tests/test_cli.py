@@ -494,18 +494,22 @@ def test_verify_lemmas_passes(capsys):
 )
 def test_verify_lemmas_stdout_is_pinned(capsys, n, digest):
     # SHA-256 of the stdout bytes from before the free-group checks took
-    # cores; how the rows fold their subgroups must not change what they say
+    # cores, and from before the star rows checked one rank-3 pair for every
+    # n and the kernel-criterion row checked the paper's instances instead of
+    # random samples; how the rows reach their verdicts must not change what
+    # they say
     code, out = run(capsys, "verify-lemmas", "--n", n)
     assert code == 0
     assert hashlib.sha256(out.encode()).hexdigest() == digest
 
 
 def test_verify_lemmas_stallings_core_calls(monkeypatch):
-    # per row at n=6: the three star rows fold 4 each (two cores, plus the
-    # source and image cores of restriction_injective), the trivalent row 6,
-    # the 60 kernel samples 4 each, the 12 split models 2 each and the 20
-    # isomorphisms 1 each; it was 348 when the oracle and the disjointness
-    # check refolded cores the rows had built
+    # at any n: the star rows fold 4 once (two cores, plus the source and
+    # image cores of restriction_injective), the trivalent row 6 (two cores
+    # and two per side), the kernel-criterion row none, as it reuses the
+    # verdicts of those two, the 12 split models 2 each and the 20
+    # isomorphisms 1 each; it was 302 when each n refolded its star pair and
+    # the kernel row folded 4 per random sample
     calls = []
     fold = free_groups.stallings_core
 
@@ -516,7 +520,68 @@ def test_verify_lemmas_stallings_core_calls(monkeypatch):
     monkeypatch.setattr(free_groups, "stallings_core", counted)
     rows = _verify_lemma_rows(6)
     assert all(r["ok"] for r in rows)
-    assert len(calls) == 3 * 4 + 6 + 60 * 4 + 12 * 2 + 20 * 1 == 302
+    assert len(calls) == 4 + 6 + 12 * 2 + 20 * 1 == 54
+
+
+@pytest.mark.parametrize("n", [6, 64])
+def test_verify_lemmas_runs_the_oracle_once(monkeypatch, n):
+    # the rank-3 star pair is folded and searched once for every n; it was
+    # n - 3 oracle calls when each n searched its own pair
+    calls = {"stallings_core": 0, "disjoint_conjugates_bruteforce": 0}
+    for name in calls:
+        real = getattr(free_groups, name)
+
+        def counted(*args, name=name, real=real):
+            calls[name] += 1
+            return real(*args)
+
+        monkeypatch.setattr(free_groups, name, counted)
+    rows = _verify_lemma_rows(n)
+    assert len(rows) == n + 1 and all(r["ok"] for r in rows)
+    assert calls == {"stallings_core": 54, "disjoint_conjugates_bruteforce": 1}
+
+
+def test_verify_lemmas_star_rows_need_the_retraction(capsys, monkeypatch):
+    # the rank-3 check proves n only while both subgroups keep the letters
+    # of n = 4; a subgroup using x4 is outside what the retraction fixes
+    real = local_graphs.star_commutator_subgroups
+
+    def using_x4(n, a):
+        if n < 5:
+            return real(n, a)
+        return [free_groups.concat(w, free_groups.generator(n - 1, 4)) for w in real(n, a)]
+
+    monkeypatch.setattr(local_graphs, "star_commutator_subgroups", using_x4)
+    rows = _verify_lemma_rows(6)
+    assert [r["ok"] for r in rows[:3]] == [True, False, False]
+    assert all(r["ok"] for r in rows[3:])
+    code, out = run(capsys, "verify-lemmas", "--n", "6")
+    assert code == 2 and json.loads(out) == rows
+
+
+def reference_star_rows(max_n: int) -> list[dict]:
+    """The star rows as each n checked its own pair at rank n - 1."""
+    rows = []
+    for n in range(4, max_n + 1):
+        h0 = local_graphs.star_commutator_subgroups(n, 0)
+        h1 = local_graphs.star_commutator_subgroups(n, 1)
+        a = free_groups.stallings_core(n - 1, h0)
+        b = free_groups.stallings_core(n - 1, h1)
+        ok = free_groups.is_forest(free_groups.pullback(a, b))
+        ok = ok and free_groups.subgroup_rank(a) == 1 and free_groups.subgroup_rank(b) == 1
+        psi = local_graphs.star_projection_hom(n)
+        ok = ok and free_groups.restriction_injective(psi, h0)
+        ok = ok and all(free_groups.apply_hom(psi, w).is_identity for w in h1)
+        ok = ok and not free_groups.disjoint_conjugates_bruteforce(a, b, 4).found_violation
+        check = f"star commutator subgroups have disjoint conjugates (n={n})"
+        rows.append({"check": check, "ok": ok, "detail": ""})
+    return rows
+
+
+def test_verify_lemmas_star_rows_match_the_per_n_reference():
+    rows = _verify_lemma_rows(12)
+    assert rows[:9] == reference_star_rows(12)
+    assert all(r["ok"] for r in rows)
 
 
 def test_verify_lemmas_builds_each_particle_model_once(monkeypatch):
@@ -686,6 +751,33 @@ def test_refused_graph_in_a_fresh_process(tmp_path):
     proc = fresh(["classify", str(g)])
     assert (proc.returncode, proc.stdout) == (2, b"")
     assert proc.stderr == b"inapplicable: graphs with sinks are not supported: sinks ['a']\n"
+
+
+@pytest.mark.parametrize(
+    "graph, argv, limit",
+    [
+        (None, ["verify-lemmas", "--n", "9" * 4000], "4..64"),
+        ("star5", ["--vertex", "c", "--k", "9" * 1000], "100000"),
+        ("star5", ["--vertex", "c", "--k", "9" * 4000], "100000"),
+        ("star300", ["--vertex", "c", "--k", "9" * 50], "100000"),
+    ],
+    ids=["n-4000-digits", "k-1000-digits", "k-4000-digits", "star300-k-50-digits"],
+)
+def test_range_error_quotes_a_huge_value_in_short(tmp_path, graph, argv, limit):
+    # the value is quoted in at most 60 characters, and lambda refuses a huge
+    # k without writing out a model size that may be too long to format
+    if graph == "star300":
+        g = tmp_path / "star300.json"
+        leaves = [f"l{i}" for i in range(300)]
+        g.write_text(json.dumps({"vertices": ["c", *leaves], "edges": [["c", l] for l in leaves]}))
+        argv = ["lambda", str(g), *argv]
+    elif graph:
+        argv = ["lambda", datafile(graph), *argv]
+    proc = fresh(argv)
+    err = proc.stderr.decode()
+    assert (proc.returncode, proc.stdout) == (1, b""), err[:200]
+    assert err.startswith("error:") and err.count("\n") == 1, err[:200]
+    assert len(proc.stderr) < 300 and limit in err
 
 
 # star5 at k=12 writes 128 KB, more than two pipe buffers
