@@ -13,8 +13,8 @@ import pytest
 
 import gbtc
 import swiatkowski_oracle
-from gbtc import discrete_config, free_groups, graph_core, local_graphs, tc_bounds
-from gbtc.cli import _lambda_payload, _verify_lemma_rows, main
+from gbtc import discrete_config, free_groups, graph_core, local_graphs
+from gbtc.cli import COMMANDS, _lambda_payload, _verify_lemma_rows, main
 from gbtc.corpus import BUNDLED, load_bundled
 
 DATA = os.path.join(os.path.dirname(__file__), "..", "src", "gbtc", "data")
@@ -225,18 +225,14 @@ def test_lambda_dot(capsys):
     assert out.count("--") == 3
 
 
-@pytest.mark.parametrize("pretty", [False, True], ids=["compact", "pretty"])
-def test_emit_writes_the_bytes_of_plain_json_dumps(capsys, pretty):
+def test_emit_writes_the_bytes_of_plain_json_dumps(capsys):
     # _emit skips the encoder's cycle check; on the 128,394-byte star5 model
     # at k = 12 it writes what the plain call writes
-    flags = ["--pretty"] if pretty else []
-    code, out = run(capsys, "lambda", datafile("star5"), "--vertex", "c", "--k", "12", *flags)
+    code, out = run(capsys, "lambda", datafile("star5"), "--vertex", "c", "--k", "12")
     pi = local_graphs.local_quotient(graph_core.load_graph(datafile("star5")), "c")
     payload = _lambda_payload(local_graphs.build_lambda(pi, 12))
-    layout = {"indent": 2} if pretty else {"separators": (",", ":")}
-    assert code == 0 and out == json.dumps(payload, sort_keys=True, **layout) + "\n"
-    if not pretty:
-        assert len(out) == 128394 + 1  # the payload and a newline
+    assert code == 0 and out == json.dumps(payload, sort_keys=True, separators=(",", ":")) + "\n"
+    assert len(out) == 128394 + 1  # the payload and a newline
 
 
 def test_lambda_size_guard(capsys):
@@ -433,9 +429,10 @@ def test_homology_dump_boundaries_budget_exceeded(capsys, tmp_path, monkeypatch)
     path = tmp_path / "triplets.txt"
     code = main(["homology", datafile("star3"), "--k", "2", "--dump-boundaries", str(path)])
     cap = capsys.readouterr()
-    assert code == 1 and cap.out == ""
+    assert (code, cap.out, cap.err) == (
+        1, "", "error: generator budget exceeded, no boundaries written\n"
+    )
     assert not path.exists()
-    assert cap.err.startswith("error:") and "Traceback" not in cap.err
 
 
 def test_homology_budget_must_be_positive(capsys, monkeypatch):
@@ -507,9 +504,9 @@ def test_verify_lemmas_stallings_core_calls(monkeypatch):
     # at any n: the star rows fold 4 once (two cores, plus the source and
     # image cores of restriction_injective), the trivalent row 6 (two cores
     # and two per side), the kernel-criterion row none, as it reuses the
-    # verdicts of those two, the 12 split models 2 each and the 20
-    # isomorphisms 1 each; it was 302 when each n refolded its star pair and
-    # the kernel row folded 4 per random sample
+    # verdicts of those two, the 12 split models 2 each and the 4
+    # isomorphisms, one per n, 1 each; it was 302 when each n refolded its
+    # star pair and the kernel row folded 4 per random sample
     calls = []
     fold = free_groups.stallings_core
 
@@ -520,13 +517,14 @@ def test_verify_lemmas_stallings_core_calls(monkeypatch):
     monkeypatch.setattr(free_groups, "stallings_core", counted)
     rows = _verify_lemma_rows(6)
     assert all(r["ok"] for r in rows)
-    assert len(calls) == 4 + 6 + 12 * 2 + 20 * 1 == 54
+    assert len(calls) == 4 + 6 + 12 * 2 + 4 * 1 == 38
 
 
 @pytest.mark.parametrize("n", [6, 64])
 def test_verify_lemmas_runs_the_oracle_once(monkeypatch, n):
     # the rank-3 star pair is folded and searched once for every n; it was
-    # n - 3 oracle calls when each n searched its own pair
+    # n - 3 oracle calls when each n searched its own pair; the folds are
+    # 4 + 6 + 12 * 2 + 4 * 1, as counted above
     calls = {"stallings_core": 0, "disjoint_conjugates_bruteforce": 0}
     for name in calls:
         real = getattr(free_groups, name)
@@ -538,7 +536,7 @@ def test_verify_lemmas_runs_the_oracle_once(monkeypatch, n):
         monkeypatch.setattr(free_groups, name, counted)
     rows = _verify_lemma_rows(n)
     assert len(rows) == n + 1 and all(r["ok"] for r in rows)
-    assert calls == {"stallings_core": 54, "disjoint_conjugates_bruteforce": 1}
+    assert calls == {"stallings_core": 38, "disjoint_conjugates_bruteforce": 1}
 
 
 def test_verify_lemmas_star_rows_need_the_retraction(capsys, monkeypatch):
@@ -586,9 +584,10 @@ def test_verify_lemmas_star_rows_match_the_per_n_reference():
 
 def test_verify_lemmas_builds_each_particle_model_once(monkeypatch):
     # the trivalent row builds 1 model; the split rows build the k = 1 model
-    # of each n and reach k + 1 through the particle-adding map, 3 * 5 and
-    # 4 * 6 models; it was 65 when each k rebuilt the model its predecessor
-    # had built as a target
+    # of each n and reach k + 1 through the particle-adding map: 3 n times 5
+    # models for the leaf-separated row, 4 n times 2 (k = 1 and 2) for the
+    # leaf-identified row; it was 65 when each k rebuilt the model its
+    # predecessor had built as a target
     calls = []
     build = local_graphs.build_lambda
 
@@ -599,12 +598,40 @@ def test_verify_lemmas_builds_each_particle_model_once(monkeypatch):
     monkeypatch.setattr(local_graphs, "build_lambda", counted)
     rows = _verify_lemma_rows(6)
     assert all(r["ok"] for r in rows)
-    assert len(calls) == len(set(calls)) == 1 + 3 * 5 + 4 * 6 == 40
+    assert len(calls) == len(set(calls)) == 1 + 3 * 5 + 4 * 2 == 24
+
+
+def added_edge(lam):
+    return lam.edges + ((1, 0, 0),)
+
+
+def reversed_labels(lam):
+    # the map is then a change of basis, still an isomorphism of rank n - 1
+    return tuple((u, l, len(lam.edges) - 1 - j) for u, l, j in lam.edges)
+
+
+@pytest.mark.parametrize("edges", [added_edge, reversed_labels])
+def test_verify_lemmas_leaf_identified_row_needs_the_same_edges(capsys, monkeypatch, edges):
+    # one step from k = 1 proves every k only while the next one-block model
+    # has the k = 1 model's edges
+    real = local_graphs.build_lambda
+
+    def changed(pi, k):
+        lam = real(pi, k)
+        if pi.n_blocks > 1 or k < 2:
+            return lam
+        return local_graphs.LambdaGraph(pi, k, lam.vertices, edges(lam))
+
+    monkeypatch.setattr(local_graphs, "build_lambda", changed)
+    rows = _verify_lemma_rows(6)
+    assert [r["ok"] for r in rows] == [True] * (len(rows) - 1) + [False]
+    code, out = run(capsys, "verify-lemmas")
+    assert code == 2 and json.loads(out) == rows
 
 
 def test_verify_lemmas_builds_each_basis_once(monkeypatch):
     # each split row builds the basis of its k = 1 model and takes every
-    # later one as the particle-adding map's target, 3 * 5 and 4 * 6 bases;
+    # later one as the particle-adding map's target, 3 * 5 and 4 * 2 bases;
     # it was 64 when the map built its source's basis again
     calls = []
     basis = local_graphs.free_basis
@@ -616,7 +643,7 @@ def test_verify_lemmas_builds_each_basis_once(monkeypatch):
     monkeypatch.setattr(local_graphs, "free_basis", counted)
     rows = _verify_lemma_rows(6)
     assert all(r["ok"] for r in rows)
-    assert len(calls) == len(set(calls)) == 3 * 5 + 4 * 6 == 39
+    assert len(calls) == len(set(calls)) == 3 * 5 + 4 * 2 == 23
 
 
 def test_verify_lemmas_refuses_n_over_the_limit(capsys):
@@ -646,6 +673,21 @@ def test_corpus_deterministic(capsys):
     assert [e["name"] for e in entries] == list(BUNDLED)
 
 
+def test_indented_corpus_is_json_tool_of_the_output(capsys):
+    # the one output encoding is compact; python -m json.tool --indent 2
+    # indents it to the bytes that the removed --pretty option wrote
+    code, out = run(capsys, "corpus")
+    proc = subprocess.run(
+        [sys.executable, "-m", "json.tool", "--indent", "2"],
+        input=out.encode(),
+        capture_output=True,
+        timeout=60,
+    )
+    assert code == 0 and proc.returncode == 0, proc.stderr
+    digest = "29cb7c27724f4f1c166c18a71f5a0a19472320422eed9c642a5a100553238423"
+    assert hashlib.sha256(proc.stdout).hexdigest() == digest
+
+
 def test_argument_forms_read_alike(capsys):
     # --opt=value and options before the graph read as the plain form does
     want = run(capsys, "bound", datafile("hgraph"), "--r", "3", "--k", "4")
@@ -670,12 +712,13 @@ def test_argument_forms_read_alike(capsys):
          "(see gbtc bound --help)"),
         (["stable", "G"], "stable: --r is required (see gbtc stable --help)"),
         (["bound", "G", "--r", "3", "--r", "3", "--k", "4"], "bound: --r given twice"),
-        (["classify", "G", "--pretty", "--pretty"], "classify: --pretty given twice"),
+        (["bound", "G", "--r", "3", "--k", "4", "--check-homology", "--check-homology"],
+         "bound: --check-homology given twice"),
         (["bound", "G", "--r", "x", "--k", "4"], "bound: --r wants an integer, got 'x'"),
         (["bound", "G", "--r", "3", "--k", "4.0"], "bound: --k wants an integer, got '4.0'"),
         (["verify-lemmas", "--n=six"], "verify-lemmas: --n wants an integer, got 'six'"),
         (["homology", "G", "--k"], "homology: --k needs a value"),
-        (["corpus", "--pretty=yes"], "corpus: --pretty takes no value"),
+        (["lambda", "G", "--dot=yes"], "lambda: --dot takes no value"),
         (["classify"], "classify: takes one GRAPH argument, got 0"),
         (["classify", "G", "H"], "classify: takes one GRAPH argument, got 2"),
         (["corpus", "G"], "corpus: takes no arguments, got 1"),
@@ -705,6 +748,21 @@ def test_argument_errors_exit_one_with_one_line(capsys, argv, message):
     code = main(argv)
     cap = capsys.readouterr()
     assert (code, cap.out, cap.err) == (1, "", f"error: {message}\n")
+
+
+@pytest.mark.parametrize(
+    "argv",
+    GRAPH_COMMANDS + [["verify-lemmas"], ["corpus"]],
+    ids=lambda argv: " ".join(argv),
+)
+def test_pretty_is_refused_by_every_command(capsys, argv):
+    # one output encoding: --pretty is an unknown option like any other
+    command, *options = argv
+    graph = [datafile("hgraph")] if COMMANDS[command][1] else []
+    code = main([command, *graph, *options, "--pretty"])
+    cap = capsys.readouterr()
+    message = f"error: {command}: unknown option '--pretty' (see gbtc {command} --help)\n"
+    assert (code, cap.out, cap.err) == (1, "", message)
 
 
 LONG = "x" * 5000
@@ -833,8 +891,6 @@ def test_closed_stdout_exits_one_with_one_line(argv):
 
 @pytest.mark.parametrize("flag", ["-h", "--help"])
 def test_help_lists_the_commands(capsys, flag):
-    from gbtc.cli import COMMANDS
-
     code = main([flag])
     cap = capsys.readouterr()
     assert code == 0 and cap.err == ""
@@ -849,26 +905,18 @@ def test_help_lists_the_commands(capsys, flag):
     "command", ["classify", "bound", "stable", "lambda", "homology", "verify-lemmas", "corpus"]
 )
 def test_command_help_gives_usage_options_and_description(capsys, command, flag):
-    from gbtc.cli import COMMANDS, PRETTY
-
     # help wins over arguments that are missing
     code = main([command, "--r", "3", flag] if command == "bound" else [command, flag])
     cap = capsys.readouterr()
     assert code == 0 and cap.err == ""
-    assert cap.out.startswith(f"usage: gbtc {command} [-h] [--pretty]")
+    assert cap.out.startswith(f"usage: gbtc {command} [-h]")
+    assert "--pretty" not in cap.out
     _, graph, options, description = COMMANDS[command]
     text = " ".join(cap.out.split())
     assert description in text
-    for opt, _, _, help_ in (PRETTY, *options):
+    for opt, _, _, help_ in options:
         assert f"{opt} {help_}" in text, opt
     assert ("GRAPH graph JSON file" in text) == graph
-
-
-def test_pretty_flag(capsys):
-    _, compact = run(capsys, "classify", datafile("theta"))
-    _, pretty = run(capsys, "classify", datafile("theta"), "--pretty")
-    assert json.loads(compact) == json.loads(pretty)
-    assert "\n  " in pretty
 
 
 def test_malformed_graph_exits_one(capsys, tmp_path):
