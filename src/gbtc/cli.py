@@ -1,7 +1,7 @@
 """Batch command-line front end.
 
 Subcommands cover classification, bound and stable-value reports, the local
-particle models (JSON or DOT), homology of the configuration space, the
+particle models, homology of the configuration space, the
 lemma verification table, and a deterministic sweep over the bundled
 corpus.  Output is compact canonical JSON (sorted keys) on stdout, which
 ``python -m json.tool --indent 2`` indents; exit code 2 flags failed
@@ -112,20 +112,7 @@ def _lambda_payload(lam) -> dict:
     }
 
 
-def _lambda_dot(lam) -> str:
-    def name(i: int) -> str:
-        return '"' + ",".join(str(x) for x in lam.vertices[i]) + '"'
-
-    lines = ["graph model {"]
-    for i in range(lam.n_vertices):
-        lines.append(f"  {name(i)};")
-    for u, l, j in lam.edges:
-        lines.append(f"  {name(u)} -- {name(l)} [label={j}];")
-    lines.append("}")
-    return "\n".join(lines) + "\n"
-
-
-def _cmd_lambda(graph, vertex, k, dot) -> int:
+def _cmd_lambda(graph, vertex, k) -> int:
     from . import local_graphs
 
     pi = local_graphs.local_quotient(load_graph(graph), vertex)
@@ -136,29 +123,14 @@ def _cmd_lambda(graph, vertex, k, dot) -> int:
         raise ValueError(
             f"the k={_short(k)} model is over the limit of {LAMBDA_MAX_SIZE} vertices plus edges"
         )
-    lam = local_graphs.build_lambda(pi, k)
-    if dot:
-        _write(_lambda_dot(lam))
-    else:
-        _emit(_lambda_payload(lam))
+    _emit(_lambda_payload(local_graphs.build_lambda(pi, k)))
     return 0
 
 
-def _cmd_homology(graph, k, dump_boundaries) -> int:
+def _cmd_homology(graph, k) -> int:
     from . import discrete_config
 
-    report = discrete_config.nonvanishing_check(load_graph(graph), k, _cell_budget())
-    if dump_boundaries:
-        complex_ = report.chain_complex
-        if complex_ is None:
-            raise ValueError("generator budget exceeded, no boundaries written")
-        with open(dump_boundaries, "w", encoding="utf-8") as fh:
-            for d in range(1, complex_.dimension + 1):
-                fh.write(f"# boundary {d}\n")
-                for col_idx, col in enumerate(complex_.boundaries[d]):
-                    for row in sorted(col):
-                        fh.write(f"{row} {col_idx} {col[row]}\n")
-    _emit(report.as_dict())
+    _emit(discrete_config.nonvanishing_check(load_graph(graph), k, _cell_budget()).as_dict())
     return 0
 
 
@@ -211,31 +183,32 @@ def _verify_lemma_rows(max_n: int) -> list[dict]:
     # applies, the fiber product must be a forest
     row("kernel criterion verdicts match the fiber-product decision", kernel_ok)
 
+    # the particle rows check the graph map itself, whose injectivity and
+    # bijectivity decide what it does on pi1 (see add_particle)
+    def injective(images) -> bool:
+        return None not in images and len(set(images)) == len(images)
+
     ok = True
     for n in range(2, 5):
-        # the basis of k + 1 particles is the k-particle basis's target
-        lam = local_graphs.build_lambda(local_graphs.EquivRelation.discrete(n), 1)
-        basis = local_graphs.free_basis(lam)
+        pi = local_graphs.EquivRelation.discrete(n)
+        lam = local_graphs.build_lambda(pi, 1)
         for k in range(1, 5):
-            stab = local_graphs.sink_stabilization(basis, 0)
-            gens = [
-                free_groups.generator(stab.hom.domain_rank, i + 1)
-                for i in range(stab.hom.domain_rank)
-            ]
-            ok = ok and free_groups.restriction_injective(stab.hom, gens)
-            ok = ok and stab.target.rank >= basis.rank
-            basis = stab.target
+            # each model is built once: the target of k is the source of k + 1
+            target = local_graphs.build_lambda(pi, k + 1)
+            ok = ok and all(map(injective, local_graphs.add_particle(lam, target, 0)))
+            lam = target
     row("adding a particle splits into the next leaf-separated model", ok)
 
     # One block gives the k model two vertices, (k-1,) and (k,), and the same
     # edges (1, 0, j), j < n, at every k; so the map from k to k + 1 is the map
-    # from 1 to 2, and one step whose target keeps the k = 1 edges proves all k.
+    # from 1 to 2, and one bijective step proves all k.
     ok = True
     for n in range(2, 6):
-        lam = local_graphs.build_lambda(local_graphs.EquivRelation.indiscrete(n), 1)
-        stab = local_graphs.sink_stabilization(local_graphs.free_basis(lam), 0)
-        ok = ok and free_groups.is_isomorphism(stab.hom)
-        ok = ok and stab.hom.domain_rank == n - 1 and stab.target.lam.edges == lam.edges
+        pi = local_graphs.EquivRelation.indiscrete(n)
+        lam, target = local_graphs.build_lambda(pi, 1), local_graphs.build_lambda(pi, 2)
+        vertices, edges = local_graphs.add_particle(lam, target, 0)
+        ok = ok and injective(vertices) and len(vertices) == target.n_vertices
+        ok = ok and injective(edges) and len(edges) == target.n_edges
     row("adding a particle is an isomorphism for the leaf-identified model", ok)
 
     return rows
@@ -293,14 +266,10 @@ COMMANDS = {
         "non-separating trivalent vertices."),
     "lambda": (_cmd_lambda, True, (
         ("--vertex VERTEX", str, ..., "essential vertex id"),
-        ("--k K", int, ..., "particle count, k >= 1"),
-        ("--dot", bool, False, "emit DOT text instead of JSON")),
+        ("--k K", int, ..., "particle count, k >= 1")),
         "Build the k-particle model of the local relation at a vertex: compositions of k and "
         "k-1 joined by single-particle moves."),
-    "homology": (_cmd_homology, True, (
-        ("--k K", int, ..., "particle count, k >= 0"),
-        ("--dump-boundaries PATH", str, None, "also write the complex's boundary matrices as "
-         "'row col value' triplets, rows and columns indexing generators")),
+    "homology": (_cmd_homology, True, (("--k K", int, ..., "particle count, k >= 0"),),
         "Exact rational Betti numbers of the k-particle configuration space in degrees 0..k, "
         "from the reduced Swiatkowski complex, with the verdict on nonvanishing in degree "
         "min(floor(k/2), m)."),

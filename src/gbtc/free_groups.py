@@ -414,15 +414,6 @@ def restriction_injective(f: FreeHom, subgroup_gens) -> bool:
     return r_image == r_source
 
 
-def is_isomorphism(f: FreeHom) -> bool:
-    if f.domain_rank != f.codomain_rank:
-        return False
-    # onto: the generator images fold to the bouquet of every codomain
-    # generator, of rank n, the domain rank, so f is injective too
-    core = stallings_core(f.codomain_rank, f.images)
-    return core.n_states == 1 and sum(map(len, core.sources)) == f.codomain_rank
-
-
 class PullbackGraph(Record):
     """Fiber product of two core automata, as an undirected multigraph.
 

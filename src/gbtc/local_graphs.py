@@ -6,9 +6,10 @@ indexed by the block members.  The k-particle model is the finite graph
 whose vertices are compositions of k and of k-1 into the blocks (with one
 particle at the center in the k-1 case) and whose edges move one particle
 between the center and a sink along a chosen member edge.  Its fundamental
-group is free; bases come from deterministic spanning trees, and combining
-particle counts is a label-preserving graph map whose induced homomorphism
-on loops is computed here.
+group is free, of rank edges - vertices + 1.  Adding a particle at a sink
+is a label-preserving graph map into the next model; :func:`add_particle`
+gives its vertex and edge images, and whether they are injective or
+bijective decides what the map does on loops, with no word computed.
 """
 
 from __future__ import annotations
@@ -16,15 +17,7 @@ from __future__ import annotations
 from math import comb
 
 from .graph_core import Graph, Record, components_without
-from .free_groups import (
-    FreeHom,
-    FreeWord,
-    commutator,
-    concat,
-    generator,
-    identity,
-    reduce_word,
-)
+from .free_groups import FreeHom, FreeWord, commutator, concat, generator, identity
 
 
 class EquivRelation(Record):
@@ -174,103 +167,26 @@ def pi1_rank(lam: LambdaGraph) -> int:
     return lam.n_edges - lam.n_vertices + 1
 
 
-class FreeBasis(Record):
-    """Spanning-tree basis of the loops of a particle model graph.
+def add_particle(lam: LambdaGraph, target: LambdaGraph, block: int):
+    """The graph map adding one particle at the sink of the block, from the
+    model lam into target, the next model: vertex c goes to c + e_block and
+    edge (u, l, j) to the edge (u', l', j) joining the images of its ends.
 
-    The tree is rooted at vertex 0, the first composition of k - 1, and
-    lists one (vertex, parent vertex, edge index) per other vertex in
-    breadth-first order.  One generator per non-tree edge, ``gens`` listing
-    their edge indices in ascending order; a loop's word is
-    read off by recording the signed generator of each non-tree edge it
-    crosses (tree edges contribute nothing).  Positive direction of an edge
-    is lower -> upper, the move sending the center particle to the sink.
+    Returns the target index of each vertex and of each edge, in order, or
+    None where target has no image.  Injective on both, the map embeds lam
+    as a subgraph, and a subgraph's loop basis extends to one of the whole
+    graph, so it is injective on loops onto a free factor (Stallings 1983);
+    bijective, it is a graph isomorphism and induces an isomorphism.
     """
-
-    __slots__ = ("lam", "tree", "gens")
-
-    @property
-    def rank(self) -> int:
-        return len(self.gens)
-
-
-def free_basis(lam: LambdaGraph) -> FreeBasis:
-    """Breadth-first spanning tree from vertex 0, edges visited in
-    (ground label, edge index) order; a model the tree does not span is
-    rejected."""
-    adj: dict[int, list[tuple[tuple[int, int], int, int]]] = {
-        i: [] for i in range(lam.n_vertices)
-    }
-    for ei, (u, l, j) in enumerate(lam.edges):
-        adj[u].append(((j, ei), ei, l))
-        adj[l].append(((j, ei), ei, u))
-    for lst in adj.values():
-        lst.sort()
-
-    tree: list[tuple[int, int, int]] = []
-    seen = {0}
-    queue = [0]
-    for x in queue:  # grows while it is read: breadth-first order
-        for _, ei, other in adj[x]:
-            if other not in seen:
-                seen.add(other)
-                tree.append((other, x, ei))
-                queue.append(other)
-    if len(queue) != lam.n_vertices:
-        raise ValueError("the model graph is not connected")
-    tree_edges = {ei for _, _, ei in tree}
-    gens = tuple(ei for ei in range(lam.n_edges) if ei not in tree_edges)
-    return FreeBasis(lam, tuple(tree), gens)
-
-
-class SinkStabilization(Record):
-    """The particle-adding graph map between consecutive models: the next
-    model's basis and the homomorphism the map induces into it."""
-
-    __slots__ = ("target", "hom")
-
-
-def sink_stabilization(basis: FreeBasis, block: int) -> SinkStabilization:
-    """Add one particle at the sink of the designated block of the basis's
-    model; only the next model and its basis are built.
-
-    Vertices map by incrementing the block's coordinate; edges map label by
-    label.  The induced homomorphism rewrites each basis loop of the source
-    in the target's basis: ``pot[v]`` holds the target letters crossed by
-    the image of the tree path from vertex 0 to v, and the generator on
-    edge (upper, lower) goes to pot[lower], its own letter, pot[upper]^-1.
-    """
-    lam = basis.lam
     if not 0 <= block < lam.pi.n_blocks:
         raise ValueError(f"unknown block {block}")
-    target = build_lambda(lam.pi, lam.k + 1)
-    tgt_basis = free_basis(target)
-
-    # a target edge, keyed by (lower composition, label), and its letter:
-    # its generator position, or 0 on a tree edge
-    gen_pos = {ei: i for i, ei in enumerate(tgt_basis.gens, 1)}
-    letter_at = {
-        (target.vertices[l], j): gen_pos.get(ei, 0) for ei, (_, l, j) in enumerate(target.edges)
-    }
-
-    def letter(ei: int) -> int:
-        _, l, j = lam.edges[ei]
-        low = list(lam.vertices[l])
-        low[block] += 1
-        return letter_at[(tuple(low), j)]
-
-    pot: list[tuple[int, ...]] = [()] * lam.n_vertices
-    for v, p, ei in basis.tree:
-        x = letter(ei) if lam.edges[ei][0] == v else -letter(ei)
-        pot[v] = pot[p] + (x,) if x else pot[p]
-
-    images = []
-    for ge in basis.gens:
-        upper, lower, _ = lam.edges[ge]
-        x = letter(ge)
-        loop = pot[lower] + ((x,) if x else ()) + tuple(-y for y in reversed(pot[upper]))
-        images.append(reduce_word(tgt_basis.rank, loop))
-    hom = FreeHom(basis.rank, tgt_basis.rank, tuple(images))
-    return SinkStabilization(tgt_basis, hom)
+    vertex_at = {c: i for i, c in enumerate(target.vertices)}
+    vertices = tuple(
+        vertex_at.get(c[:block] + (c[block] + 1,) + c[block + 1 :]) for c in lam.vertices
+    )
+    edge_at = {e: i for i, e in enumerate(target.edges)}
+    edges = tuple(edge_at.get((vertices[u], vertices[l], j)) for u, l, j in lam.edges)
+    return vertices, edges
 
 
 # ---------------------------------------------------------------------------

@@ -14,8 +14,8 @@ from gbtc.corpus import BUNDLED, load_bundled
 from gbtc.discrete_config import BettiVector
 from gbtc.free_groups import FreeHom, FreeWord, generator, is_forest, pullback, stallings_core
 from gbtc.graph_core import Graph, VertexClassification
-from gbtc.local_graphs import EquivRelation, build_lambda, free_basis
-from loop_basis_oracle import word_of_path
+from gbtc.local_graphs import EquivRelation, build_lambda
+from loop_basis_oracle import free_basis, word_of_path
 
 
 def star(n: int) -> Graph:

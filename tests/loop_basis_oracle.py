@@ -1,19 +1,80 @@
-"""Loop words by explicit edge paths: a reference for
-``gbtc.local_graphs.sink_stabilization``.
+"""Loop bases of the particle models and the homomorphisms the particle-adding
+map induces on them: the reference for ``gbtc.local_graphs.add_particle``.
 
-This reference writes each basis loop of the source model out as an edge
-path (tree path to the lower end of the generator edge, across it, tree
-path back from the upper end), maps the path edge by edge into the target
-model, and reads the word off the image path by looking each edge up among
-the target's generators.  The library reads the same words off per-vertex
-potentials built once along the spanning tree, so the two must return equal
-homomorphisms on every input.
+The library decides what adding a particle does on loops from the graph map
+alone: injective on vertices and edges, the map embeds a model as a
+subgraph of the next, so it is injective on loops onto a free factor;
+bijective, it induces an isomorphism.  This reference computes the
+homomorphism itself.  It writes each basis loop of the source model out as
+an edge path (tree path to the lower end of the generator edge, across it,
+tree path back from the upper end), maps the path edge by edge into the
+target model, and reads the word off the image path by looking each edge up
+among the target's generators; the tests then fold the images to decide
+injectivity and isomorphism.
 """
 
 from __future__ import annotations
 
-from gbtc.free_groups import FreeHom, FreeWord, reduce_word
-from gbtc.local_graphs import FreeBasis, LambdaGraph, build_lambda, free_basis
+from gbtc.free_groups import FreeHom, FreeWord, reduce_word, stallings_core
+from gbtc.graph_core import Record
+from gbtc.local_graphs import LambdaGraph, build_lambda
+
+
+class FreeBasis(Record):
+    """Spanning-tree basis of the loops of a particle model graph.
+
+    The tree is rooted at vertex 0, the first composition of k - 1, and
+    lists one (vertex, parent vertex, edge index) per other vertex in
+    breadth-first order.  One generator per non-tree edge, ``gens`` listing
+    their edge indices in ascending order; a loop's word is
+    read off by recording the signed generator of each non-tree edge it
+    crosses (tree edges contribute nothing).  Positive direction of an edge
+    is lower -> upper, the move sending the center particle to the sink.
+    """
+
+    __slots__ = ("lam", "tree", "gens")
+
+    @property
+    def rank(self) -> int:
+        return len(self.gens)
+
+
+def free_basis(lam: LambdaGraph) -> FreeBasis:
+    """Breadth-first spanning tree from vertex 0, edges visited in
+    (ground label, edge index) order; a model the tree does not span is
+    rejected."""
+    adj: dict[int, list[tuple[tuple[int, int], int, int]]] = {
+        i: [] for i in range(lam.n_vertices)
+    }
+    for ei, (u, l, j) in enumerate(lam.edges):
+        adj[u].append(((j, ei), ei, l))
+        adj[l].append(((j, ei), ei, u))
+    for lst in adj.values():
+        lst.sort()
+
+    tree: list[tuple[int, int, int]] = []
+    seen = {0}
+    queue = [0]
+    for x in queue:  # grows while it is read: breadth-first order
+        for _, ei, other in adj[x]:
+            if other not in seen:
+                seen.add(other)
+                tree.append((other, x, ei))
+                queue.append(other)
+    if len(queue) != lam.n_vertices:
+        raise ValueError("the model graph is not connected")
+    tree_edges = {ei for _, _, ei in tree}
+    gens = tuple(ei for ei in range(lam.n_edges) if ei not in tree_edges)
+    return FreeBasis(lam, tuple(tree), gens)
+
+
+def is_isomorphism(f: FreeHom) -> bool:
+    if f.domain_rank != f.codomain_rank:
+        return False
+    # onto: the generator images fold to the bouquet of every codomain
+    # generator, of rank n, the domain rank, so f is injective too
+    core = stallings_core(f.codomain_rank, f.images)
+    return core.n_states == 1 and sum(map(len, core.sources)) == f.codomain_rank
 
 
 def tree_path(basis: FreeBasis, v: int) -> list[tuple[int, int]]:

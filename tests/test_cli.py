@@ -12,7 +12,6 @@ import sys
 import pytest
 
 import gbtc
-import swiatkowski_oracle
 from gbtc import discrete_config, free_groups, graph_core, local_graphs
 from gbtc.cli import COMMANDS, _lambda_payload, _verify_lemma_rows, main
 from gbtc.corpus import BUNDLED, load_bundled
@@ -218,13 +217,6 @@ def test_lambda_json(capsys):
     assert len(payload["edges"]) == 9
 
 
-def test_lambda_dot(capsys):
-    code, out = run(capsys, "lambda", datafile("theta"), "--vertex", "u", "--k", "2", "--dot")
-    assert code == 0
-    assert out.startswith("graph model {")
-    assert out.count("--") == 3
-
-
 def test_emit_writes_the_bytes_of_plain_json_dumps(capsys):
     # _emit skips the encoder's cycle check; on the 128,394-byte star5 model
     # at k = 12 it writes what the plain call writes
@@ -240,7 +232,7 @@ def test_lambda_size_guard(capsys):
     payload = json.loads(out)
     assert code == 0 and (len(payload["vertices"]), len(payload["edges"])) == (19481, 44275)
     for k in ("40", "1000000"):
-        code = main(["lambda", datafile("star5"), "--vertex", "c", "--k", k, "--dot"])
+        code = main(["lambda", datafile("star5"), "--vertex", "c", "--k", k])
         cap = capsys.readouterr()
         assert code == 1 and cap.out == ""
         assert cap.err.startswith("error:") and "Traceback" not in cap.err
@@ -341,22 +333,8 @@ def test_homology_budget_env_counts_k_plus_one(capsys, monkeypatch, tmp_path, da
     assert code == 0 and json.loads(out)["status"] == "budget-exceeded"
 
 
-def test_homology_dump_boundaries(capsys, tmp_path):
-    path = tmp_path / "triplets.txt"
-    code, _ = run(
-        capsys, "homology", datafile("star3"), "--k", "2", "--dump-boundaries", str(path)
-    )
-    assert code == 0
-    lines = path.read_text().splitlines()
-    assert lines[0] == "# boundary 1"
-    data_lines = [l for l in lines if not l.startswith("#")]
-    assert all(len(l.split()) == 3 for l in data_lines)
-    assert all(abs(int(l.split()[2])) == 1 for l in data_lines)
-
-
-def test_homology_dump_boundaries_writes_the_reported_complex(capsys, tmp_path, monkeypatch):
-    from gbtc import discrete_config, free_groups, graph_core
-
+def test_homology_reports_the_complex_it_builds(capsys, monkeypatch):
+    # one complex per call, and the reported cell counts are its own
     built = []
     real = discrete_config.build_complex
 
@@ -365,39 +343,10 @@ def test_homology_dump_boundaries_writes_the_reported_complex(capsys, tmp_path, 
         return built[-1]
 
     monkeypatch.setattr(discrete_config, "build_complex", counting)
-    path = tmp_path / "triplets.txt"
-    code, out = run(
-        capsys, "homology", datafile("theta"), "--k", "3", "--dump-boundaries", str(path)
-    )
+    code, out = run(capsys, "homology", datafile("theta"), "--k", "3")
     assert code == 0
-    assert len(built) == 1
     (c,) = built
     assert json.loads(out)["cell_counts"] == c.cell_counts()
-    want = []
-    for d in range(1, c.dimension + 1):
-        want.append(f"# boundary {d}")
-        for j, col in enumerate(c.boundaries[d]):
-            want += [f"{row} {j} {col[row]}" for row in sorted(col)]
-    assert path.read_text().splitlines() == want
-
-
-def test_homology_dump_boundaries_match_the_dict_column_oracle(capsys, tmp_path):
-    # the factored boundaries, read through their view, dump the same bytes
-    # as the tuple-keyed builder's one dict per generator
-    for name in BUNDLED:
-        for k in range(2, 6):
-            path = tmp_path / f"{name}-{k}.txt"
-            code, _ = run(
-                capsys, "homology", datafile(name), "--k", str(k), "--dump-boundaries", str(path)
-            )
-            assert code == 0
-            c = swiatkowski_oracle.build_complex(load_bundled(name), k)
-            want = []
-            for d in range(1, c.dimension + 1):
-                want.append(f"# boundary {d}\n")
-                for j, col in enumerate(c.boundaries[d]):
-                    want += [f"{row} {j} {col[row]}\n" for row in sorted(col)]
-            assert path.read_bytes() == "".join(want).encode(), (name, k)
 
 
 def test_zero_particles_is_one_point(capsys, tmp_path):
@@ -422,17 +371,6 @@ def test_zero_particles_is_one_point(capsys, tmp_path):
         cap = capsys.readouterr()
         assert code == 1 and cap.out == "", argv
         assert cap.err.startswith("error:") and "Traceback" not in cap.err
-
-
-def test_homology_dump_boundaries_budget_exceeded(capsys, tmp_path, monkeypatch):
-    monkeypatch.setenv("GBTC_CELL_BUDGET", "10")
-    path = tmp_path / "triplets.txt"
-    code = main(["homology", datafile("star3"), "--k", "2", "--dump-boundaries", str(path)])
-    cap = capsys.readouterr()
-    assert (code, cap.out, cap.err) == (
-        1, "", "error: generator budget exceeded, no boundaries written\n"
-    )
-    assert not path.exists()
 
 
 def test_homology_budget_must_be_positive(capsys, monkeypatch):
@@ -504,9 +442,10 @@ def test_verify_lemmas_stallings_core_calls(monkeypatch):
     # at any n: the star rows fold 4 once (two cores, plus the source and
     # image cores of restriction_injective), the trivalent row 6 (two cores
     # and two per side), the kernel-criterion row none, as it reuses the
-    # verdicts of those two, the 12 split models 2 each and the 4
-    # isomorphisms, one per n, 1 each; it was 302 when each n refolded its
-    # star pair and the kernel row folded 4 per random sample
+    # verdicts of those two, and the particle rows none, as they check the
+    # graph map; it was 38 = 4 + 6 + 12 * 2 + 4 * 1 when the 12 split models
+    # folded 2 each and the 4 isomorphisms 1 each, and 302 when each n
+    # refolded its star pair and the kernel row folded 4 per random sample
     calls = []
     fold = free_groups.stallings_core
 
@@ -517,14 +456,14 @@ def test_verify_lemmas_stallings_core_calls(monkeypatch):
     monkeypatch.setattr(free_groups, "stallings_core", counted)
     rows = _verify_lemma_rows(6)
     assert all(r["ok"] for r in rows)
-    assert len(calls) == 4 + 6 + 12 * 2 + 4 * 1 == 38
+    assert len(calls) == 4 + 6 == 10
 
 
 @pytest.mark.parametrize("n", [6, 64])
 def test_verify_lemmas_runs_the_oracle_once(monkeypatch, n):
     # the rank-3 star pair is folded and searched once for every n; it was
     # n - 3 oracle calls when each n searched its own pair; the folds are
-    # 4 + 6 + 12 * 2 + 4 * 1, as counted above
+    # 4 + 6, as counted above
     calls = {"stallings_core": 0, "disjoint_conjugates_bruteforce": 0}
     for name in calls:
         real = getattr(free_groups, name)
@@ -536,7 +475,7 @@ def test_verify_lemmas_runs_the_oracle_once(monkeypatch, n):
         monkeypatch.setattr(free_groups, name, counted)
     rows = _verify_lemma_rows(n)
     assert len(rows) == n + 1 and all(r["ok"] for r in rows)
-    assert calls == {"stallings_core": 38, "disjoint_conjugates_bruteforce": 1}
+    assert calls == {"stallings_core": 10, "disjoint_conjugates_bruteforce": 1}
 
 
 def test_verify_lemmas_star_rows_need_the_retraction(capsys, monkeypatch):
@@ -606,44 +545,80 @@ def added_edge(lam):
 
 
 def reversed_labels(lam):
-    # the map is then a change of basis, still an isomorphism of rank n - 1
+    # on one block this reorders the edges and keeps the edge set
     return tuple((u, l, len(lam.edges) - 1 - j) for u, l, j in lam.edges)
 
 
-@pytest.mark.parametrize("edges", [added_edge, reversed_labels])
-def test_verify_lemmas_leaf_identified_row_needs_the_same_edges(capsys, monkeypatch, edges):
-    # one step from k = 1 proves every k only while the next one-block model
-    # has the k = 1 model's edges
+def changed_label(lam):
+    # the first edge moves from block 0 to block 1 with its ends kept
+    (u, l, j), *rest = lam.edges
+    return ((u, l, j + 1), *rest)
+
+
+def doubled_edge(lam):
+    # two edges of the source then map onto one edge of the target
+    return lam.edges + lam.edges[:1]
+
+
+def leaf_identified(pi):
+    return pi.n_blocks == 1
+
+
+def leaf_separated(pi):
+    return pi.n_blocks == len(pi.ground)
+
+
+@pytest.mark.parametrize(
+    "edges, relations, false_row",
+    [
+        (added_edge, leaf_identified, -1),
+        (reversed_labels, leaf_identified, None),
+        (changed_label, leaf_separated, -2),
+        (doubled_edge, leaf_separated, -2),
+    ],
+    ids=["added_edge", "reversed_labels", "changed_label", "doubled_edge"],
+)
+def test_verify_lemmas_leaf_identified_row_needs_the_same_edges(
+    capsys, monkeypatch, edges, relations, false_row
+):
+    # the particle rows check the graph map on the models of k >= 2: an edge
+    # with no preimage leaves the one-block map not onto, an edge whose label
+    # names another block has no image, and an edge given twice leaves the
+    # edge map not injective; reordering the edges of a one-block model
+    # leaves the same graph, so its row stays true
     real = local_graphs.build_lambda
 
     def changed(pi, k):
         lam = real(pi, k)
-        if pi.n_blocks > 1 or k < 2:
+        if not relations(pi) or k < 2:
             return lam
         return local_graphs.LambdaGraph(pi, k, lam.vertices, edges(lam))
 
     monkeypatch.setattr(local_graphs, "build_lambda", changed)
     rows = _verify_lemma_rows(6)
-    assert [r["ok"] for r in rows] == [True] * (len(rows) - 1) + [False]
+    want = [True] * len(rows)
+    if false_row is not None:
+        want[false_row] = False
+    assert [r["ok"] for r in rows] == want
     code, out = run(capsys, "verify-lemmas")
-    assert code == 2 and json.loads(out) == rows
+    assert code == (0 if false_row is None else 2) and json.loads(out) == rows
 
 
-def test_verify_lemmas_builds_each_basis_once(monkeypatch):
-    # each split row builds the basis of its k = 1 model and takes every
-    # later one as the particle-adding map's target, 3 * 5 and 4 * 2 bases;
-    # it was 64 when the map built its source's basis again
+def test_verify_lemmas_maps_each_particle_step_once(monkeypatch):
+    # the leaf-separated row maps k = 1..4 into k + 1 for 3 n, the
+    # leaf-identified row k = 1 into 2 for 4 n
     calls = []
-    basis = local_graphs.free_basis
+    add = local_graphs.add_particle
 
-    def counted(lam):
-        calls.append(lam)
-        return basis(lam)
+    def counted(lam, target, block):
+        calls.append((lam, target, block))
+        return add(lam, target, block)
 
-    monkeypatch.setattr(local_graphs, "free_basis", counted)
+    monkeypatch.setattr(local_graphs, "add_particle", counted)
     rows = _verify_lemma_rows(6)
     assert all(r["ok"] for r in rows)
-    assert len(calls) == len(set(calls)) == 3 * 5 + 4 * 2 == 23
+    assert len(calls) == len(set(calls)) == 3 * 4 + 4 == 16
+    assert all(target.k == lam.k + 1 and block == 0 for lam, target, block in calls)
 
 
 def test_verify_lemmas_refuses_n_over_the_limit(capsys):
@@ -718,7 +693,8 @@ def test_argument_forms_read_alike(capsys):
         (["bound", "G", "--r", "3", "--k", "4.0"], "bound: --k wants an integer, got '4.0'"),
         (["verify-lemmas", "--n=six"], "verify-lemmas: --n wants an integer, got 'six'"),
         (["homology", "G", "--k"], "homology: --k needs a value"),
-        (["lambda", "G", "--dot=yes"], "lambda: --dot takes no value"),
+        (["bound", "G", "--r", "3", "--k", "4", "--check-homology=yes"],
+         "bound: --check-homology takes no value"),
         (["classify"], "classify: takes one GRAPH argument, got 0"),
         (["classify", "G", "H"], "classify: takes one GRAPH argument, got 2"),
         (["corpus", "G"], "corpus: takes no arguments, got 1"),
@@ -866,15 +842,9 @@ def test_failed_write_exits_one_with_one_line(argv):
     assert "Exception ignored" not in err and "Traceback" not in err
 
 
-# every write of the output: the JSON payload, lambda's DOT text and the help
+# every write of the output: the JSON payload and the help
 @pytest.mark.parametrize(
-    "argv",
-    [
-        ["classify", datafile("hgraph")],
-        ["lambda", datafile("star5"), "--vertex", "c", "--k", "2", "--dot"],
-        ["--help"],
-    ],
-    ids=["json", "dot", "help"],
+    "argv", [["classify", datafile("hgraph")], ["--help"]], ids=["json", "help"]
 )
 def test_closed_stdout_exits_one_with_one_line(argv):
     env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(gbtc.__file__)))

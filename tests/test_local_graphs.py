@@ -1,4 +1,5 @@
-"""Local relation models, their loop bases, and the verified subgroups."""
+"""Local relation models, the particle-adding map, the loop bases of the
+tests' reference, and the verified subgroups."""
 
 from __future__ import annotations
 
@@ -26,7 +27,6 @@ from gbtc.free_groups import (
     disjoint_conjugates_bruteforce,
     generator,
     is_forest,
-    is_isomorphism,
     pullback,
     restriction_injective,
     stallings_core,
@@ -36,19 +36,24 @@ from gbtc.graph_core import Graph, components_without, valence
 from gbtc.local_graphs import (
     EquivRelation,
     LambdaGraph,
+    add_particle,
     build_lambda,
     compositions,
     expected_counts,
-    free_basis,
     local_quotient,
     pi1_rank,
-    sink_stabilization,
     star_commutator_subgroups,
     star_projection_hom,
     trivalent_collapse_hom,
     trivalent_product_subgroups,
 )
-from loop_basis_oracle import generator_loop, stabilization_hom, word_of_path
+from loop_basis_oracle import (
+    free_basis,
+    generator_loop,
+    is_isomorphism,
+    stabilization_hom,
+    word_of_path,
+)
 
 PI23 = EquivRelation([(0,), (1, 2)])
 
@@ -293,7 +298,7 @@ def test_compositions_match_recursive_reference():
             )
 
 
-# -- free bases ----------------------------------------------------------------
+# -- free bases of the reference ------------------------------------------------
 
 
 def test_free_basis_of_tree_is_empty():
@@ -328,9 +333,14 @@ def test_generator_loops_read_back_as_generators():
 
 
 def test_gamma_loops_form_a_basis():
+    # star_commutator_subgroups writes its words in the rank n - 1 loop basis
+    # of the two-particle leaf-identified model: the reference's spanning-tree
+    # basis of that model has rank n - 1, and the consecutive-edge loops are
+    # another basis of the same group
     for n in (3, 4, 5, 6):
-        hom = gamma_to_tree_hom(n)
-        assert is_isomorphism(hom)
+        basis = free_basis(build_lambda(EquivRelation.indiscrete(n), 2))
+        assert basis.rank == n - 1 == star_commutator_subgroups(n, 0)[0].rank
+        assert is_isomorphism(gamma_to_tree_hom(n))
 
 
 def test_gamma_words_match_consecutive_edge_description():
@@ -341,26 +351,38 @@ def test_gamma_words_match_consecutive_edge_description():
         assert not commutator(u, v).is_identity
 
 
-# -- sink stabilization ----------------------------------------------------------
+# -- the particle-adding map ------------------------------------------------------
+
+
+def injective(images) -> bool:
+    return None not in images and len(set(images)) == len(images)
 
 
 def test_stabilization_indiscrete_is_isomorphism():
+    # one block: both maps are bijections, and the reference hom of rank
+    # n - 1 is an isomorphism
     for n in (2, 3, 4, 5):
         for k in (1, 2, 3):
-            stab = sink_stabilization(free_basis(build_lambda(EquivRelation.indiscrete(n), k)), 0)
-            assert stab.hom.domain_rank == n - 1
-            assert stab.hom.codomain_rank == n - 1
-            assert is_isomorphism(stab.hom)
+            pi = EquivRelation.indiscrete(n)
+            lam, target = build_lambda(pi, k), build_lambda(pi, k + 1)
+            vertices, edges = add_particle(lam, target, 0)
+            assert sorted(vertices) == list(range(target.n_vertices))
+            assert sorted(edges) == list(range(target.n_edges))
+            hom = stabilization_hom(lam, 0)
+            assert hom.domain_rank == hom.codomain_rank == n - 1
+            assert is_isomorphism(hom)
 
 
 def test_stabilization_discrete_is_injective():
     for n in (2, 3, 4):
         for k in (1, 2, 3):
-            lam = build_lambda(EquivRelation.discrete(n), k)
-            stab = sink_stabilization(free_basis(lam), 0)
-            gens = [generator(stab.hom.domain_rank, i + 1) for i in range(stab.hom.domain_rank)]
-            assert restriction_injective(stab.hom, gens)
-            assert pi1_rank(stab.target.lam) >= pi1_rank(lam)
+            pi = EquivRelation.discrete(n)
+            lam, target = build_lambda(pi, k), build_lambda(pi, k + 1)
+            assert all(map(injective, add_particle(lam, target, 0)))
+            hom = stabilization_hom(lam, 0)
+            gens = [generator(hom.domain_rank, i + 1) for i in range(hom.domain_rank)]
+            assert restriction_injective(hom, gens)
+            assert pi1_rank(target) >= pi1_rank(lam)
 
 
 def test_stabilization_rank_nondecreasing_discrete():
@@ -381,41 +403,55 @@ def set_partitions(n: int):
 
 
 def test_stabilization_matches_edge_path_reference():
-    count = 0
+    # the graph map's verdict is the verdict of the homomorphism the
+    # reference computes: injective maps give an injective hom, onto a free
+    # factor, which is the whole group exactly when the ranks agree; a
+    # bijective map gives an isomorphism, and so does a map that adds as
+    # many edges as vertices, as the two-block two-edge models (trees) do
+    count = bijective = trees = 0
     for n in range(1, 6):
         for blocks in set_partitions(n):
             pi = EquivRelation(blocks)
             for k in range(1, 5):
-                lam = build_lambda(pi, k)
-                basis = free_basis(lam)
+                lam, target = build_lambda(pi, k), build_lambda(pi, k + 1)
                 for block in range(pi.n_blocks):
-                    hom = sink_stabilization(basis, block).hom
-                    assert hom == stabilization_hom(lam, block), (blocks, k, block)
+                    vertices, edges = add_particle(lam, target, block)
+                    hom = stabilization_hom(lam, block)
+                    gens = [generator(hom.domain_rank, i + 1) for i in range(hom.domain_rank)]
+                    one_to_one = injective(vertices) and injective(edges)
+                    assert one_to_one == restriction_injective(hom, gens), (blocks, k, block)
+                    onto = len(vertices) == target.n_vertices and len(edges) == target.n_edges
+                    iso = is_isomorphism(hom)
+                    if one_to_one and onto:
+                        assert iso, (blocks, k, block)
+                    assert iso == (pi1_rank(lam) == pi1_rank(target)), (blocks, k, block)
                     count += 1
+                    bijective += one_to_one and onto
+                    trees += iso and not onto
     assert count == 4 * (1 + 3 + 10 + 37 + 151)
+    # the one-block relations, one per n, and the two-block one on two edges
+    assert bijective == 4 * 5 and trees == 4 * 2
 
 
 def test_stabilization_preserves_labels():
-    lam = build_lambda(PI23, 2)
-    stab = sink_stabilization(free_basis(lam), 1)
-    # the target is the next model's basis
-    assert stab.target == free_basis(build_lambda(PI23, 3))
-    target = stab.target.lam
-    tgt_lookup = {
-        (target.vertices[l], j): (target.vertices[u], j) for u, l, j in target.edges
-    }
-    for u, l, j in lam.edges:
-        low = list(lam.vertices[l])
-        low[1] += 1
-        up = list(lam.vertices[u])
-        up[1] += 1
-        assert tgt_lookup[(tuple(low), j)] == (tuple(up), j)
+    lam, target = build_lambda(PI23, 2), build_lambda(PI23, 3)
+    vertices, edges = add_particle(lam, target, 1)
+    for i, c in enumerate(lam.vertices):
+        assert target.vertices[vertices[i]] == (c[0], c[1] + 1)
+    # each edge goes to the edge of the same label joining its ends' images
+    for (u, l, j), ei in zip(lam.edges, edges):
+        assert target.edges[ei] == (vertices[u], vertices[l], j)
+    # an edge whose label moved to the other block has no image: the target
+    # joins its ends' images by an edge of another block
+    u, l, _ = lam.edges[0]
+    moved = LambdaGraph(PI23, 2, lam.vertices, ((u, l, 1),) + lam.edges[1:])
+    assert add_particle(moved, target, 1) == (vertices, (None,) + edges[1:])
 
 
 def test_stabilization_rejects_unknown_block():
     lam = build_lambda(PI23, 2)
     with pytest.raises(ValueError):
-        sink_stabilization(free_basis(lam), 5)
+        add_particle(lam, build_lambda(PI23, 3), 5)
 
 
 # -- the verified subgroups -------------------------------------------------------
