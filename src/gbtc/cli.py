@@ -1,9 +1,9 @@
 """Batch command-line front end.
 
 Subcommands cover classification, bound and stable-value reports, the local
-particle models, homology of the configuration space, the
-lemma verification table, and a deterministic sweep over the bundled
-corpus.  Output is compact canonical JSON (sorted keys) on stdout, which
+particle models, homology of the configuration space, the lemma
+verification table, and a deterministic sweep over the bundled corpus.
+Output is compact canonical JSON (sorted keys) on stdout, which
 ``python -m json.tool --indent 2`` indents; exit code 2 flags failed
 hypotheses or a homology check that contradicts a bound, 1 flags I/O or
 format problems, requests over a size guard and malformed arguments, and
@@ -276,7 +276,7 @@ COMMANDS = {
     "verify-lemmas": (_cmd_verify_lemmas, False, (
         ("--n N", int, 6, f"largest star size to check, 4..{VERIFY_LEMMAS_MAX_N} (default 6)"),),
         "Machine-check the disjoint-conjugates facts for the star commutator and trivalent "
-        "product subgroups, the kernel-criterion consistency, and the particle-adding rank facts."),
+        "product subgroups, the kernel-criterion consistency, and the particle-adding map facts."),
     "corpus": (_cmd_corpus, False, (),
         "Classify every bundled graph and report stable values and bounds; output is "
         "deterministic byte for byte."),

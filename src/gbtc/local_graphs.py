@@ -167,7 +167,9 @@ def pi1_rank(lam: LambdaGraph) -> int:
     return lam.n_edges - lam.n_vertices + 1
 
 
-def add_particle(lam: LambdaGraph, target: LambdaGraph, block: int):
+def add_particle(
+    lam: LambdaGraph, target: LambdaGraph, block: int
+) -> tuple[tuple[int | None, ...], tuple[int | None, ...]]:
     """The graph map adding one particle at the sink of the block, from the
     model lam into target, the next model: vertex c goes to c + e_block and
     edge (u, l, j) to the edge (u', l', j) joining the images of its ends.

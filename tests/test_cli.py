@@ -522,11 +522,11 @@ def test_verify_lemmas_star_rows_match_the_per_n_reference():
 
 
 def test_verify_lemmas_builds_each_particle_model_once(monkeypatch):
-    # the trivalent row builds 1 model; the split rows build the k = 1 model
-    # of each n and reach k + 1 through the particle-adding map: 3 n times 5
-    # models for the leaf-separated row, 4 n times 2 (k = 1 and 2) for the
-    # leaf-identified row; it was 65 when each k rebuilt the model its
-    # predecessor had built as a target
+    # the trivalent row builds 1 model; the split rows pass each model they
+    # build to the particle-adding map as the target of k and then as the
+    # source of k + 1: 3 n times 5 models (k = 1..5) for the leaf-separated
+    # row, 4 n times 2 (k = 1 and 2) for the leaf-identified row; it was 65
+    # when each k rebuilt the model its predecessor had built as a target
     calls = []
     build = local_graphs.build_lambda
 
