@@ -21,7 +21,7 @@ import json
 import os
 import sys
 
-from .graph_core import GraphFormatError, HypothesisError, _short, classify, load_graph
+from .graph_core import HypothesisError, _short, classify, load_graph
 
 # Largest k-particle model `lambda` writes, in vertices plus edges: star5 at
 # k=20 (63,756) fits, k=40 (876,211, 14 MB of JSON) does not.
@@ -51,21 +51,6 @@ def _emit(obj) -> None:
     _write(json.dumps(obj, sort_keys=True, separators=(",", ":"), check_circular=False) + "\n")
 
 
-def _cell_budget() -> int:
-    from . import discrete_config
-
-    raw = os.environ.get("GBTC_CELL_BUDGET")
-    if raw is None:
-        return discrete_config.DEFAULT_CELL_BUDGET
-    try:
-        budget = int(raw)
-    except ValueError:
-        budget = 0
-    if budget <= 0:
-        raise GraphFormatError(f"bad GBTC_CELL_BUDGET value {raw!r}: want a positive integer")
-    return budget
-
-
 def _cmd_classify(graph) -> int:
     _emit(classify(load_graph(graph)).as_dict())
     return 0
@@ -80,7 +65,7 @@ def _cmd_bound(graph, r, k, check_homology) -> int:
     # checks the bound's hypotheses before any complex is built
     bound = tc_bounds.lower_bound(cls, r, k, homology_status=status)
     if check_homology:
-        report = discrete_config.nonvanishing_check(g, k, _cell_budget())
+        report = discrete_config.nonvanishing_check(g, k)
         status = report.status
         if status == "verified" and not report.nonzero:
             status = "contradicted"
@@ -130,7 +115,7 @@ def _cmd_lambda(graph, vertex, k) -> int:
 def _cmd_homology(graph, k) -> int:
     from . import discrete_config
 
-    _emit(discrete_config.nonvanishing_check(load_graph(graph), k, _cell_budget()).as_dict())
+    _emit(discrete_config.nonvanishing_check(load_graph(graph), k).as_dict())
     return 0
 
 

@@ -437,16 +437,14 @@ def betti(c: ChainComplex) -> BettiVector:
 
 
 class NonvanishingReport(Record):
-    """The verdict, plus the complex it was read from; the complex takes no
-    part in equality, hashing or repr.
+    """The verdict on one (graph, k).
 
     ``status`` is "verified" or "budget-exceeded"; a budget-exceeded report
-    has no ``betti``, ``nonzero`` or complex and empty ``cell_counts``, the
-    generators per degree.  ``as_dict`` writes ``betti`` as a plain list.
+    has no ``betti`` or ``nonzero`` and empty ``cell_counts``, the generators
+    per degree.  ``as_dict`` writes ``betti`` as a plain list.
     """
 
-    __slots__ = ("k", "m", "degree", "betti", "nonzero", "status", "cell_counts", "chain_complex")
-    _fields = __slots__[:-1]
+    __slots__ = ("k", "m", "degree", "betti", "nonzero", "status", "cell_counts")
 
     def as_dict(self) -> dict:
         return {**super().as_dict(), "betti": list(self.betti.betti) if self.betti else None}
@@ -470,7 +468,7 @@ def nonvanishing_check(
     try:
         complex_ = build_complex(g, k, budget)
     except CellBudgetError:
-        return NonvanishingReport(k, m, degree, None, None, "budget-exceeded", (), None)
+        return NonvanishingReport(k, m, degree, None, None, "budget-exceeded", ())
     b = betti(complex_).betti
     bv = BettiVector(b + (0,) * (k + 1 - len(b)))
     chi = sum((-1) ** d * x for d, x in enumerate(bv.betti))
@@ -481,5 +479,5 @@ def nonvanishing_check(
     if bv[0] != b0:
         raise AssertionError(f"b_0 = {bv[0]} != {b0}: the rank of d_1 is wrong")
     return NonvanishingReport(
-        k, m, degree, bv, bv[degree] != 0, "verified", tuple(complex_.cell_counts()), complex_
+        k, m, degree, bv, bv[degree] != 0, "verified", tuple(complex_.cell_counts())
     )

@@ -238,22 +238,28 @@ def test_lambda_size_guard(capsys):
         assert cap.err.startswith("error:") and "Traceback" not in cap.err
 
 
-def test_bound_check_homology_statuses(capsys, monkeypatch):
-    argv = ("bound", datafile("hgraph"), "--r", "2", "--k", "6", "--check-homology")
-    code, out = run(capsys, *argv)
-    assert code == 0 and json.loads(out)["homology_status"] == "verified"
-    monkeypatch.setenv("GBTC_CELL_BUDGET", "5")
-    code, out = run(capsys, *argv)
-    assert code == 0 and json.loads(out)["homology_status"] == "budget-exceeded"
+def test_bound_check_homology_statuses(capsys, tmp_path):
+    # K_6 fits the fixed budget at k = 4 and not at k = 11, both below 2m = 12
+    names = [f"v{i}" for i in range(6)]
+    edges = [[a, b] for i, a in enumerate(names) for b in names[i + 1 :]]
+    k6 = tmp_path / "k6.json"
+    k6.write_text(json.dumps({"vertices": names, "edges": edges}))
+    for graph, k, status in (
+        (datafile("hgraph"), "6", "verified"),
+        (str(k6), "4", "verified"),
+        (str(k6), "11", "budget-exceeded"),
+    ):
+        code, out = run(capsys, "bound", graph, "--r", "2", "--k", k, "--check-homology")
+        assert code == 0 and json.loads(out)["homology_status"] == status, (graph, k)
 
 
 def test_bound_check_homology_contradicted_exits_two(capsys, monkeypatch):
     real = discrete_config.nonvanishing_check
 
-    def vanishing(g, k, budget):
-        rep = real(g, k, budget)
+    def vanishing(g, k):
+        rep = real(g, k)
         return discrete_config.NonvanishingReport(
-            rep.k, rep.m, rep.degree, rep.betti, False, rep.status, rep.cell_counts, rep.chain_complex
+            rep.k, rep.m, rep.degree, rep.betti, False, rep.status, rep.cell_counts
         )
 
     monkeypatch.setattr(discrete_config, "nonvanishing_check", vanishing)
@@ -305,11 +311,12 @@ def test_homology_star3(capsys):
 
 
 def test_homology_budget_env(capsys, monkeypatch):
+    # the budget is fixed: GBTC_CELL_BUDGET changes nothing
     monkeypatch.setenv("GBTC_CELL_BUDGET", "10")
     code, out = run(capsys, "homology", datafile("star3"), "--k", "2")
-    assert code == 0
-    rep = json.loads(out)
-    assert rep["status"] == "budget-exceeded"
+    assert code == 0 and json.loads(out)["status"] == "verified"
+    code, out = run(capsys, "homology", datafile("star3"), "--k", "100000000")
+    assert code == 0 and json.loads(out)["status"] == "budget-exceeded"
 
 
 @pytest.mark.parametrize(
@@ -322,6 +329,8 @@ def test_homology_budget_env(capsys, monkeypatch):
     ids=["point", "interval", "circle"],
 )
 def test_homology_budget_env_counts_k_plus_one(capsys, monkeypatch, tmp_path, data, head):
+    # at most two generators at every k, so only k + 1 can exceed the budget;
+    # test_budget_counts_k_plus_one pins the exact boundary in the library
     path = tmp_path / "g.json"
     path.write_text(json.dumps(data))
     monkeypatch.setenv("GBTC_CELL_BUDGET", "50")
@@ -329,7 +338,7 @@ def test_homology_budget_env_counts_k_plus_one(capsys, monkeypatch, tmp_path, da
     rep = json.loads(out)
     assert code == 0 and rep["status"] == "verified"
     assert rep["betti"] == head + [0] * 48
-    code, out = run(capsys, "homology", str(path), "--k", "50")
+    code, out = run(capsys, "homology", str(path), "--k", "100000000")
     assert code == 0 and json.loads(out)["status"] == "budget-exceeded"
 
 
@@ -371,15 +380,6 @@ def test_zero_particles_is_one_point(capsys, tmp_path):
         cap = capsys.readouterr()
         assert code == 1 and cap.out == "", argv
         assert cap.err.startswith("error:") and "Traceback" not in cap.err
-
-
-def test_homology_budget_must_be_positive(capsys, monkeypatch):
-    for raw in ("0", "-5", "lots"):
-        monkeypatch.setenv("GBTC_CELL_BUDGET", raw)
-        code = main(["homology", datafile("star3"), "--k", "2"])
-        cap = capsys.readouterr()
-        assert code == 1 and cap.out == ""
-        assert cap.err.startswith("error:")
 
 
 def test_homology_with_sinks_is_inapplicable(capsys, tmp_path):
@@ -758,11 +758,17 @@ def test_argument_error_quotes_a_long_argument_in_short(capsys, argv):
     assert len(cap.err.encode()) < 300
 
 
-def fresh(argv, stdout=subprocess.PIPE) -> subprocess.CompletedProcess:
+def fresh(argv, stdout=subprocess.PIPE, **variables) -> subprocess.CompletedProcess:
     """gbtc in a fresh ``python -m gbtc.cli`` process, with stdout block
-    buffered as it is by default."""
+    buffered as it is by default; ``variables`` set environment variables,
+    or unset those given as None."""
     env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(gbtc.__file__)))
     env.pop("PYTHONUNBUFFERED", None)
+    for name, value in variables.items():
+        if value is None:
+            env.pop(name, None)
+        else:
+            env[name] = value
     return subprocess.run(
         [sys.executable, "-m", "gbtc.cli", *argv],
         env=env,
@@ -785,6 +791,31 @@ def test_refused_graph_in_a_fresh_process(tmp_path):
     proc = fresh(["classify", str(g)])
     assert (proc.returncode, proc.stdout) == (2, b"")
     assert proc.stderr == b"inapplicable: graphs with sinks are not supported: sinks ['a']\n"
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["corpus"],
+        ["verify-lemmas", "--n", "6"],
+        ["lambda", datafile("star5"), "--vertex", "c", "--k", "12"],
+        ["homology", datafile("theta"), "--k", "3"],
+        ["bound", datafile("theta"), "--r", "3", "--k", "6", "--check-homology"],
+    ],
+    ids=lambda argv: argv[0],
+)
+def test_stdout_does_not_depend_on_the_environment(argv):
+    # the output is a function of argv and the graph file: neither the hash
+    # seed nor GBTC_CELL_BUDGET changes a byte
+    def answer(**variables):
+        proc = fresh(argv, **variables)
+        return proc.returncode, proc.stdout
+
+    unset = answer(GBTC_CELL_BUDGET=None)
+    assert unset[0] == 0 and unset[1].endswith(b"\n")
+    assert answer(PYTHONHASHSEED="0") == answer(PYTHONHASHSEED="1") == unset
+    for raw in ("5", "0", "lots"):
+        assert answer(GBTC_CELL_BUDGET=raw) == unset, raw
 
 
 @pytest.mark.parametrize(

@@ -404,7 +404,6 @@ RECORDS = {
 HIDDEN_SLOTS = {
     Graph: ["half_edges"],
     FoldedAutomaton: ["_rows"],
-    NonvanishingReport: ["chain_complex"],
 }
 
 
