@@ -57,7 +57,7 @@ def _cmd_classify(graph) -> int:
 
 
 def _cmd_bound(graph, r, k, check_homology) -> int:
-    from . import discrete_config, tc_bounds
+    from . import tc_bounds
 
     g = load_graph(graph)
     cls = classify(g)
@@ -65,6 +65,8 @@ def _cmd_bound(graph, r, k, check_homology) -> int:
     # checks the bound's hypotheses before any complex is built
     bound = tc_bounds.lower_bound(cls, r, k, homology_status=status)
     if check_homology:
+        from . import discrete_config
+
         report = discrete_config.nonvanishing_check(g, k)
         status = report.status
         if status == "verified" and not report.nonzero:
@@ -138,26 +140,26 @@ def _verify_lemma_rows(max_n: int) -> list[dict]:
     # H0 with g h g^-1 in H1, maps to r(g) h r(g)^-1 in H1, a violation in
     # F_3; so the rank-3 check at n = 4 proves every n whose subgroups have
     # the same letters.
-    h0 = local_graphs.star_commutator_subgroups(4, 0)
-    h1 = local_graphs.star_commutator_subgroups(4, 1)
+    h0 = free_groups.star_commutator_subgroups(4, 0)
+    h1 = free_groups.star_commutator_subgroups(4, 1)
     a, b = free_groups.stallings_core(3, h0), free_groups.stallings_core(3, h1)
     forest = free_groups.is_forest(free_groups.pullback(a, b))
-    applies = criterion(local_graphs.star_projection_hom(4), h0, h1)
+    applies = criterion(free_groups.star_projection_hom(4), h0, h1)
     kernel_ok = forest or not applies
     ok = forest and free_groups.subgroup_rank(a) == 1 and free_groups.subgroup_rank(b) == 1
     ok = ok and applies and not free_groups.disjoint_conjugates_bruteforce(a, b, 4).found_violation
-    star, letters = local_graphs.star_commutator_subgroups, [w.letters for w in h0 + h1]
+    star, letters = free_groups.star_commutator_subgroups, [w.letters for w in h0 + h1]
     for n in range(4, max_n + 1):
         same = [w.letters for w in star(n, 0) + star(n, 1)] == letters
         row(f"star commutator subgroups have disjoint conjugates (n={n})", ok and same)
 
-    h0 = local_graphs.trivalent_product_subgroups(0)
-    h1 = local_graphs.trivalent_product_subgroups(1)
+    h0 = free_groups.trivalent_product_subgroups(0)
+    h1 = free_groups.trivalent_product_subgroups(1)
     a, b = free_groups.stallings_core(3, h0), free_groups.stallings_core(3, h1)
     forest = free_groups.is_forest(free_groups.pullback(a, b))
     sides = [
-        criterion(local_graphs.trivalent_collapse_hom(0), h0, h1),
-        criterion(local_graphs.trivalent_collapse_hom(1), h1, h0),
+        criterion(free_groups.trivalent_collapse_hom(0), h0, h1),
+        criterion(free_groups.trivalent_collapse_hom(1), h1, h0),
     ]
     kernel_ok = kernel_ok and (forest or not any(sides))
     lam = local_graphs.build_lambda(local_graphs.EquivRelation([(0,), (1, 2)]), 3)

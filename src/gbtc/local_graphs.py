@@ -17,7 +17,6 @@ from __future__ import annotations
 from math import comb
 
 from .graph_core import Graph, Record, components_without
-from .free_groups import FreeHom, FreeWord, commutator, concat, generator, identity
 
 
 class EquivRelation(Record):
@@ -189,54 +188,3 @@ def add_particle(
     edge_at = {e: i for i, e in enumerate(target.edges)}
     edges = tuple(edge_at.get((vertices[u], vertices[l], j)) for u, l, j in lam.edges)
     return vertices, edges
-
-
-# ---------------------------------------------------------------------------
-# The specific subgroups whose disjointness is machine-checked.
-# ---------------------------------------------------------------------------
-
-
-def star_commutator_subgroups(n: int, a: int) -> list[FreeWord]:
-    """In the rank n-1 loop basis of the two-particle model of the n-edge
-    star with all leaves identified, the cyclic subgroup generated by the
-    commutator of consecutive generators starting at position 1+a."""
-    if a not in (0, 1):
-        raise ValueError("a must be 0 or 1")
-    if n < 3 + a:
-        raise ValueError(f"n={n} is too small for offset a={a}")
-    rank = n - 1
-    return [commutator(generator(rank, 1 + a), generator(rank, 2 + a))]
-
-
-def star_projection_hom(n: int) -> FreeHom:
-    """Kill every loop generator beyond the first two; the commutator of the
-    first two survives, the shifted commutator dies."""
-    if n < 4:
-        raise ValueError("need at least four star edges")
-    rank = n - 1
-    images = [generator(2, 1), generator(2, 2)] + [identity(2)] * (rank - 2)
-    return FreeHom(rank, 2, tuple(images))
-
-
-def trivalent_product_subgroups(a: int) -> list[FreeWord]:
-    """In the rank-3 basis of the three-particle model at a separating
-    trivalent vertex (relation identifying the last two edges), the cyclic
-    subgroup generated by the product of generator 1+a with generator 3."""
-    if a not in (0, 1):
-        raise ValueError("a must be 0 or 1")
-    return [concat(generator(3, 1 + a), generator(3, 3))]
-
-
-def trivalent_collapse_hom(a: int) -> FreeHom:
-    """A rank-3 -> rank-1 homomorphism injective on the a-side product
-    subgroup and trivial on the other one."""
-    if a not in (0, 1):
-        raise ValueError("a must be 0 or 1")
-    t = generator(1, 1)
-    t2 = concat(t, t)
-    ti = FreeWord(1, (-1,))
-    if a == 0:
-        # g1 g3 -> t, g2 g3 -> 1
-        return FreeHom(3, 1, (t2, t, ti))
-    # g2 g3 -> t, g1 g3 -> 1
-    return FreeHom(3, 1, (t, t2, ti))

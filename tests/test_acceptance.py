@@ -27,6 +27,9 @@ from gbtc.free_groups import (
     pullback,
     restriction_injective,
     stallings_core,
+    star_commutator_subgroups,
+    trivalent_collapse_hom,
+    trivalent_product_subgroups,
 )
 from gbtc.graph_core import classify
 from gbtc.local_graphs import (
@@ -35,9 +38,6 @@ from gbtc.local_graphs import (
     compositions,
     expected_counts,
     pi1_rank,
-    star_commutator_subgroups,
-    trivalent_collapse_hom,
-    trivalent_product_subgroups,
 )
 from gbtc.tc_bounds import lower_bound, stable_report
 

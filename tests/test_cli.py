@@ -481,14 +481,14 @@ def test_verify_lemmas_runs_the_oracle_once(monkeypatch, n):
 def test_verify_lemmas_star_rows_need_the_retraction(capsys, monkeypatch):
     # the rank-3 check proves n only while both subgroups keep the letters
     # of n = 4; a subgroup using x4 is outside what the retraction fixes
-    real = local_graphs.star_commutator_subgroups
+    real = free_groups.star_commutator_subgroups
 
     def using_x4(n, a):
         if n < 5:
             return real(n, a)
         return [free_groups.concat(w, free_groups.generator(n - 1, 4)) for w in real(n, a)]
 
-    monkeypatch.setattr(local_graphs, "star_commutator_subgroups", using_x4)
+    monkeypatch.setattr(free_groups, "star_commutator_subgroups", using_x4)
     rows = _verify_lemma_rows(6)
     assert [r["ok"] for r in rows[:3]] == [True, False, False]
     assert all(r["ok"] for r in rows[3:])
@@ -500,13 +500,13 @@ def reference_star_rows(max_n: int) -> list[dict]:
     """The star rows as each n checked its own pair at rank n - 1."""
     rows = []
     for n in range(4, max_n + 1):
-        h0 = local_graphs.star_commutator_subgroups(n, 0)
-        h1 = local_graphs.star_commutator_subgroups(n, 1)
+        h0 = free_groups.star_commutator_subgroups(n, 0)
+        h1 = free_groups.star_commutator_subgroups(n, 1)
         a = free_groups.stallings_core(n - 1, h0)
         b = free_groups.stallings_core(n - 1, h1)
         ok = free_groups.is_forest(free_groups.pullback(a, b))
         ok = ok and free_groups.subgroup_rank(a) == 1 and free_groups.subgroup_rank(b) == 1
-        psi = local_graphs.star_projection_hom(n)
+        psi = free_groups.star_projection_hom(n)
         ok = ok and free_groups.restriction_injective(psi, h0)
         ok = ok and all(free_groups.apply_hom(psi, w).is_identity for w in h1)
         ok = ok and not free_groups.disjoint_conjugates_bruteforce(a, b, 4).found_violation
@@ -962,6 +962,48 @@ def test_import_loads_neither_dataclasses_nor_inspect():
     assert {m for m in ran.split() if m.startswith("gbtc.")} == {"gbtc.cli", "gbtc.graph_core"}
 
 
+# the gbtc modules each command loads, beyond those importing gbtc.cli loads
+COMMAND_MODULES = [
+    (["classify", "theta"], {"cli", "graph_core"}),
+    (["--help"], {"cli", "graph_core"}),
+    (["bound", "--help"], {"cli", "graph_core"}),
+    (["stable", "theta", "--r", "2"], {"cli", "graph_core", "tc_bounds"}),
+    (["bound", "theta", "--r", "2", "--k", "4"], {"cli", "graph_core", "tc_bounds"}),
+    (
+        ["bound", "theta", "--r", "2", "--k", "4", "--check-homology"],
+        {"cli", "graph_core", "tc_bounds", "discrete_config"},
+    ),
+    (["homology", "theta", "--k", "3"], {"cli", "graph_core", "discrete_config"}),
+    (["corpus"], {"cli", "graph_core", "tc_bounds", "corpus", "data"}),
+    (["verify-lemmas"], {"cli", "graph_core", "free_groups", "local_graphs"}),
+    (["lambda", "star5", "--vertex", "c", "--k", "3"], {"cli", "graph_core", "local_graphs"}),
+]
+
+
+@pytest.mark.parametrize(
+    "argv, modules", COMMAND_MODULES, ids=[" ".join(argv) for argv, _ in COMMAND_MODULES]
+)
+def test_each_command_loads_only_the_modules_it_runs(argv, modules):
+    # in a fresh process: plain bound builds no complex and lambda folds no
+    # subgroup, so neither loads the module that would
+    script = (
+        "import sys\n"
+        "before = set(sys.modules)\n"
+        "import gbtc.cli\n"
+        "code = gbtc.cli.main(sys.argv[1:])\n"
+        "new = set(sys.modules) - before\n"
+        "print(' '.join(sorted(m[5:] for m in new if m.startswith('gbtc.'))))\n"
+        "sys.exit(code)\n"
+    )
+    argv = [datafile(a) if a in BUNDLED else a for a in argv]
+    env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(gbtc.__file__)))
+    proc = subprocess.run(
+        [sys.executable, "-c", script, *argv], env=env, capture_output=True, text=True, timeout=60
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert set(proc.stdout.splitlines()[-1].split()) == modules
+
+
 def test_bare_import_loads_no_submodule_and_defines_nothing():
     # each name is imported from the module that defines it: the package
     # holds no function or class of its own, and loads no module
@@ -1023,10 +1065,10 @@ def test_tracer_pullback_counts_have_closed_forms():
     for n in range(4, 9):
         for side in (0, 1):
             cores.append(
-                free_groups.stallings_core(n - 1, local_graphs.star_commutator_subgroups(n, side))
+                free_groups.stallings_core(n - 1, free_groups.star_commutator_subgroups(n, side))
             )
     cores += [
-        free_groups.stallings_core(3, local_graphs.trivalent_product_subgroups(side))
+        free_groups.stallings_core(3, free_groups.trivalent_product_subgroups(side))
         for side in (0, 1)
     ]
     pairs = [(a, b) for a in cores for b in cores if a.rank == b.rank]

@@ -798,6 +798,29 @@ def test_nonvanishing_budget_exceeded_is_reported():
     assert rep.status == "verified" and sum(rep.cell_counts) == 79
 
 
+def test_top_betti_number_never_drops_as_k_grows():
+    # for k >= m there is no degree m + 1, so H_m = ker d_m; multiplying by
+    # an edge is an injective chain map (the edge stabilization of An,
+    # Drummond-Cole and Knudsen, Geom. Topol. 24, 2020), so b_m(k) <= b_m(k + 1)
+    for name in BUNDLED:
+        g = load_bundled(name)
+        m = nonvanishing_check(g, 0).m
+        top = [nonvanishing_check(g, k).betti[m] for k in range(m, 2 * m + 2)]
+        assert top == sorted(top), (name, top)
+        assert top[m] > 0, (name, top)
+
+
+def test_trees_have_no_homology_above_half_of_k():
+    # Farley-Sabalka's discrete gradient on a tree (AGT 5, 2005) leaves
+    # critical cells only in degrees up to min(floor(k/2), m)
+    for name in ("hgraph", "spider", "star3", "star4", "star5"):
+        g = load_bundled(name)
+        assert g.n_edges == len(g.vertices) - 1, name
+        for k in range(1, 7):
+            b = nonvanishing_check(g, k).betti.betti
+            assert not any(b[k // 2 + 1 :]), (name, k, b)
+
+
 def test_b0_check_catches_a_wrong_d1_rank(monkeypatch):
     # one rank too few in d_1 raises b_0 and b_1 by one each, which the Euler
     # characteristic cannot see: only the b_0 check does

@@ -32,10 +32,10 @@ from gbtc.free_groups import (
     reduce_word,
     restriction_injective,
     stallings_core,
+    star_commutator_subgroups,
     subgroup_elements_up_to,
     subgroup_rank,
 )
-from gbtc.local_graphs import star_commutator_subgroups
 
 
 def w(rank, *letters):

@@ -30,7 +30,11 @@ from gbtc.free_groups import (
     pullback,
     restriction_injective,
     stallings_core,
+    star_commutator_subgroups,
+    star_projection_hom,
     subgroup_rank,
+    trivalent_collapse_hom,
+    trivalent_product_subgroups,
 )
 from gbtc.graph_core import Graph, components_without, valence
 from gbtc.local_graphs import (
@@ -42,10 +46,6 @@ from gbtc.local_graphs import (
     expected_counts,
     local_quotient,
     pi1_rank,
-    star_commutator_subgroups,
-    star_projection_hom,
-    trivalent_collapse_hom,
-    trivalent_product_subgroups,
 )
 from loop_basis_oracle import (
     free_basis,
